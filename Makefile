@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-parallel bench-adaptive bench-ppsfp bench-scale bench-fusion test-race cover experiments experiments-full serve smoke smoke-cluster clean
+.PHONY: all build test vet bench bench-parallel bench-ppsfp bench-scale bench-fusion test-race cover experiments experiments-full serve smoke smoke-cluster clean
 
 all: vet test build
 
@@ -23,27 +23,16 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Parallel-engine speedup curve (workers 1 / 4 / NumCPU), archived as a
-# machine-readable artifact. Speedup ≈ 1.0 on a single-core runner.
+# Speedup curve of the parallel engine (workers 1 / 4 / NumCPU),
+# archived as a machine-readable artifact. Speedup ≈ 1.0 on a single-core runner.
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkCertifyLotParallel -benchtime 3x . \
 		| $(GO) run ./cmd/benchjson > BENCH_parallel.json
 	cat BENCH_parallel.json
 
-# Single-flip sweep engine vs legacy clone-and-measure on the adaptive
-# flow (published circuit size, workers=1), archived as a machine-
-# readable artifact. The sweep arm reports the paired wall-clock
-# speedup over the legacy path.
-bench-adaptive:
-	$(GO) test -run '^$$' -bench BenchmarkAdaptive -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson > BENCH_adaptive.json
-	cat BENCH_adaptive.json
-
-# PPSFP engine kind vs the scalar reference paths (published circuit
-# size, workers=1), archived as a machine-readable artifact. The
-# adaptive arm reports paired wall-clock speedups over the scalar sweep
-# and legacy climbs; the faultsim arm over scalar batch fault
-# simulation. Results are bit-identical across kinds by construction.
+# PPSFP engine timings (published circuit size, workers=1): the
+# adaptive climb and batch fault simulation, archived as a machine-
+# readable artifact.
 bench-ppsfp:
 	$(GO) test -run '^$$' -bench BenchmarkPPSFP -benchtime 3x . \
 		| $(GO) run ./cmd/benchjson > BENCH_ppsfp.json

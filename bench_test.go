@@ -400,81 +400,10 @@ func BenchmarkCertifyLotParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptive contrasts the two candidate-measurement paths of the
-// adaptive flow on the same climb: the legacy clone-and-measure loop
-// (every candidate materialized and launched through the full netlist)
-// against the single-flip sweep engine (base simulated once per step,
-// only flip cones re-evaluated, sparse pricing). Both produce
-// bit-identical results — the equivalence suite pins that — so the only
-// difference the benchmark shows is cost. The sweep arm interleaves an
-// untimed legacy run with every timed sweep run and reports the paired
-// wall-clock ratio as "speedup": both paths see the same machine
-// conditions, so the ratio is stable where a one-shot baseline is not.
-func BenchmarkAdaptive(b *testing.B) {
-	// The sweep's advantage is structural — single-flip cones small
-	// relative to the netlist — so this benchmark runs the headline case
-	// closer to published size than the toy fixture scale, where a
-	// 64-flip union cone covers the whole circuit.
-	const adaptiveBenchScale = 1.0
-	inst, err := trust.Build(trust.Cases()[0], adaptiveBenchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := superpose.StandardCellLibrary()
-	chip := superpose.Manufacture(inst.Infected, lib, superpose.ThreeSigmaIntra(benchVarsigma), 42)
-	dev := superpose.NewDevice(chip, 4, superpose.LOS)
-	ev := superpose.NewEvaluator(inst.Host, lib, dev, 4, superpose.LOS)
-	seed := ev.Chains().RandomPattern(stats.NewRNG(5))
-	ev.Calibrate([]*scan.Pattern{seed})
-	// Both arms pin the scalar backend: this benchmark isolates the
-	// sweep-vs-legacy measurement-path difference, holding the simulation
-	// engine fixed at the reference kind. BenchmarkPPSFP measures the
-	// engine-kind axis on the same climb.
-	opt := core.AdaptiveOptions{MaxSteps: 4, Engine: sim.EngineScalar}
-	legacyOpt := opt
-	legacyOpt.LegacyMeasure = true
-
-	b.Run("legacy", func(b *testing.B) {
-		var best float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ar := ev.Adaptive(seed, legacyOpt)
-			best = ar.Steps[ar.Best].Reading.RPD
-		}
-		b.ReportMetric(best, "rpd-adaptive")
-	})
-	b.Run("sweep", func(b *testing.B) {
-		ev.Adaptive(seed, opt) // warm caches (sweep plans on first call)
-		var best float64
-		var legacyTotal, sweepTotal time.Duration
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			t0 := time.Now()
-			ev.Adaptive(seed, legacyOpt)
-			legacyTotal += time.Since(t0)
-			b.StartTimer()
-			t1 := time.Now()
-			ar := ev.Adaptive(seed, opt)
-			sweepTotal += time.Since(t1)
-			best = ar.Steps[ar.Best].Reading.RPD
-		}
-		b.ReportMetric(float64(legacyTotal)/float64(sweepTotal), "speedup")
-		b.ReportMetric(best, "rpd-adaptive")
-	})
-}
-
-// BenchmarkPPSFP measures the engine-kind axis: the 64-way bit-parallel
-// PPSFP configuration (SoA netlist core, delta propagation in the sweep,
-// vectorized sparse pricing) against the scalar reference paths, on the
-// same workloads at published circuit scale. Every arm interleaves its
-// untimed baseline run with the timed run and reports paired wall-clock
-// ratios — both paths see the same machine conditions, so the ratios
-// are stable where one-shot baselines are not. The engine selector
-// changes cost only: the equivalence and exhaustive suites pin that
-// every arm's results are bit-identical.
+// BenchmarkPPSFP times the 64-way bit-parallel PPSFP engine (SoA
+// netlist core, delta propagation in the sweep, vectorized sparse
+// pricing) at published circuit scale, on the two workloads it carries:
+// the adaptive climb and batch fault simulation.
 func BenchmarkPPSFP(b *testing.B) {
 	const ppsfpBenchScale = 1.0
 	inst, err := trust.Build(trust.Cases()[0], ppsfpBenchScale)
@@ -483,46 +412,27 @@ func BenchmarkPPSFP(b *testing.B) {
 	}
 	lib := superpose.StandardCellLibrary()
 
-	// The adaptive climb of BenchmarkAdaptive, with the engine selector
-	// as the only moving part: timed PPSFP-kind climbs against untimed
-	// interleaved sweep-scalar and legacy-scalar climbs.
+	// A four-step adaptive climb on a calibrated die.
 	b.Run("adaptive", func(b *testing.B) {
 		chip := superpose.Manufacture(inst.Infected, lib, superpose.ThreeSigmaIntra(benchVarsigma), 42)
 		dev := superpose.NewDevice(chip, 4, superpose.LOS)
 		ev := superpose.NewEvaluator(inst.Host, lib, dev, 4, superpose.LOS)
 		seed := ev.Chains().RandomPattern(stats.NewRNG(5))
 		ev.Calibrate([]*scan.Pattern{seed})
-		ppsfpOpt := core.AdaptiveOptions{MaxSteps: 4, Engine: sim.EnginePPSFP}
-		scalarOpt := core.AdaptiveOptions{MaxSteps: 4, Engine: sim.EngineScalar}
-		legacyOpt := scalarOpt
-		legacyOpt.LegacyMeasure = true
-		ev.Adaptive(seed, ppsfpOpt) // warm caches (sweep plans on first call)
+		opt := core.AdaptiveOptions{MaxSteps: 4}
+		ev.Adaptive(seed, opt) // warm caches (sweep plans on first call)
 		var best float64
-		var legacyTotal, scalarTotal, ppsfpTotal time.Duration
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			t0 := time.Now()
-			ev.Adaptive(seed, legacyOpt)
-			legacyTotal += time.Since(t0)
-			t0 = time.Now()
-			ev.Adaptive(seed, scalarOpt)
-			scalarTotal += time.Since(t0)
-			b.StartTimer()
-			t0 = time.Now()
-			ar := ev.Adaptive(seed, ppsfpOpt)
-			ppsfpTotal += time.Since(t0)
+			ar := ev.Adaptive(seed, opt)
 			best = ar.Steps[ar.Best].Reading.RPD
 		}
-		b.ReportMetric(float64(scalarTotal)/float64(ppsfpTotal), "speedup-vs-sweep")
-		b.ReportMetric(float64(legacyTotal)/float64(ppsfpTotal), "speedup-vs-legacy")
 		b.ReportMetric(best, "rpd-adaptive")
 	})
 
-	// Batch fault simulation: PPSFP event-driven cone propagation against
-	// the scalar per-fault full re-simulation, single worker, on a bounded
-	// collapsed-fault sample.
+	// Batch fault simulation: event-driven cone propagation per fault,
+	// single worker, on a bounded collapsed-fault sample.
 	b.Run("faultsim", func(b *testing.B) {
 		ch := superpose.ConfigureScan(inst.Host, 4)
 		fs := atpg.NewFaultSimulator(ch)
@@ -536,21 +446,11 @@ func BenchmarkPPSFP(b *testing.B) {
 		for i := range pats {
 			pats[i] = ch.RandomPattern(rng)
 		}
-		var scalarTotal, ppsfpTotal time.Duration
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fs.SetEngine(sim.EngineScalar)
-			t0 := time.Now()
 			fs.DetectBatch(pats, faults)
-			scalarTotal += time.Since(t0)
-			b.StartTimer()
-			fs.SetEngine(sim.EnginePPSFP)
-			t0 = time.Now()
-			fs.DetectBatch(pats, faults)
-			ppsfpTotal += time.Since(t0)
 		}
-		b.ReportMetric(float64(scalarTotal)/float64(ppsfpTotal), "speedup-vs-scalar")
 	})
 }
 

@@ -1,7 +1,7 @@
 // Benchjson converts `go test -bench` text output on stdin into a JSON
 // document on stdout, so benchmark results can be archived as machine-
 // readable artifacts (see the Makefile's bench-parallel target, which
-// records the parallel-engine speedup curve in BENCH_parallel.json).
+// records the parallel engine's speedup curve in BENCH_parallel.json).
 //
 //	go test -run '^$' -bench CertifyLotParallel . | benchjson > BENCH_parallel.json
 //

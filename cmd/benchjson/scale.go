@@ -16,7 +16,6 @@ import (
 	"superpose/internal/core"
 	"superpose/internal/power"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/stats"
 	"superpose/internal/trust"
 )
@@ -158,7 +157,7 @@ func runScaleChild(gates int, certify bool) error {
 			SeedPatterns: []*scan.Pattern{ch.RandomPattern(rng), ch.RandomPattern(rng)},
 			MaxSeeds:     1,
 			MaxPairs:     1,
-			Adaptive:     core.AdaptiveOptions{MaxSteps: 1, Engine: sim.EnginePPSFP},
+			Adaptive:     core.AdaptiveOptions{MaxSteps: 1},
 			Strategic:    core.StrategicOptions{MaxRounds: 1},
 			Acquisition:  core.NaiveAcquisition(),
 		}

@@ -38,7 +38,6 @@ import (
 	"superpose/internal/power"
 	"superpose/internal/profile"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/tester"
 	"superpose/internal/timing"
 	"superpose/internal/trojan"
@@ -67,7 +66,6 @@ func main() {
 		testerSeed   = flag.Uint64("tester-seed", 1, "fault realization seed (with -tester)")
 		acqName      = flag.String("acq", "", "measurement-acquisition policy: naive or robust (default: naive, or robust when -tester is set)")
 		workersFlag  = flag.Int("workers", 0, "parallel workers for lot dies and fault simulation (0 = one per CPU, 1 = serial); results are bit-identical at any count")
-		engineFlag   = flag.String("engine", "auto", "simulation engine: auto, ppsfp (SoA batch engine, default) or scalar (reference oracle); results are bit-identical")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -111,11 +109,6 @@ func main() {
 		fail(err)
 	}
 
-	engine, ok := sim.ParseEngineKind(*engineFlag)
-	if !ok {
-		fail(fmt.Errorf("unknown -engine %q (auto, ppsfp or scalar)", *engineFlag))
-	}
-
 	faultCfg, err := tester.Preset(*testerPreset, *testerSeed)
 	if err != nil {
 		fail(err)
@@ -134,8 +127,7 @@ func main() {
 		NumChains:   *chains,
 		MaxSeeds:    *seeds,
 		Varsigma:    *varsigma,
-		ATPG:        atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120, Workers: workers, Engine: engine},
-		Adaptive:    core.AdaptiveOptions{Engine: engine},
+		ATPG:        atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120, Workers: workers},
 		Acquisition: acq,
 		Channel:     ch,
 	}
@@ -173,7 +165,6 @@ func main() {
 
 	chip := power.Manufacture(physical, lib, power.ThreeSigmaIntra(*varsigma), *chipSeed)
 	dev := core.NewDevice(chip, *chains, scan.LOS)
-	dev.SetEngine(engine)
 	if ch.UsesDelay() {
 		dev.SetDelayChip(delay.Manufacture(physical, timing.SAED90LikeDelays(),
 			power.ThreeSigmaIntra(*varsigma), *chipSeed))

@@ -5,7 +5,6 @@ import (
 
 	"superpose/internal/logic"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/stats"
 )
 
@@ -38,18 +37,13 @@ type Options struct {
 	// chance of incidental Trojan activation, the reason side-channel
 	// methods (the paper's [9]) favour them over single-detect sets.
 	NDetect int
-	// Workers bounds the fault-simulation fan-out (per-fault faulty-
-	// machine evaluations shard across a pool of simulators; see
-	// internal/parallel): 0 means one worker per CPU, 1 the exact legacy
+	// Workers bounds the fault-simulation fan-out (per-fault cone
+	// propagations shard across a pool of propagators; see
+	// internal/parallel): 0 means one worker per CPU, 1 the exact
 	// serial path. Generation output is bit-identical at every worker
 	// count — each fault's detection mask depends only on the shared
 	// good-machine frames.
 	Workers int
-	// Engine selects the fault-simulation backend (default PPSFP: the
-	// event-driven cone propagation over the SoA netlist core; scalar is
-	// the full-resimulation reference path). Generated patterns and all
-	// counters are bit-identical across engines.
-	Engine sim.EngineKind
 }
 
 func (o Options) withDefaults() Options {
@@ -135,7 +129,6 @@ func Generate(ch *scan.Chains, opt Options) (*Result, error) {
 	res := &Result{TotalFaults: len(reps)}
 	fsim := NewFaultSimulator(ch)
 	fsim.SetWorkers(opt.Workers)
-	fsim.SetEngine(opt.Engine)
 	rng := stats.NewRNG(opt.Seed)
 
 	// liveList materializes the faults still needing detections.

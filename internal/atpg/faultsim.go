@@ -11,13 +11,14 @@ import (
 )
 
 // FaultSimulator evaluates which transition faults a batch of LOS patterns
-// detects. It runs the good machine once per batch and one faulty capture
-// frame per live fault (serial fault simulation, 64 patterns in parallel
-// per run), which combined with fault dropping keeps total work modest.
-// The per-fault faulty-machine evaluations are independent given the
-// shared good-machine frames, so they shard across a pool of workers (see
-// SetWorkers), each owning its own Simulator; the detection masks are
-// bit-identical at every worker count.
+// detects. It launches the good machine once per batch (64 patterns in
+// parallel) and propagates each live fault event-driven through its
+// fanout cone against the shared good-machine capture frame, which
+// combined with fault dropping keeps total work modest. The per-fault
+// propagations are independent given the shared frames, so they shard
+// across a pool of workers (see SetWorkers), each owning its own cone
+// propagator; the detection masks are bit-identical at every worker
+// count.
 //
 // A FaultSimulator is not safe for concurrent use by multiple goroutines;
 // the parallelism is internal.
@@ -27,51 +28,24 @@ type FaultSimulator struct {
 	eng     *scan.Engine
 	obs     []int
 	workers int
-	engine  sim.EngineKind
-	sims    []*sim.Simulator // scalar kind: one faulty-machine simulator per worker
-	props   []*sim.FaultProp // PPSFP kind: one cone propagator per worker
+	props   []*sim.FaultProp // one cone propagator per worker
 }
 
-// NewFaultSimulator returns a simulator over the scan configuration,
-// using the default engine (PPSFP).
+// NewFaultSimulator returns a simulator over the scan configuration.
 func NewFaultSimulator(ch *scan.Chains) *FaultSimulator {
 	n := ch.Netlist()
 	e := newExpansion(n, ch)
 	return &FaultSimulator{
-		n:      n,
-		ch:     ch,
-		eng:    scan.NewEngine(ch),
-		obs:    e.obs,
-		engine: sim.EngineAuto.Resolve(),
+		n:   n,
+		ch:  ch,
+		eng: scan.NewEngine(ch),
+		obs: e.obs,
 	}
 }
 
 // SetWorkers bounds the per-fault fan-out: 0 means one worker per CPU,
-// 1 the exact legacy serial path.
+// 1 the exact serial path.
 func (fs *FaultSimulator) SetWorkers(w int) { fs.workers = w }
-
-// SetEngine selects the faulty-machine evaluation backend: PPSFP
-// propagates each fault event-driven through its fanout cone over the
-// SoA netlist core, the scalar kind re-simulates the whole netlist per
-// fault (the original reference path). Detection masks are bit-identical
-// across kinds; the shared good-machine launch switches backend too.
-func (fs *FaultSimulator) SetEngine(kind sim.EngineKind) {
-	fs.engine = kind.Resolve()
-	fs.eng.SetKind(kind)
-}
-
-// Engine returns the resolved faulty-machine backend.
-func (fs *FaultSimulator) Engine() sim.EngineKind { return fs.engine }
-
-// simulators returns at least w per-worker simulators, growing the pool
-// lazily (construction is cheap; the value arrays dominate and are
-// reused across batches).
-func (fs *FaultSimulator) simulators(w int) []*sim.Simulator {
-	for len(fs.sims) < w {
-		fs.sims = append(fs.sims, sim.New(fs.n))
-	}
-	return fs.sims[:w]
-}
 
 // propagators returns at least w per-worker cone propagators, each
 // loaded with the shared good-machine capture frame.
@@ -110,50 +84,24 @@ func (fs *FaultSimulator) DetectBatch(pats []*scan.Pattern, faults []Fault) []lo
 		w = len(faults)
 	}
 
-	if fs.engine == sim.EnginePPSFP {
-		// Event-driven cone propagation per fault, against the shared
-		// good-machine capture frame — O(active cone) per fault instead
-		// of a full-netlist re-simulation.
-		props := fs.propagators(max(w, 1), good2)
-		if w <= 1 {
-			fp := props[0]
-			for i, f := range faults {
-				out[i] = detectOneProp(fp, f, good1, laneMask)
-			}
-			return out
-		}
-		if err := parallel.ForEach(context.Background(), w, w, func(shard int) error {
-			fp := props[shard]
-			lo := shard * len(faults) / w
-			hi := (shard + 1) * len(faults) / w
-			for i := lo; i < hi; i++ {
-				out[i] = detectOneProp(fp, faults[i], good1, laneMask)
-			}
-			return nil
-		}); err != nil {
-			// The shard body never errors; only a contained panic lands here.
-			panic(err.Error())
-		}
-		return out
-	}
-
-	src2 := fs.eng.Frame2Sources()
+	// Event-driven cone propagation per fault, against the shared
+	// good-machine capture frame — O(active cone) per fault instead of a
+	// full-netlist re-simulation. Contiguous shards, one worker and one
+	// private propagator each; every fault writes only its own out slot.
+	props := fs.propagators(max(w, 1), good2)
 	if w <= 1 {
-		s := fs.simulators(1)[0]
+		fp := props[0]
 		for i, f := range faults {
-			out[i] = fs.detectOne(s, f, good1, good2, src2, laneMask)
+			out[i] = detectOneProp(fp, f, good1, laneMask)
 		}
 		return out
 	}
-	// Contiguous shards, one worker and one private simulator each; every
-	// fault writes only its own out slot, from shared read-only frames.
-	sims := fs.simulators(w)
 	if err := parallel.ForEach(context.Background(), w, w, func(shard int) error {
-		s := sims[shard]
+		fp := props[shard]
 		lo := shard * len(faults) / w
 		hi := (shard + 1) * len(faults) / w
 		for i := lo; i < hi; i++ {
-			out[i] = fs.detectOne(s, faults[i], good1, good2, src2, laneMask)
+			out[i] = detectOneProp(fp, faults[i], good1, laneMask)
 		}
 		return nil
 	}); err != nil {
@@ -163,11 +111,10 @@ func (fs *FaultSimulator) DetectBatch(pats []*scan.Pattern, faults []Fault) []lo
 	return out
 }
 
-// detectOneProp is detectOne through the PPSFP cone propagator: the
-// launch-lane computation is shared, the faulty-machine deviation comes
-// from event-driven propagation instead of RunForced. Bit-identical by
-// construction — unreached observation nets contribute zero diff, and
-// OR-accumulation is order-independent.
+// detectOneProp computes one fault's detection mask: the lanes whose
+// frame-1 site value equals the fault's initial value launch it, and the
+// cone propagator reports on which of those the faulty capture frame
+// reaches an observation point.
 func detectOneProp(fp *sim.FaultProp, f Fault, good1 []logic.Word, laneMask logic.Word) logic.Word {
 	initial := logic.AllZero
 	if f.Dir.initial() {
@@ -178,30 +125,6 @@ func detectOneProp(fp *sim.FaultProp, f Fault, good1 []logic.Word, laneMask logi
 		return 0
 	}
 	return fp.Propagate(f.Net, initial, launch)
-}
-
-// detectOne computes one fault's detection mask against the shared
-// good-machine frames, using the caller-owned faulty-machine simulator.
-func (fs *FaultSimulator) detectOne(s *sim.Simulator, f Fault,
-	good1, good2, src2 []logic.Word, laneMask logic.Word) logic.Word {
-	initial := logic.AllZero
-	if f.Dir.initial() {
-		initial = logic.AllOne
-	}
-	// Launch lanes: frame-1 site value equals the initial value.
-	launch := ^(good1[f.Net] ^ initial) & laneMask
-	if launch == 0 {
-		return 0
-	}
-	faulty2 := s.RunForced(src2, f.Net, initial)
-	var diff logic.Word
-	for _, o := range fs.obs {
-		diff |= good2[o] ^ faulty2[o]
-		if diff&launch == launch {
-			break // all launch lanes already detect
-		}
-	}
-	return diff & launch
 }
 
 // Detects reports whether a single pattern detects the fault.

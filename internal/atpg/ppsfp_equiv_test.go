@@ -22,10 +22,58 @@ func engineEquivChains(t testing.TB, seed uint64) *scan.Chains {
 	return scan.Configure(n, 2)
 }
 
+// referenceDetect is the fault-simulation oracle DetectBatch is held to:
+// the good machine through the per-gate sim.Simulator, then one full
+// re-simulation of the capture frame per fault with the site forced to
+// its initial value (RunForced), diffed at every observation net. It
+// shares nothing with the PPSFP path but the LOS source assignment of
+// scan.Chains.LOSSources.
+func referenceDetect(ch *scan.Chains, pats []*scan.Pattern, faults []Fault) []logic.Word {
+	n := ch.Netlist()
+	src1 := make([]logic.Word, n.NumGates())
+	src2 := make([]logic.Word, n.NumGates())
+	for lane, p := range pats {
+		bit := logic.Word(1) << uint(lane)
+		f1, f2 := ch.LOSSources(p)
+		for id := range f1 {
+			src1[id] |= f1[id] & 1 * bit
+			src2[id] |= f2[id] & 1 * bit
+		}
+	}
+	s := sim.New(n)
+	defer s.Release()
+	good1 := append([]logic.Word(nil), s.Run(src1)...)
+	good2 := append([]logic.Word(nil), s.Run(src2)...)
+	laneMask := logic.AllOne
+	if len(pats) < 64 {
+		laneMask = logic.Word(1)<<uint(len(pats)) - 1
+	}
+	obs := newExpansion(n, ch).obs
+
+	out := make([]logic.Word, len(faults))
+	for i, f := range faults {
+		initial := logic.AllZero
+		if f.Dir.initial() {
+			initial = logic.AllOne
+		}
+		launch := ^(good1[f.Net] ^ initial) & laneMask
+		if launch == 0 {
+			continue
+		}
+		faulty2 := s.RunForced(src2, f.Net, initial)
+		var diff logic.Word
+		for _, o := range obs {
+			diff |= good2[o] ^ faulty2[o]
+		}
+		out[i] = diff & launch
+	}
+	return out
+}
+
 // TestDetectBatchEngineEquivalence requires the PPSFP cone propagator to
-// report the exact detection word the scalar full-resimulation path does,
-// for every collapsed fault, at the partial-lane batch sizes (1, 63, 64)
-// and on the s27 benchmark plus generated circuits.
+// report the exact detection word the RunForced oracle does, for every
+// collapsed fault, at the partial-lane batch sizes (1, 63, 64) and on
+// the s27 benchmark plus generated circuits.
 func TestDetectBatchEngineEquivalence(t *testing.T) {
 	chains := []*scan.Chains{scan.Configure(parseS27(t), 1)}
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -35,25 +83,18 @@ func TestDetectBatchEngineEquivalence(t *testing.T) {
 		n := ch.Netlist()
 		reps, _ := Collapse(n, FaultList(n))
 		rng := stats.NewRNG(1234)
-
-		scalar := NewFaultSimulator(ch)
-		scalar.SetEngine(sim.EngineScalar)
-		ppsfp := NewFaultSimulator(ch)
-		ppsfp.SetEngine(sim.EnginePPSFP)
-		if scalar.Engine() != sim.EngineScalar || ppsfp.Engine() != sim.EnginePPSFP {
-			t.Fatalf("engines resolved to %v/%v", scalar.Engine(), ppsfp.Engine())
-		}
+		fs := NewFaultSimulator(ch)
 
 		for _, count := range []int{1, 63, 64} {
 			pats := make([]*scan.Pattern, count)
 			for i := range pats {
 				pats[i] = ch.RandomPattern(rng)
 			}
-			want := scalar.DetectBatch(pats, reps)
-			got := ppsfp.DetectBatch(pats, reps)
+			want := referenceDetect(ch, pats, reps)
+			got := fs.DetectBatch(pats, reps)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s count %d fault %v: ppsfp %016x, scalar %016x",
+					t.Fatalf("%s count %d fault %v: ppsfp %016x, reference %016x",
 						n.Name, count, reps[i], got[i], want[i])
 				}
 			}
@@ -86,73 +127,60 @@ func TestDetectBatchEngineWorkerEquivalence(t *testing.T) {
 		pats[i] = ch.RandomPattern(rng)
 	}
 
-	workerCounts := []int{1, 4, runtime.NumCPU()}
-	for _, engine := range []sim.EngineKind{sim.EngineScalar, sim.EnginePPSFP} {
-		var ref []logic.Word
-		for _, w := range workerCounts {
-			fs := NewFaultSimulator(ch)
-			fs.SetEngine(engine)
-			fs.SetWorkers(w)
-			det := fs.DetectBatch(pats, reps)
-			if ref == nil {
-				ref = det
-				continue
-			}
-			for i := range ref {
-				if det[i] != ref[i] {
-					t.Fatalf("%v workers %d fault %v: %016x, serial %016x",
-						engine, w, reps[i], det[i], ref[i])
-				}
+	ref := referenceDetect(ch, pats, reps)
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		fs := NewFaultSimulator(ch)
+		fs.SetWorkers(w)
+		det := fs.DetectBatch(pats, reps)
+		for i := range ref {
+			if det[i] != ref[i] {
+				t.Fatalf("workers %d fault %v: %016x, reference %016x", w, reps[i], det[i], ref[i])
 			}
 		}
 	}
 }
 
-// TestGenerateEngineEquivalence runs full ATPG under both engines and
-// requires identical results end to end: same patterns, same coverage,
-// same per-pattern detection counts.
+// TestGenerateEngineEquivalence replays a full ATPG run through the
+// RunForced oracle. Generate keeps a pattern only when it newly detects
+// a live fault, so replaying the kept patterns in order must credit each
+// one with at least its PerPatternDetects. The replay may credit more:
+// a fault Generate closed as aborted can still be caught by a later
+// pattern, which Generate deliberately never counts. The excess is
+// therefore bounded by Aborted.
 func TestGenerateEngineEquivalence(t *testing.T) {
 	ch := engineEquivChains(t, 3)
-	base := Options{Seed: 11, RandomPatterns: 32, BacktrackLimit: 256}
-
-	optScalar := base
-	optScalar.Engine = sim.EngineScalar
-	want, err := Generate(ch, optScalar)
+	res, err := Generate(ch, Options{Seed: 11, RandomPatterns: 32, BacktrackLimit: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	optPP := base
-	optPP.Engine = sim.EnginePPSFP
-	got, err := Generate(ch, optPP)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Patterns) == 0 || res.Detected == 0 {
+		t.Fatalf("degenerate run: %v", res)
+	}
+	n := ch.Netlist()
+	reps, _ := Collapse(n, FaultList(n))
+	if len(reps) != res.TotalFaults {
+		t.Fatalf("%d collapsed faults, Generate reports %d", len(reps), res.TotalFaults)
 	}
 
-	if got.TotalFaults != want.TotalFaults || got.Detected != want.Detected ||
-		got.Untestable != want.Untestable || got.Aborted != want.Aborted ||
-		got.NotTargeted != want.NotTargeted || got.NDetectSatisfied != want.NDetectSatisfied {
-		t.Fatalf("summary diverged:\n ppsfp  %v\n scalar %v", got, want)
-	}
-	if len(got.Patterns) != len(want.Patterns) {
-		t.Fatalf("%d patterns, scalar %d", len(got.Patterns), len(want.Patterns))
-	}
-	for i := range want.Patterns {
-		if got.PerPatternDetects[i] != want.PerPatternDetects[i] {
-			t.Fatalf("pattern %d detects %d, scalar %d", i, got.PerPatternDetects[i], want.PerPatternDetects[i])
-		}
-		a, b := got.Patterns[i], want.Patterns[i]
-		for c := range a.Scan {
-			for j := range a.Scan[c] {
-				if a.Scan[c][j] != b.Scan[c][j] {
-					t.Fatalf("pattern %d scan bit (%d,%d) diverged", i, c, j)
-				}
+	detected := make([]bool, len(reps))
+	credited := 0
+	for i, p := range res.Patterns {
+		det := referenceDetect(ch, []*scan.Pattern{p}, reps)
+		fresh := 0
+		for fi, w := range det {
+			if w != 0 && !detected[fi] {
+				detected[fi] = true
+				fresh++
 			}
 		}
-		for j := range a.PI {
-			if a.PI[j] != b.PI[j] {
-				t.Fatalf("pattern %d PI %d diverged", i, j)
-			}
+		if fresh < res.PerPatternDetects[i] {
+			t.Fatalf("pattern %d: reference credits %d fresh detections, Generate %d",
+				i, fresh, res.PerPatternDetects[i])
 		}
+		credited += fresh
+	}
+	if credited < res.Detected || credited > res.Detected+res.Aborted {
+		t.Fatalf("reference replay detects %d faults, Generate %d (aborted %d)",
+			credited, res.Detected, res.Aborted)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"superpose/internal/netlist"
 )
 
-// FuzzParse throws arbitrary text at the .bench parsers: neither may
-// panic, the streaming parser must agree with the legacy one
-// gate-for-gate (or both must reject), and anything accepted must
-// survive a Write/Parse round trip.
+// FuzzParse throws arbitrary text at Parse: it may not panic, it must
+// agree gate-for-gate with the map-based reference parser
+// (mapparse_test.go) or reject exactly when the reference does, and
+// anything accepted must survive a Write/Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add(s27)
 	f.Add("INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n")
@@ -21,15 +21,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("OUTPUT(z)\nINPUT(a)\nz = BUFF(a)\ny = INV(z)\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := Parse(strings.NewReader(src), "fuzz")
-		sn, serr := ParseStream(strings.NewReader(src), "fuzz")
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("parser disagreement: legacy err %v, streaming err %v\n%s", err, serr, src)
+		ref, rerr := parseMap(strings.NewReader(src), "fuzz")
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("parser disagreement: Parse err %v, reference err %v\n%s", err, rerr, src)
 		}
 		if err != nil {
 			return
 		}
-		if d := netlist.Diff(n, sn); d != "" {
-			t.Fatalf("streaming parse differs from legacy: %s\n%s", d, src)
+		if d := netlist.Diff(ref, n); d != "" {
+			t.Fatalf("Parse differs from the reference parser: %s\n%s", d, src)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, n); err != nil {

@@ -11,22 +11,22 @@ import (
 	"superpose/internal/textio"
 )
 
-// ParseStream reads a .bench netlist from r through the streaming
-// ingestion path: lines are tokenized in place from a fixed bufio
-// window, net names intern through netlist.StreamBuilder's byte-token
-// API (allocating only on first sight of a symbol), and fanins land in
-// a flat arena instead of one slice per gate. The accepted language and
-// the resulting netlist are identical to Parse — the fuzz targets hold
-// the two paths to gate-for-gate agreement — but peak memory is the
-// interned symbol table plus the arenas rather than per-line garbage,
-// which is what lets 10⁶–10⁷-gate files ingest within a few times
-// their CSR footprint.
-func ParseStream(r io.Reader, name string) (*netlist.Netlist, error) {
+// Parse reads a .bench netlist from r. The name is attached to the
+// resulting netlist (the format itself carries no name). Lines are
+// tokenized in place from a fixed bufio window, net names intern
+// through netlist.StreamBuilder's byte-token API (allocating only on
+// first sight of a symbol), and fanins land in a flat arena instead of
+// one slice per gate. Peak memory is the interned symbol table plus the
+// arenas rather than per-line garbage, which is what lets 10⁶–10⁷-gate
+// files ingest within a few times their CSR footprint. FuzzParse holds
+// it to gate-for-gate agreement with the map-based reference parser
+// kept in the package tests.
+func Parse(r io.Reader, name string) (*netlist.Netlist, error) {
 	return ParseStreamSized(r, name, 0)
 }
 
-// ParseStreamSized is ParseStream with a pre-sizing hint for the
-// expected number of nets (see netlist.NewStreamBuilder).
+// ParseStreamSized is Parse with a pre-sizing hint for the expected
+// number of nets (see netlist.NewStreamBuilder).
 func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist, error) {
 	b := netlist.NewStreamBuilder(name, sizeHint)
 	lines := textio.NewLines(r, maxLine)
@@ -55,7 +55,7 @@ func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist,
 	return b.Build()
 }
 
-// maxLine mirrors the legacy parser's bufio.Scanner token limit.
+// maxLine mirrors the reference parser's bufio.Scanner token limit.
 const maxLine = 16 * 1024 * 1024
 
 func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int32, error) {
@@ -99,7 +99,7 @@ func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int3
 	}
 
 	// Validate the fanin fields before interning anything, so rejected
-	// lines leave the symbol table exactly as the legacy parser would.
+	// lines leave the symbol table exactly as the reference parser would.
 	content := rhs[open+1 : closeIdx]
 	nFanin := 0
 	for field, rest := splitComma(content); ; field, rest = splitComma(rest) {
@@ -120,8 +120,8 @@ func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int3
 		}
 	}
 
-	// Interning order matches the legacy Builder: LHS first, then the
-	// fanins left to right, so both paths assign identical net IDs.
+	// Interning order matches the reference parser's Builder: LHS first,
+	// then the fanins left to right, so both assign identical net IDs.
 	id := b.Intern(lhs)
 	ids = ids[:0]
 	for field, rest := splitComma(content); ; field, rest = splitComma(rest) {
@@ -148,7 +148,7 @@ func splitComma(s []byte) (field, rest []byte) {
 
 // hasUpperPrefix reports whether strings.ToUpper(line) would start with
 // prefix (an ASCII upper-case literal). Decoding rune by rune keeps the
-// exotic cases — 'ı' upper-cases to ASCII 'I' — identical to the legacy
+// exotic cases — 'ı' upper-cases to ASCII 'I' — identical to the reference
 // parser without materializing the upper-cased line.
 func hasUpperPrefix(line []byte, prefix string) bool {
 	i := 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -589,6 +590,15 @@ func TestCoordinatorRestartReclaimsResult(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
 	<-started
+	// The worker can start before the dispatcher journals the confirming
+	// assign record (the worker-side job ID). Crash only after it lands:
+	// an intent-only record takes the token re-send path, whose await
+	// would not poll again for the hour-long PollInterval.
+	waitCond(t, 10*time.Second, "assign confirmed", func() bool {
+		c1.amu.Lock()
+		defer c1.amu.Unlock()
+		return c1.lastAssign[st.ID].WorkerJob != ""
+	})
 
 	// "Crash": close the listener and abandon the coordinator without
 	// draining. Its goroutines idle until the test exits.
@@ -650,5 +660,20 @@ func TestClusterFusedSpecPassthrough(t *testing.T) {
 	_, resp = submitSpec(t, coord.URL, `{"kind":"detect","case":"s35932-T200","channel":"thermal"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid channel: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONUnencodableAnswers500: the coordinator's responses follow
+// the service's rule — an unencodable value answers 500 with an error
+// body, never 200 with an empty body.
+func TestWriteJSONUnencodableAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q is not an error document (%v)", rec.Body.String(), err)
 	}
 }

@@ -973,12 +973,18 @@ func (c *Coordinator) waitAddr(ctx context.Context, addr string) *workerNode {
 	}
 }
 
+// writeJSON marshals v before committing the status line, so a value
+// that cannot be encoded answers 500 with an error body instead of the
+// intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(map[string]string{"error": "encode response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

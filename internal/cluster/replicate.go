@@ -63,8 +63,8 @@ type repHub struct {
 type repStream struct {
 	mu    sync.Mutex
 	recs  [][]byte
-	start int // logical offset of recs[0]; everything below is trimmed
-	gen   int // bumped on every rebase: invalidates follower offsets
+	start int           // logical offset of recs[0]; everything below is trimmed
+	gen   int           // bumped on every rebase: invalidates follower offsets
 	wait  chan struct{} // closed and replaced on every publish
 }
 

@@ -506,12 +506,33 @@ func TestHAFreshStandbyResyncAfterTrim(t *testing.T) {
 	})
 
 	// The original standby leaves; a fresh one (empty data dir) joins.
+	// The lag already reads 0 before the fresh standby connects (the old
+	// one acknowledged everything), so the resync wait also requires
+	// every trimmed stream to have been re-seeded by a snapshot rebase,
+	// which bumps its generation.
+	genOf := func(name string) (gen, start int) {
+		st := p.hub.stream(name)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.gen, st.start
+	}
+	trimmedGen := map[string]int{}
+	for _, name := range []string{"service", "cluster"} {
+		if gen, start := genOf(name); start > 0 {
+			trimmedGen[name] = gen
+		}
+	}
 	dctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s1.Drain(dctx)
 	s2, tsS2 := mk("c", true, tsP.URL)
 
 	waitCond(t, 10*time.Second, "fresh standby resync via snapshot rebase", func() bool {
+		for name, gen := range trimmedGen {
+			if g, _ := genOf(name); g == gen {
+				return false
+			}
+		}
 		lag, _ := haStat(t, tsP.URL, "ha_peer_lag_records").(float64)
 		return lag == 0
 	})

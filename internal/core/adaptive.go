@@ -79,20 +79,12 @@ type AdaptiveOptions struct {
 	// S-RPD — the Fig. 1 ideal is a static sensitization difference whose
 	// unique set is tiny.
 	ScreenTop int
-	// Engine selects the simulation backend for the whole climb — the
-	// golden-model launches, the device's physical launches, and the
-	// sweep session's base launches. Auto (the zero value) keeps the
-	// workbench's current engine (PPSFP over the SoA netlist core unless
-	// reconfigured); scalar is the reference oracle. The trajectory is
-	// bit-identical across kinds.
+	// Engine is ignored.
+	//
+	// Deprecated: PPSFP is the only simulation backend, so there is
+	// nothing left to select; the field remains so existing callers
+	// keep compiling.
 	Engine sim.EngineKind
-	// LegacyMeasure routes the candidate batches through the reference
-	// clone-and-measure path (one materialized pattern and a full
-	// 64-lane launch per chunk) instead of the incremental single-flip
-	// sweep engine. The two paths are bit-identical — the reference path
-	// exists as the correctness oracle the sweep equivalence suite runs
-	// against, not as a different algorithm.
-	LegacyMeasure bool
 	// Progress, when non-nil, receives a StageAdaptive event per accepted
 	// climb step (Step = accepted steps so far, Total = MaxSteps). It
 	// never alters the climb.
@@ -200,9 +192,6 @@ func (ev *Evaluator) Adaptive(seed *scan.Pattern, opt AdaptiveOptions) *Adaptive
 // background context the climb is bit-identical to Adaptive.
 func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, opt AdaptiveOptions) (*AdaptiveResult, error) {
 	opt = opt.withDefaults(seed)
-	if opt.Engine != sim.EngineAuto {
-		ev.SetEngine(opt.Engine)
-	}
 	cur := seed.Clone()
 	res := &AdaptiveResult{
 		Steps: []AdaptiveStep{{
@@ -236,52 +225,37 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	}
 	residuals := make([]float64, len(cands))
 
-	// Candidate measurement: the single-flip sweep engine by default
-	// (base simulated once per step, only flip cones re-evaluated), or
-	// the clone-and-measure reference path. Both produce bit-identical
-	// readings; the reference path materializes every candidate, the
-	// sweep only the few a step actually needs (the accepted flip and
-	// the screened pairs).
-	var (
-		sweep    *Sweep
-		patterns []*scan.Pattern // reference path: per-candidate clones
-		batchBuf []*scan.Pattern
-	)
-	if opt.LegacyMeasure {
-		patterns = make([]*scan.Pattern, len(cands))
-		batchBuf = make([]*scan.Pattern, 64)
-	} else {
-		// The flip list depends only on the scan shape, so the cached
-		// session (with its structural cone plans) is reusable across
-		// climbs; the length check guards the invariant.
-		sweep = ev.adaptiveSweep
-		if sweep == nil || len(sweep.Candidates()) != len(cands) {
-			var err error
-			sweep, err = ev.NewSweep(cands)
-			if err != nil {
-				// cands are generated from the pattern shape; a mismatch with
-				// the scan configuration is an internal invariant violation.
-				panic("core: Adaptive sweep construction: " + err.Error())
-			}
-			ev.adaptiveSweep = sweep
+	// Candidate measurement runs through the single-flip sweep engine:
+	// the base is simulated once per step and only flip deviations are
+	// propagated, so no candidate is materialized except the few a step
+	// actually needs (the accepted flip and the screened pairs). The
+	// flip list depends only on the scan shape, so the cached session
+	// (with its per-chunk plans) is reusable across climbs; the length
+	// check guards the invariant.
+	sweep := ev.adaptiveSweep
+	if sweep == nil || len(sweep.Candidates()) != len(cands) {
+		var err error
+		sweep, err = ev.NewSweep(cands)
+		if err != nil {
+			// cands are generated from the pattern shape; a mismatch with
+			// the scan configuration is an internal invariant violation.
+			panic("core: Adaptive sweep construction: " + err.Error())
 		}
+		ev.adaptiveSweep = sweep
+	}
+	// The full two-sided base launch happens once per climb: accepted
+	// steps advance the session incrementally (one flip-deviation
+	// propagation), and a vetoed confirmation leaves cur — and the
+	// session — untouched.
+	if err := sweep.Rebase(cur); err != nil {
+		panic("core: Adaptive sweep rebase: " + err.Error())
 	}
 	// patternAt materializes candidate idx as a standalone pattern.
 	patternAt := func(idx int) *scan.Pattern {
-		if patterns != nil {
-			return patterns[idx]
-		}
 		q := cur.Clone()
 		applyFlip(q, cands[idx])
 		return q
 	}
-	// sweepBased tracks whether the sweep session's base state matches
-	// cur: accepted steps advance it incrementally (one flip-cone
-	// re-evaluation), so the full two-sided base launch happens only once
-	// per climb; a vetoed confirmation leaves cur — and the state —
-	// untouched.
-	sweepBased := false
-
 	for step := 0; step < opt.MaxSteps; step++ {
 		if ctx.Err() != nil {
 			break
@@ -293,31 +267,11 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		// deactivated something the golden model does not know about.
 		curReading := res.Steps[len(res.Steps)-1].Reading
 		bestIdx, bestRPD := -1, 0.0
-		if sweep != nil && !sweepBased {
-			if err := sweep.Rebase(cur); err != nil {
-				panic("core: Adaptive sweep rebase: " + err.Error())
-			}
-			sweepBased = true
-		}
 		for start := 0; start < len(cands); start += 64 {
 			if ctx.Err() != nil {
 				break
 			}
-			end := min(start+64, len(cands))
-			var rds []Reading
-			if sweep != nil {
-				rds = sweep.MeasureChunk(start / 64)
-			} else {
-				batch := batchBuf[:end-start]
-				for i, cr := range cands[start:end] {
-					q := cur.Clone()
-					applyFlip(q, cr)
-					batch[i] = q
-					patterns[start+i] = q
-				}
-				rds = ev.MeasureBatch(batch)
-			}
-			for i, rd := range rds {
+			for i, rd := range sweep.MeasureChunk(start / 64) {
 				// Readings the acquisition layer could not stabilize
 				// (NaN) are excluded from the climb: a phantom reading
 				// must never steer the search.
@@ -392,10 +346,8 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 				SRPD: pa.SRPD, Significance: pa.Significance(),
 			})
 		}
-		if sweep != nil && sweepBased {
-			if err := sweep.Advance(chosen, next); err != nil {
-				panic("core: Adaptive sweep advance: " + err.Error())
-			}
+		if err := sweep.Advance(chosen, next); err != nil {
+			panic("core: Adaptive sweep advance: " + err.Error())
 		}
 		cur = next
 	}

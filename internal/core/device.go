@@ -10,7 +10,6 @@ import (
 	"superpose/internal/netlist"
 	"superpose/internal/power"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/stats"
 	"superpose/internal/tester"
 	"superpose/internal/timing"
@@ -112,12 +111,6 @@ func newDevice(chip *power.Chip, ch *scan.Chains, mode scan.Mode) *Device {
 	}
 }
 
-// SetEngine selects the device-side simulation backend (PPSFP over the
-// SoA netlist core, or the scalar reference path). Readings are
-// bit-identical across kinds — the engine only changes how the physical
-// launch activity is computed, never what it is.
-func (d *Device) SetEngine(kind sim.EngineKind) { d.eng.SetKind(kind) }
-
 // Close returns the device's pooled simulation buffers to the shared
 // pools. The Device must not be used afterwards; Close is idempotent.
 func (d *Device) Close() {
@@ -148,9 +141,6 @@ func (d *Device) SetDelayChip(c *delay.Chip) {
 // DelayChip returns the mounted delay-channel chip (nil when the device
 // measures power only).
 func (d *Device) DelayChip() *delay.Chip { return d.dchip }
-
-// Engine returns the resolved device-side simulation backend.
-func (d *Device) Engine() sim.EngineKind { return d.eng.Kind() }
 
 // SetRepeats makes every reading the aggregate of k pattern applications —
 // standard tester practice to suppress measurement noise (process
@@ -447,10 +437,9 @@ func (d *Device) Measure(p *scan.Pattern) float64 {
 }
 
 // NewSweeper builds a single-flip sweep engine over the device's scan
-// configuration and physical netlist, for use with MeasureSweep. The
-// sweeper's base launches use the device's current engine kind.
+// configuration and physical netlist, for use with MeasureSweep.
 func (d *Device) NewSweeper(flips []scan.Flip) (*scan.Sweeper, error) {
-	return scan.NewSweeperKind(d.eng.Chains(), d.mode, flips, d.eng.Kind())
+	return scan.NewSweeper(d.eng.Chains(), d.mode, flips)
 }
 
 // MeasureSweep acquires readings for one sweep chunk: lane i is the base
@@ -467,15 +456,6 @@ func (d *Device) MeasureSweep(base *scan.Pattern, flips []scan.Flip, ids []int, 
 	price := func() []float64 {
 		d.sweepRaw = d.chip.MeasureLanesSparse(ids, masks, n, d.sweepRaw)
 		return d.sweepRaw
-	}
-	if d.eng.Kind() == sim.EnginePPSFP {
-		// The PPSFP configuration prices through the vectorized kernel;
-		// the sums — and the lane-order noise draws after them — are
-		// bit-identical to the scalar loop.
-		price = func() []float64 {
-			d.sweepRaw = d.chip.MeasureLanesSparseVec(ids, masks, n, d.sweepRaw)
-			return d.sweepRaw
-		}
 	}
 	return d.acquire(n, price,
 		func(i int) readingKey {

@@ -9,7 +9,6 @@ import (
 	"superpose/internal/netlist"
 	"superpose/internal/power"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/timing"
 )
 
@@ -104,21 +103,6 @@ func (ev *Evaluator) Close() {
 		ev.goldenWalker = nil
 	}
 }
-
-// SetEngine selects the simulation backend on both sides of the
-// workbench — the golden-model engine, the device, and any cached sweep
-// session. Every Reading, PairAnalysis and sweep lane is bit-identical
-// across kinds; the selector changes cost only.
-func (ev *Evaluator) SetEngine(kind sim.EngineKind) {
-	ev.eng.SetKind(kind)
-	ev.dev.SetEngine(kind)
-	if ev.adaptiveSweep != nil {
-		ev.adaptiveSweep.SetEngine(kind)
-	}
-}
-
-// Engine returns the resolved golden-model simulation backend.
-func (ev *Evaluator) Engine() sim.EngineKind { return ev.eng.Kind() }
 
 // launch runs a golden-model simulation of 1..64 patterns. Callers chunk
 // larger sets; an out-of-range batch here is an internal invariant

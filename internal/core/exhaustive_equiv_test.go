@@ -15,11 +15,12 @@ import (
 
 // The exhaustive cross-check: on every zoo circuit small enough to
 // brute-force (≤ 12 stimulus bits), enumerate ALL input patterns and
-// require the PPSFP stack — golden engine, device, sweep session, fault
-// simulator — to be bit-identical (IEEE-754 bit patterns for every
-// float) to the scalar reference stack, across LOS/LOC application and
-// tester presets. Nothing is sampled; a single divergent lane anywhere
-// in the space fails.
+// require the production stack — the PPSFP launches behind the golden
+// engine and the device, the sweep session, the fault simulator — to be
+// bit-identical (IEEE-754 bit patterns for every float) to test-local
+// oracles built on the per-gate sim.Simulator, across LOS/LOC
+// application and tester presets. Nothing is sampled; a single divergent
+// lane anywhere in the space fails.
 
 // exhaustiveZoo lists the brute-forceable circuits: generated multi-level
 // netlists whose scan bits + PIs stay ≤ 12.
@@ -63,16 +64,27 @@ func allPatterns(t testing.TB, ch *scan.Chains) []*scan.Pattern {
 	return pats
 }
 
-// exhaustiveStack bundles one engine kind's full measurement stack over
-// its own identically-seeded die, so the two kinds see identical noise
-// and tester-fault streams.
-type exhaustiveStack struct {
-	dev *Device
-	ev  *Evaluator
+// exhaustiveTesters is the tester-preset axis of the zoo suites.
+func exhaustiveTesters(t testing.TB) []struct {
+	name string
+	cfg  tester.Config
+} {
+	t.Helper()
+	combined, err := tester.Preset("combined", 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		cfg  tester.Config
+	}{{"clean", tester.Config{}}, {"combined", combined}}
 }
 
-func newExhaustiveStack(t testing.TB, ch *scan.Chains, mode scan.Mode,
-	testerCfg tester.Config, kind sim.EngineKind) *exhaustiveStack {
+// newExhaustiveStack builds a full measurement stack over its own die.
+// Two calls with the same arguments yield identically seeded twins, so
+// a production path on one and an oracle on the other see identical
+// noise and tester-fault streams.
+func newExhaustiveStack(t testing.TB, ch *scan.Chains, mode scan.Mode, testerCfg tester.Config) *Evaluator {
 	t.Helper()
 	n := ch.Netlist()
 	lib := power.SAED90Like()
@@ -85,38 +97,149 @@ func newExhaustiveStack(t testing.TB, ch *scan.Chains, mode scan.Mode,
 		dev.SetFaultModel(tester.New(testerCfg))
 		dev.SetAcquisition(RobustAcquisition())
 	}
-	ev := NewEvaluatorFromChains(n, lib, dev, ch, mode)
-	ev.SetEngine(kind)
-	if ev.Engine() != kind.Resolve() || dev.Engine() != kind.Resolve() {
-		t.Fatalf("stack engine resolved to %v/%v, want %v", ev.Engine(), dev.Engine(), kind.Resolve())
-	}
-	return &exhaustiveStack{dev: dev, ev: ev}
+	return NewEvaluatorFromChains(n, lib, dev, ch, mode)
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+func sameReading(a, b Reading) bool {
+	return sameBits(a.Observed, b.Observed) && sameBits(a.Nominal, b.Nominal) && sameBits(a.RPD, b.RPD)
+}
+
+// referenceFrames is the launch oracle: the two frames of up to 64
+// patterns (pattern i on lane i) through the per-gate sim.Simulator,
+// with the frame sources built straight from the scan semantics — LOS
+// frame 1 is the one-shift-earlier state (cell 0 pinned), LOC frame 2
+// re-captures every scannable cell's frame-1 D pin, PIs hold across
+// both frames. Hidden (NoScan) cells stay zero, as they do on a stack
+// that never pins them. It also returns the frame-2 sources, which the
+// fault oracle re-simulates.
+func referenceFrames(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) (f1, f2, src2 []logic.Word) {
+	n := ch.Netlist()
+	src := make([]logic.Word, n.NumGates())
+	set := func(id, lane int, v bool) {
+		if v {
+			src[id] |= logic.Word(1) << uint(lane)
+		} else {
+			src[id] &^= logic.Word(1) << uint(lane)
+		}
+	}
+	for lane, p := range pats {
+		for pi, id := range n.PIs {
+			set(id, lane, p.PI[pi])
+		}
+		for c := 0; c < ch.NumChains(); c++ {
+			for j, ff := range ch.Chain(c) {
+				if mode == scan.LOS && j > 0 {
+					set(ff, lane, p.Scan[c][j-1])
+				} else {
+					set(ff, lane, p.Scan[c][j])
+				}
+			}
+		}
+	}
+	s := sim.New(n)
+	defer s.Release()
+	f1 = append([]logic.Word(nil), s.Run(src)...)
+	switch mode {
+	case scan.LOS:
+		for lane, p := range pats {
+			for c := 0; c < ch.NumChains(); c++ {
+				for j, ff := range ch.Chain(c) {
+					set(ff, lane, p.Scan[c][j])
+				}
+			}
+		}
+	case scan.LOC:
+		for _, ff := range n.FFs {
+			if !n.IsNoScan(ff) {
+				src[ff] = f1[n.Gates[ff].Fanin[0]]
+			}
+		}
+	}
+	f2 = append([]logic.Word(nil), s.Run(src)...)
+	return f1, f2, src
+}
+
+// referenceToggleMasks returns the oracle's per-net toggle lane masks.
+func referenceToggleMasks(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) []logic.Word {
+	f1, f2, _ := referenceFrames(ch, pats, mode)
+	return sim.ToggleMask(f1, f2, nil)
+}
+
+// referenceMeasureBatch is Evaluator.MeasureBatch with both launches —
+// the device's physical one and the golden model's — taken from the
+// oracle instead of the PPSFP engine. Everything after the launch (the
+// acquisition policy, tester faults, calibration and drift scaling) is
+// the production code, so a twin stack measured through it must agree
+// with MeasureBatch bit for bit.
+func referenceMeasureBatch(ev *Evaluator, pats []*scan.Pattern) []Reading {
+	var out []Reading
+	d := ev.dev
+	for start := 0; start < len(pats); start += 64 {
+		chunk := pats[start:min(start+64, len(pats))]
+		ev.maybeTrackDrift()
+		phys := referenceToggleMasks(d.eng.Chains(), chunk, d.mode)
+		observed := d.acquire(len(chunk),
+			func() []float64 { return d.chip.MeasureLanes(phys, len(chunk)) },
+			func(i int) readingKey { return readingKey{pat: chunk[i]} })
+		ev.sinceRef += len(chunk)
+		noms := ev.model.NominalLanes(referenceToggleMasks(ev.chains, chunk, ev.mode), len(chunk))
+		for i := range chunk {
+			obs := observed[i] / (ev.scale * ev.driftScale)
+			out = append(out, Reading{Observed: obs, Nominal: noms[i], RPD: RPD(obs, noms[i])})
+		}
+	}
+	return out
+}
+
+// referenceDetect is the fault-simulation oracle: the good machine from
+// referenceFrames (LOS), then a full re-simulation of the capture frame
+// per fault with the site forced to its initial value (RunForced),
+// diffed at every primary output and flip-flop D pin.
+func referenceDetect(ch *scan.Chains, pats []*scan.Pattern, faults []atpg.Fault) []logic.Word {
+	n := ch.Netlist()
+	good1, good2, src2 := referenceFrames(ch, pats, scan.LOS)
+	obs := append([]int(nil), n.POs...)
+	for _, ff := range n.FFs {
+		obs = append(obs, n.Gates[ff].Fanin[0])
+	}
+	laneMask := logic.AllOne
+	if len(pats) < 64 {
+		laneMask = logic.Word(1)<<uint(len(pats)) - 1
+	}
+	s := sim.New(n)
+	defer s.Release()
+	out := make([]logic.Word, len(faults))
+	for i, f := range faults {
+		initial := logic.AllZero
+		if f.Dir == atpg.SlowToFall {
+			initial = logic.AllOne
+		}
+		launch := ^(good1[f.Net] ^ initial) & laneMask
+		if launch == 0 {
+			continue
+		}
+		faulty2 := s.RunForced(src2, f.Net, initial)
+		var diff logic.Word
+		for _, o := range obs {
+			diff |= good2[o] ^ faulty2[o]
+		}
+		out[i] = diff & launch
+	}
+	return out
+}
+
 // TestExhaustiveEngineEquivalence sweeps the zoo × LOS/LOC × tester
 // presets and, for every pattern in the full input space, requires
-// bit-identical Readings (observed, nominal and RPD) from the two
-// engine stacks. The batch is deliberately fed through MeasureBatch in
-// one call: the 64-lane chunking inside exercises full chunks plus the
-// ragged final chunk of each space.
+// bit-identical Readings (observed, nominal and RPD) from MeasureBatch
+// and from referenceMeasureBatch on an identically seeded twin stack.
+// The batch is deliberately fed in one call: the 64-lane chunking
+// inside exercises full chunks plus the ragged final chunk of each
+// space.
 func TestExhaustiveEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full input-space enumeration")
-	}
-	presets := []struct {
-		name string
-		cfg  tester.Config
-	}{
-		{"clean", tester.Config{}},
-		{"combined", func() tester.Config {
-			cfg, err := tester.Preset("combined", 13)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cfg
-		}()},
 	}
 	for _, params := range exhaustiveZoo(t) {
 		n, err := trust.Generate(*params)
@@ -126,7 +249,7 @@ func TestExhaustiveEngineEquivalence(t *testing.T) {
 		ch := scan.Configure(n, 2)
 		pats := allPatterns(t, ch)
 		for _, mode := range []scan.Mode{scan.LOS, scan.LOC} {
-			for _, preset := range presets {
+			for _, preset := range exhaustiveTesters(t) {
 				space := pats
 				if preset.cfg.Enabled() {
 					// The faulty-tester regime multiplies every reading
@@ -135,16 +258,11 @@ func TestExhaustiveEngineEquivalence(t *testing.T) {
 					// covering partial-lane chunk shapes (257 % 64 = 1).
 					space = pats[:min(len(pats), 257)]
 				}
-				scalar := newExhaustiveStack(t, ch, mode, preset.cfg, sim.EngineScalar)
-				ppsfp := newExhaustiveStack(t, ch, mode, preset.cfg, sim.EnginePPSFP)
-
-				want := scalar.ev.MeasureBatch(space)
-				got := ppsfp.ev.MeasureBatch(space)
+				want := referenceMeasureBatch(newExhaustiveStack(t, ch, mode, preset.cfg), space)
+				got := newExhaustiveStack(t, ch, mode, preset.cfg).MeasureBatch(space)
 				for i := range want {
-					if !sameBits(got[i].Observed, want[i].Observed) ||
-						!sameBits(got[i].Nominal, want[i].Nominal) ||
-						!sameBits(got[i].RPD, want[i].RPD) {
-						t.Fatalf("%s %v %s pattern %d: ppsfp %+v, scalar %+v",
+					if !sameReading(got[i], want[i]) {
+						t.Fatalf("%s %v %s pattern %d: ppsfp %+v, reference %+v",
 							n.Name, mode, preset.name, i, got[i], want[i])
 					}
 				}
@@ -156,7 +274,7 @@ func TestExhaustiveEngineEquivalence(t *testing.T) {
 // TestExhaustiveFaultDetectionEquivalence brute-forces fault simulation:
 // for every zoo circuit, every 64-pattern chunk of the full input space,
 // and every collapsed fault, the PPSFP cone propagator's detection word
-// must equal the scalar full-resimulation word.
+// must equal the RunForced oracle's.
 func TestExhaustiveFaultDetectionEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full input-space enumeration")
@@ -169,19 +287,15 @@ func TestExhaustiveFaultDetectionEquivalence(t *testing.T) {
 		ch := scan.Configure(n, 2)
 		pats := allPatterns(t, ch)
 		reps, _ := atpg.Collapse(n, atpg.FaultList(n))
-
-		scalar := atpg.NewFaultSimulator(ch)
-		scalar.SetEngine(sim.EngineScalar)
-		ppsfp := atpg.NewFaultSimulator(ch)
-		ppsfp.SetEngine(sim.EnginePPSFP)
+		fs := atpg.NewFaultSimulator(ch)
 
 		for start := 0; start < len(pats); start += 64 {
 			end := min(start+64, len(pats))
-			want := scalar.DetectBatch(pats[start:end], reps)
-			got := ppsfp.DetectBatch(pats[start:end], reps)
+			want := referenceDetect(ch, pats[start:end], reps)
+			got := fs.DetectBatch(pats[start:end], reps)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s chunk %d fault %v: ppsfp %016x, scalar %016x",
+					t.Fatalf("%s chunk %d fault %v: ppsfp %016x, reference %016x",
 						n.Name, start/64, reps[i], got[i], want[i])
 				}
 			}
@@ -189,10 +303,13 @@ func TestExhaustiveFaultDetectionEquivalence(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSweepEquivalence compares the two engine stacks' sweep
-// sessions — the sparse single-flip encodings behind the adaptive climb
-// — over every stimulus bit from several exhaustive base patterns, LOS
-// and LOC, requiring bit-identical Readings per lane.
+// TestExhaustiveSweepEquivalence holds the sweep session to the
+// clone-and-measure reference over the zoo: every pattern of each
+// circuit's input space serves as a base on the ideal tester (a slice
+// of them under the combined preset), every stimulus bit is a
+// candidate, and each base is followed by one accepted climb step
+// (Advance) — LOS and LOC, bit-identical Readings per lane plus
+// identical acquisition and tester accounting (see sweepTwinWalk).
 func TestExhaustiveSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full input-space enumeration")
@@ -204,59 +321,27 @@ func TestExhaustiveSweepEquivalence(t *testing.T) {
 		}
 		ch := scan.Configure(n, 2)
 		pats := allPatterns(t, ch)
-
-		var cands []CellRef
-		for c := 0; c < ch.NumChains(); c++ {
-			for j := range ch.Chain(c) {
-				cands = append(cands, CellRef{c, j})
-			}
-		}
-		for i := range n.PIs {
-			cands = append(cands, CellRef{PIChain, i})
-		}
-
 		for _, mode := range []scan.Mode{scan.LOS, scan.LOC} {
-			scalar := newExhaustiveStack(t, ch, mode, tester.Config{}, sim.EngineScalar)
-			ppsfp := newExhaustiveStack(t, ch, mode, tester.Config{}, sim.EnginePPSFP)
-			ss, err := scalar.ev.NewSweep(cands)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := ppsfp.ev.NewSweep(cands)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Base patterns spread across the space, including its ends.
-			bases := []int{0, len(pats) / 3, len(pats) - 1}
-			for _, bi := range bases {
-				if err := ss.Rebase(pats[bi].Clone()); err != nil {
-					t.Fatal(err)
+			for _, preset := range exhaustiveTesters(t) {
+				bases := pats
+				if preset.cfg.Enabled() {
+					bases = pats[:min(len(pats), 65)]
 				}
-				if err := ps.Rebase(pats[bi].Clone()); err != nil {
-					t.Fatal(err)
-				}
-				for c := 0; c < ss.NumChunks(); c++ {
-					want := append([]Reading(nil), ss.MeasureChunk(c)...)
-					got := ps.MeasureChunk(c)
-					for i := range want {
-						if !sameBits(got[i].Observed, want[i].Observed) ||
-							!sameBits(got[i].Nominal, want[i].Nominal) ||
-							!sameBits(got[i].RPD, want[i].RPD) {
-							t.Fatalf("%s %v base %d chunk %d lane %d: ppsfp %+v, scalar %+v",
-								n.Name, mode, bi, c, i, got[i], want[i])
-						}
-					}
-				}
+				label := n.Name + " " + mode.String() + " " + preset.name
+				sweepTwinWalk(t, label,
+					newExhaustiveStack(t, ch, mode, preset.cfg),
+					newExhaustiveStack(t, ch, mode, preset.cfg),
+					bases, 1)
 			}
 		}
 	}
 }
 
 // TestExhaustiveNominalPricingEquivalence prices every pattern of the
-// space on both engines' golden models and compares the IEEE-754 bit
-// patterns — the FP addition order of the pricing loops is part of the
-// engine contract, so even a benign reassociation would fail here.
+// space from the production engine's toggle masks and from the
+// oracle's, and compares the IEEE-754 bit patterns — the FP addition
+// order of the pricing loops is part of the engine contract, so even a
+// benign reassociation would fail here.
 func TestExhaustiveNominalPricingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full input-space enumeration")
@@ -272,29 +357,25 @@ func TestExhaustiveNominalPricingEquivalence(t *testing.T) {
 		model := power.NewModel(n, lib)
 
 		for _, mode := range []scan.Mode{scan.LOS, scan.LOC} {
-			scalar := scan.NewEngineKind(ch, sim.EngineScalar)
-			ppsfp := scan.NewEngineKind(ch, sim.EnginePPSFP)
-			var smasks, pmasks []logic.Word
+			eng := scan.NewEngine(ch)
+			var masks []logic.Word
 			for start := 0; start < len(pats); start += 64 {
 				end := min(start+64, len(pats))
 				batch := pats[start:end]
-				if _, _, err := scalar.Launch(batch, mode); err != nil {
+				if _, _, err := eng.Launch(batch, mode); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := ppsfp.Launch(batch, mode); err != nil {
-					t.Fatal(err)
-				}
-				smasks = scalar.ToggleMasks(smasks)
-				pmasks = ppsfp.ToggleMasks(pmasks)
-				want := model.NominalLanes(smasks, len(batch))
-				got := model.NominalLanes(pmasks, len(batch))
+				masks = eng.ToggleMasks(masks)
+				want := model.NominalLanes(referenceToggleMasks(ch, batch, mode), len(batch))
+				got := model.NominalLanes(masks, len(batch))
 				for i := range want {
 					if !sameBits(got[i], want[i]) {
-						t.Fatalf("%s %v pattern %d: nominal %x, scalar %x",
+						t.Fatalf("%s %v pattern %d: nominal %x, reference %x",
 							n.Name, mode, start+i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
 				}
 			}
+			eng.Close()
 		}
 	}
 }

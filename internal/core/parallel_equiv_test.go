@@ -1,14 +1,12 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"superpose/internal/atpg"
 	"superpose/internal/parallel"
 	"superpose/internal/power"
-	"superpose/internal/sim"
 	"superpose/internal/tester"
 	"superpose/internal/trojan"
 	"superpose/internal/trust"
@@ -93,74 +91,6 @@ func TestCertifyLotWorkerEquivalence(t *testing.T) {
 				}
 				if d := parallel.Diff(ref, lr); d != "" {
 					t.Errorf("workers %d not bit-identical to serial: %s", w, d)
-				}
-			}
-		})
-	}
-}
-
-// TestCertifyLotEngineWorkerEquivalence crosses the engine selector with
-// the worker fan-out: the same lot, on an ideal tester and under the
-// combined fault preset, must produce byte-identical LotReports for
-// every (engine, workers) combination — the scalar serial run is the
-// single reference everything else is diffed against. This is the
-// lot-level statement of the PPSFP bit-identity contract.
-func TestCertifyLotEngineWorkerEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-die pipeline runs")
-	}
-	inst := equivInstance(t)
-	lib := power.SAED90Like()
-
-	engines := []sim.EngineKind{sim.EngineScalar, sim.EnginePPSFP}
-	workerCounts := []int{1, 4, runtime.NumCPU()}
-
-	regimes := []struct {
-		name string
-		lot  LotOptions
-	}{
-		{"ideal", LotOptions{
-			Dies: 3, Variation: power.ThreeSigmaIntra(0.10), Seed: 5,
-		}},
-		{"combined-tester", func() LotOptions {
-			tc, err := tester.Preset("combined", 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return LotOptions{
-				Dies: 3, Variation: power.ThreeSigmaIntra(0.10), Seed: 5,
-				Tester: tc, Acquisition: RobustAcquisition(),
-			}
-		}()},
-	}
-	for _, rg := range regimes {
-		rg := rg
-		t.Run(rg.name, func(t *testing.T) {
-			var ref *LotReport
-			for _, engine := range engines {
-				cfg := Config{
-					NumChains: 4, Varsigma: 0.10,
-					ATPG:     atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120, Engine: engine},
-					Adaptive: AdaptiveOptions{Engine: engine},
-				}
-				cfg, err := WithSharedSeeds(inst.Host, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range workerCounts {
-					lot := rg.lot
-					lot.Workers = w
-					lr, err := CertifyLot(inst.Host, lib, inst.Infected, cfg, lot)
-					if err != nil {
-						t.Fatalf("%v workers %d: %v", engine, w, err)
-					}
-					if ref == nil {
-						ref = lr
-						continue
-					}
-					if d := parallel.Diff(ref, lr); d != "" {
-						t.Errorf("%v workers %d not bit-identical to scalar serial: %s", engine, w, d)
-					}
 				}
 			}
 		})

@@ -1,18 +1,15 @@
 package core
 
-import (
-	"superpose/internal/scan"
-	"superpose/internal/sim"
-)
+import "superpose/internal/scan"
 
 // Sweep is the evaluator-level single-flip sweep session behind the
 // adaptive flow's candidate loop: one scan.Sweeper over the golden
 // netlist (nominal prediction) and one over the physical device
 // (observed power), sharing a flip list. Per step the base pattern is
-// simulated once on each side (Rebase); per chunk only the union fanout
-// cone of the 64 flipped bits is re-evaluated and priced sparsely —
-// replacing the per-candidate clone, re-pack and full-netlist launch of
-// the reference path while producing bit-identical Readings.
+// simulated once on each side (Rebase); per chunk only the deviations
+// of the 64 flipped bits are propagated and priced sparsely — instead
+// of a per-candidate clone, re-pack and full-netlist launch, with
+// bit-identical Readings.
 //
 // A Sweep is bound to its Evaluator's calibration, drift-compensation
 // and acquisition state: MeasureChunk advances the device's reading
@@ -29,14 +26,13 @@ type Sweep struct {
 }
 
 // NewSweep builds a sweep session over the candidate flips (shared by
-// every step of an adaptive run — the stimulus shape is invariant). The
-// structural cone analysis happens here, once.
+// every step of an adaptive run — the stimulus shape is invariant).
 func (ev *Evaluator) NewSweep(cands []CellRef) (*Sweep, error) {
 	flips := make([]scan.Flip, len(cands))
 	for i, cr := range cands {
 		flips[i] = scan.Flip{Chain: cr.Chain, Index: cr.Index}
 	}
-	golden, err := scan.NewSweeperKind(ev.chains, ev.mode, flips, ev.eng.Kind())
+	golden, err := scan.NewSweeper(ev.chains, ev.mode, flips)
 	if err != nil {
 		return nil, err
 	}
@@ -52,13 +48,6 @@ func (ev *Evaluator) NewSweep(cands []CellRef) (*Sweep, error) {
 func (s *Sweep) Close() {
 	s.golden.Close()
 	s.phys.Close()
-}
-
-// SetEngine switches the base-launch backend of both sides' sweepers.
-// Chunk Readings are bit-identical across kinds.
-func (s *Sweep) SetEngine(kind sim.EngineKind) {
-	s.golden.SetKind(kind)
-	s.phys.SetKind(kind)
 }
 
 // Candidates returns the swept flip list as CellRefs (owned by the
@@ -84,8 +73,8 @@ func (s *Sweep) Rebase(base *scan.Pattern) error {
 
 // Advance incrementally rebases both sides onto newBase, which must
 // differ from the current base in exactly the accepted flip — the cheap
-// per-step transition of the adaptive climb (only the flip's chunk cone
-// is re-evaluated instead of launching the full netlist twice).
+// per-step transition of the adaptive climb (only the flip's deviation
+// is propagated instead of launching the full netlist twice).
 func (s *Sweep) Advance(flipped CellRef, newBase *scan.Pattern) error {
 	f := scan.Flip{Chain: flipped.Chain, Index: flipped.Index}
 	if err := s.golden.Advance(f); err != nil {
@@ -115,15 +104,7 @@ func (s *Sweep) MeasureChunk(c int) []Reading {
 	ev.sinceRef += len(flips)
 
 	gids, gmasks := s.golden.Run(c)
-	if s.golden.Kind() == sim.EnginePPSFP {
-		// The PPSFP configuration prices through the vectorized kernel;
-		// the sums are bit-identical (power.TestVectorPricingBitIdentity
-		// plus the exhaustive equivalence suite pin this), so the engine
-		// selector changes cost only, never Readings.
-		s.noms = ev.model.NominalLanesSparseVec(gids, gmasks, len(flips), s.noms)
-	} else {
-		s.noms = ev.model.NominalLanesSparse(gids, gmasks, len(flips), s.noms)
-	}
+	s.noms = ev.model.NominalLanesSparse(gids, gmasks, len(flips), s.noms)
 
 	if cap(s.out) < len(flips) {
 		s.out = make([]Reading, len(flips))

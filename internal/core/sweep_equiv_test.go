@@ -1,10 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/scan"
 	"superpose/internal/stats"
@@ -13,12 +13,13 @@ import (
 )
 
 // The sweep equivalence suite: the single-flip sweep engine must be
-// bit-identical to the legacy clone-and-measure candidate loop — same
-// Readings, same accepted trajectory, same flagged pairs, same
-// acquisition accounting, under every measurement regime the flow
-// supports. Comparisons go through parallel.Diff (NaN-stable,
-// pointer-following), so degraded readings and pattern contents are
-// covered too.
+// bit-identical to the clone-and-measure candidate loop it replaced in
+// the adaptive climb — materialize every single-flip clone of the base
+// and measure it through Evaluator.MeasureBatch. That loop survives
+// here, as the oracle of sweepTwinWalk, and is held to the sweep under
+// every measurement regime the flow supports: same Readings, same
+// acquisition and tester-fault accounting, same stream state after the
+// walk.
 
 // sweepEquivConfig is one measurement regime of the equivalence matrix.
 type sweepEquivConfig struct {
@@ -51,11 +52,11 @@ func sweepEquivMatrix() []sweepEquivConfig {
 	}
 }
 
-// sweepEquivRun executes one full Adaptive climb under a regime on a
-// freshly built device (measurement consumes chip-noise and tester-fault
-// streams, so each run needs its own device with identical seeds) and
-// returns the result plus the acquisition accounting.
-func sweepEquivRun(t testing.TB, cfg sweepEquivConfig, legacy bool) (*AdaptiveResult, AcquisitionStats, tester.Stats) {
+// sweepEquivStack builds the evaluator of one regime on a fresh device
+// and returns it with the climb's seed pattern. Measurement consumes
+// chip-noise and tester-fault streams, so each side of a comparison
+// needs its own stack; two calls build identically seeded twins.
+func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Pattern) {
 	t.Helper()
 	inst, err := trust.Build(trust.Case{Benchmark: "s35932", Trojan: "T200"}, 0.04)
 	if err != nil {
@@ -94,19 +95,98 @@ func sweepEquivRun(t testing.TB, cfg sweepEquivConfig, legacy bool) (*AdaptiveRe
 	if cfg.drift {
 		ev.SetDriftReference(ev.Chains().RandomPattern(rng))
 	}
-	ar := ev.Adaptive(seed, AdaptiveOptions{
-		MaxSteps: 3, ScreenTop: 4, DropThreshold: 1e-6, LegacyMeasure: legacy,
-	})
-	var ts tester.Stats
-	if fm := dev.FaultModel(); fm != nil {
-		ts = fm.Stats()
+	return ev, seed
+}
+
+// sweepTwinWalk walks adaptive climbs on two identically seeded stacks:
+// on ev every candidate chunk is measured through Sweep.MeasureChunk, on
+// ref through MeasureBatch over the materialized single-flip clones.
+// From each base it measures every chunk, takes the best-RPD candidate
+// as Adaptive does, confirms it with Measure on both stacks and Advances
+// the sweep — steps times — requiring bit-identical Readings throughout.
+// A follow-up Measure on both stacks and the devices' AcquisitionStats
+// and tester.Stats then show that drift tracking and the noise, fault
+// and stuck-guard streams advanced identically.
+func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan.Pattern, steps int) {
+	t.Helper()
+	var cands []CellRef
+	for c := range bases[0].Scan {
+		for j := range bases[0].Scan[c] {
+			cands = append(cands, CellRef{c, j})
+		}
 	}
-	return ar, dev.AcquisitionStats(), ts
+	for i := range bases[0].PI {
+		cands = append(cands, CellRef{PIChain, i})
+	}
+	sw, err := ev.NewSweep(cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+
+	for bi, base := range bases {
+		cur := base.Clone()
+		if err := sw.Rebase(cur); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; ; step++ {
+			best, bestRPD := -1, 0.0
+			for c := 0; c < sw.NumChunks(); c++ {
+				lo, hi := c*64, min(c*64+64, len(cands))
+				clones := make([]*scan.Pattern, hi-lo)
+				for i, cr := range cands[lo:hi] {
+					clones[i] = cur.Clone()
+					applyFlip(clones[i], cr)
+				}
+				want := ref.MeasureBatch(clones)
+				got := sw.MeasureChunk(c)
+				for i := range want {
+					if !sameReading(got[i], want[i]) {
+						t.Fatalf("%s base %d step %d chunk %d lane %d: sweep %+v, clones %+v",
+							label, bi, step, c, i, got[i], want[i])
+					}
+					if !math.IsNaN(want[i].RPD) && (best < 0 || want[i].RPD > bestRPD) {
+						best, bestRPD = lo+i, want[i].RPD
+					}
+				}
+			}
+			if step == steps || best < 0 {
+				break
+			}
+			next := cur.Clone()
+			applyFlip(next, cands[best])
+			if got, want := ev.Measure(next), ref.Measure(next.Clone()); !sameReading(got, want) {
+				t.Fatalf("%s base %d step %d: confirmation %+v, reference %+v", label, bi, step, got, want)
+			}
+			if err := sw.Advance(cands[best], next); err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+		}
+	}
+
+	probe := bases[len(bases)/2]
+	if got, want := ev.Measure(probe.Clone()), ref.Measure(probe.Clone()); !sameReading(got, want) {
+		t.Fatalf("%s: follow-up Measure %+v, reference %+v", label, got, want)
+	}
+	if got, want := ev.Device().AcquisitionStats(), ref.Device().AcquisitionStats(); got != want {
+		t.Fatalf("%s: acquisition accounting deviates:\n  clones %+v\n  sweep  %+v", label, want, got)
+	}
+	var gotTS, wantTS tester.Stats
+	if fm := ev.Device().FaultModel(); fm != nil {
+		gotTS = fm.Stats()
+		wantTS = ref.Device().FaultModel().Stats()
+	}
+	if gotTS != wantTS {
+		t.Fatalf("%s: tester fault accounting deviates:\n  clones %+v\n  sweep  %+v", label, wantTS, gotTS)
+	}
 }
 
 // TestAdaptiveSweepMatchesLegacy is the bit-identity contract of the
-// sweep engine, across launch modes, tester fault regimes, acquisition
-// policies, drift compensation and a clean-chip control.
+// sweep engine against the clone-and-measure ("legacy") candidate loop,
+// across launch modes, tester fault regimes, acquisition policies,
+// drift compensation and a clean-chip control: a three-step climb from
+// the regime's seed.
 func TestAdaptiveSweepMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence matrix")
@@ -114,27 +194,16 @@ func TestAdaptiveSweepMatchesLegacy(t *testing.T) {
 	for _, cfg := range sweepEquivMatrix() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			ref, refAcq, refTS := sweepEquivRun(t, cfg, true)
-			got, gotAcq, gotTS := sweepEquivRun(t, cfg, false)
-			if d := parallel.Diff(got, ref); d != "" {
-				t.Errorf("sweep result deviates from legacy at %s", d)
-			}
-			if gotAcq != refAcq {
-				t.Errorf("acquisition accounting deviates:\n  legacy %+v\n  sweep  %+v", refAcq, gotAcq)
-			}
-			if gotTS != refTS {
-				t.Errorf("tester fault accounting deviates:\n  legacy %+v\n  sweep  %+v", refTS, gotTS)
-			}
-			if len(ref.Steps) == 0 {
-				t.Fatal("reference run produced no steps")
-			}
+			ev, seed := sweepEquivStack(t, cfg)
+			ref, _ := sweepEquivStack(t, cfg)
+			sweepTwinWalk(t, cfg.name, ev, ref, []*scan.Pattern{seed}, 3)
 		})
 	}
 }
 
 // TestAdaptiveSweepMatchesLegacyRandomized is the fuzz-style guard: tiny
 // random circuits, random chain counts, modes, seeds and noise — every
-// draw must keep the two candidate-measurement paths bit-identical.
+// draw must keep the sweep bit-identical to the clone-and-measure loop.
 func TestAdaptiveSweepMatchesLegacyRandomized(t *testing.T) {
 	rng := stats.NewRNG(0xf11e5)
 	for trial := 0; trial < 8; trial++ {
@@ -163,7 +232,7 @@ func TestAdaptiveSweepMatchesLegacyRandomized(t *testing.T) {
 		}
 		patSeed := rng.Uint64()
 
-		run := func(legacy bool) (*AdaptiveResult, AcquisitionStats) {
+		stack := func() *Evaluator {
 			lib := power.SAED90Like()
 			chip := power.Manufacture(n, lib, power.ThreeSigmaIntra(0.12), chipSeed)
 			if noise > 0 {
@@ -173,23 +242,12 @@ func TestAdaptiveSweepMatchesLegacyRandomized(t *testing.T) {
 			if noise > 0 {
 				dev.SetRepeats(3)
 			}
-			ev := NewEvaluator(n, lib, dev, chains, mode)
-			seed := ev.Chains().RandomPattern(stats.NewRNG(patSeed))
-			ar := ev.Adaptive(seed, AdaptiveOptions{
-				MaxSteps: 2, ScreenTop: 3, DropThreshold: 1e-6, LegacyMeasure: legacy,
-			})
-			return ar, dev.AcquisitionStats()
+			return NewEvaluator(n, lib, dev, chains, mode)
 		}
-		ref, refAcq := run(true)
-		got, gotAcq := run(false)
-		if d := parallel.Diff(got, ref); d != "" {
-			t.Fatalf("trial %d (%+v mode=%v chains=%d noise=%v): deviates at %s",
-				trial, params, mode, chains, noise, d)
-		}
-		if gotAcq != refAcq {
-			t.Fatalf("trial %d: acquisition accounting deviates:\n  legacy %+v\n  sweep  %+v",
-				trial, refAcq, gotAcq)
-		}
+		ev, ref := stack(), stack()
+		seed := ev.Chains().RandomPattern(stats.NewRNG(patSeed))
+		label := fmt.Sprintf("trial %d (%+v mode=%v chains=%d noise=%v)", trial, params, mode, chains, noise)
+		sweepTwinWalk(t, label, ev, ref, []*scan.Pattern{seed}, 2)
 	}
 }
 

@@ -4,8 +4,8 @@ package core
 // ±Inf outright, but the flow legitimately produces NaN in the verdict
 // fields (an unstable reading, an unstable die's |S-RPD|). The nanf
 // carrier type below encodes NaN as null and ±Inf as strings, and the
-// types whose floats can go non-finite (Reading, PairAnalysis, Report,
-// DieResult) shadow exactly those fields through it, so Report and
+// types whose floats can go non-finite (Reading, PairAnalysis,
+// AppliedMod, Report, DieResult) shadow exactly those fields through it, so Report and
 // LotReport round-trip through JSON bit-for-bit — the certification
 // service's contract.
 
@@ -100,6 +100,33 @@ func (pa *PairAnalysis) UnmarshalJSON(b []byte) error {
 	pa.ObservedA = float64(w.ObservedA)
 	pa.ObservedB = float64(w.ObservedB)
 	pa.SRPD = float64(w.SRPD)
+	return nil
+}
+
+// A strategic modification scored on an unstable pair carries a NaN
+// S-RPD on either side.
+func (m AppliedMod) MarshalJSON() ([]byte, error) {
+	type alias AppliedMod
+	return json.Marshal(struct {
+		alias
+		SRPDBefore nanf `json:"srpd_before"`
+		SRPDAfter  nanf `json:"srpd_after"`
+	}{alias(m), nanf(m.SRPDBefore), nanf(m.SRPDAfter)})
+}
+
+func (m *AppliedMod) UnmarshalJSON(b []byte) error {
+	type alias AppliedMod
+	var w struct {
+		alias
+		SRPDBefore nanf `json:"srpd_before"`
+		SRPDAfter  nanf `json:"srpd_after"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*m = AppliedMod(w.alias)
+	m.SRPDBefore = float64(w.SRPDBefore)
+	m.SRPDAfter = float64(w.SRPDAfter)
 	return nil
 }
 

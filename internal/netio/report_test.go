@@ -223,3 +223,34 @@ func TestROCArtifactRoundTrip(t *testing.T) {
 		t.Errorf("ROC artifact mangled: %+v", back)
 	}
 }
+
+// TestAppliedModNaNRoundTrip: a strategic modification scored on an
+// unstable pair carries a NaN S-RPD. The report must still encode, and
+// the NaN must come back bit-for-bit (previously the encoder failed and
+// the service answered 200 with an empty body).
+func TestAppliedModNaNRoundTrip(t *testing.T) {
+	rep := sampleReport(false)
+	rep.Strategic.Applied[0].SRPDBefore = math.NaN()
+	var first bytes.Buffer
+	if err := EncodeReport(&first, rep); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, err := DecodeReport(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	mod := got.Strategic.Applied[0]
+	if math.Float64bits(mod.SRPDBefore) != math.Float64bits(math.NaN()) {
+		t.Errorf("SRPDBefore = %v, want NaN", mod.SRPDBefore)
+	}
+	if mod.SRPDAfter != 0.42 || mod.Cell != rep.Strategic.Applied[0].Cell || mod.Kind != core.EliminateTwo {
+		t.Errorf("applied modification changed across the round trip: %+v", mod)
+	}
+	var second bytes.Buffer
+	if err := EncodeReport(&second, got); err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("round trip not bit-identical:\nfirst:\n%s\nsecond:\n%s", first.String(), second.String())
+	}
+}

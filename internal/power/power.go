@@ -142,7 +142,7 @@ func (m *Model) NominalLanes(masks []logic.Word, numLanes int) []float64 {
 // sweep engine relies on. dst is reused when large enough (zeroed
 // first); pass nil to allocate.
 func (m *Model) NominalLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
-	return priceLanesSparse(m.nominal, ids, masks, numLanes, dst)
+	return priceSparse(m.nominal, ids, masks, numLanes, dst)
 }
 
 // NominalSumSquares returns the sum of squared nominal energies of a
@@ -268,7 +268,7 @@ func (c *Chip) MeasureLanes(masks []logic.Word, numLanes int) []float64 {
 // order, just as MeasureLanes does — so a sweep-path reading consumes
 // the chip's noise stream identically to the dense path.
 func (c *Chip) MeasureLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
-	out := priceLanesSparse(c.effective, ids, masks, numLanes, dst)
+	out := priceSparse(c.effective, ids, masks, numLanes, dst)
 	if c.noiseSigma > 0 {
 		for i := range out {
 			out[i] += out[i] * c.noiseSigma * c.noiseRNG.Norm()

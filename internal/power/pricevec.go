@@ -1,41 +1,16 @@
 package power
 
-import "superpose/internal/logic"
-
-// Vectorized sparse pricing: the PPSFP configuration's kernel for the
-// sweep hot path. On amd64 with AVX-512F the (ids, masks) encoding is
-// priced by priceSparseZMM, which keeps all 64 lane accumulators in
-// eight ZMM registers and applies each entry's energy with a per-lane
-// write mask. Every lane is an independent accumulator folding the same
-// ascending-gate-ID addition sequence as the scalar loop, so the result
-// is bit-identical to priceLanesSparse — the IEEE-754 contract the
-// engine-equivalence suites pin. Everywhere else (or when the CPU lacks
-// AVX-512F) the Vec entry points fall through to the scalar loop.
-//
-// The scalar entry points (NominalLanesSparse, MeasureLanesSparse) stay
-// untouched: they are the frozen reference path; the engine selector
-// decides per call site which kernel a stack runs on.
+// Vectorized sparse pricing: the kernel behind NominalLanesSparse and
+// MeasureLanesSparse on the sweep hot path. On amd64 with AVX-512F the
+// (ids, masks) encoding is priced by priceSparseZMM, which keeps all 64
+// lane accumulators in eight ZMM registers and applies each entry's
+// energy with a per-lane write mask. Every lane is an independent
+// accumulator folding the same ascending-gate-ID addition sequence as
+// the scalar loop, so the result is bit-identical to priceLanesSparse —
+// the IEEE-754 contract the sweep equivalence suites pin. Everywhere
+// else (or when the CPU lacks AVX-512F) priceSparse falls
+// through to the scalar loop.
 
 // VectorPricing reports whether the vectorized sparse pricing kernel is
 // available on this machine (amd64 with OS-enabled AVX-512F).
 func VectorPricing() bool { return haveVectorPricing }
-
-// NominalLanesSparseVec is NominalLanesSparse through the vectorized
-// kernel when available; the results are bit-identical either way.
-func (m *Model) NominalLanesSparseVec(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
-	return priceLanesSparseVec(m.nominal, ids, masks, numLanes, dst)
-}
-
-// MeasureLanesSparseVec is MeasureLanesSparse through the vectorized
-// kernel when available. Measurement-noise draws happen after the sums,
-// in lane order — exactly numLanes draws, as every pricing path takes —
-// so the chip's noise stream advances identically to the scalar path.
-func (c *Chip) MeasureLanesSparseVec(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
-	out := priceLanesSparseVec(c.effective, ids, masks, numLanes, dst)
-	if c.noiseSigma > 0 {
-		for i := range out {
-			out[i] += out[i] * c.noiseSigma * c.noiseRNG.Norm()
-		}
-	}
-	return out
-}

@@ -28,12 +28,12 @@ func detectAVX512F() bool {
 	return ebx7&avx512f != 0
 }
 
-// priceLanesSparseVec prices the sparse encoding through the ZMM kernel,
+// priceSparse prices the sparse encoding through the ZMM kernel,
 // falling back to the scalar loop when AVX-512F is unavailable. The
 // kernel always accumulates all 64 lanes (masked off by laneMask beyond
 // numLanes, so the dead lanes stay zero) into a stack frame; only the
 // first numLanes are copied out.
-func priceLanesSparseVec(energy []float64, ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
+func priceSparse(energy []float64, ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	if !haveVectorPricing || len(ids) == 0 {
 		return priceLanesSparse(energy, ids, masks, numLanes, dst)
 	}

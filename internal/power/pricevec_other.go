@@ -4,10 +4,10 @@ package power
 
 import "superpose/internal/logic"
 
-// No vectorized pricing kernel on this architecture; the Vec entry
-// points are the scalar loop.
+// No vectorized pricing kernel on this architecture; sparse pricing is
+// the scalar loop.
 var haveVectorPricing = false
 
-func priceLanesSparseVec(energy []float64, ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
+func priceSparse(energy []float64, ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	return priceLanesSparse(energy, ids, masks, numLanes, dst)
 }

@@ -12,9 +12,9 @@ import (
 // against the scalar reference over random encodings: dense and sparse
 // masks, all-lanes entries, zero entries, every partial-lane count and
 // the ragged 1-entry edge. Every lane must match by IEEE-754 bit
-// pattern. On machines without AVX-512F the Vec path IS the scalar
-// loop, so the test degenerates to a tautology rather than skipping —
-// keeping the call sites covered everywhere.
+// pattern. On machines without AVX-512F priceSparse IS the
+// scalar loop, so the test degenerates to a tautology rather than
+// skipping — keeping the call sites covered everywhere.
 func TestVectorPricingBitIdentity(t *testing.T) {
 	t.Logf("vector pricing available: %v", VectorPricing())
 	rng := stats.NewRNG(97)
@@ -58,7 +58,7 @@ func TestVectorPricingBitIdentity(t *testing.T) {
 				}
 			}
 			want := priceLanesSparse(energy, ids, masks, sh.numLanes, nil)
-			got := priceLanesSparseVec(energy, ids, masks, sh.numLanes, nil)
+			got := priceSparse(energy, ids, masks, sh.numLanes, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%+v trial %d: %d lanes, want %d", sh, trial, len(got), len(want))
 			}
@@ -73,7 +73,7 @@ func TestVectorPricingBitIdentity(t *testing.T) {
 			for i := range dirty {
 				dirty[i] = math.Inf(1)
 			}
-			got2 := priceLanesSparseVec(energy, ids, masks, sh.numLanes, dirty)
+			got2 := priceSparse(energy, ids, masks, sh.numLanes, dirty)
 			for i := range want {
 				if math.Float64bits(got2[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%+v trial %d lane %d (dst reuse): vec %x, scalar %x",
@@ -84,10 +84,24 @@ func TestVectorPricingBitIdentity(t *testing.T) {
 	}
 }
 
+// scalarMeasureLanesSparse is the scalar reference of
+// Chip.MeasureLanesSparse: the scalar pricing loop, then exactly
+// numLanes noise draws in lane order.
+func scalarMeasureLanesSparse(c *Chip, ids []int, masks []logic.Word, numLanes int) []float64 {
+	out := priceLanesSparse(c.effective, ids, masks, numLanes, nil)
+	if c.noiseSigma > 0 {
+		for i := range out {
+			out[i] += out[i] * c.noiseSigma * c.noiseRNG.Norm()
+		}
+	}
+	return out
+}
+
 // TestMeasureLanesSparseVecNoiseStream pins the noise-stream contract:
-// the Vec measure path must consume exactly numLanes draws in lane
-// order, leaving the chip's RNG in the same state as the scalar path —
-// so mixing kernels across a die's lifetime can never skew readings.
+// MeasureLanesSparse, which prices through the vectorized kernel, must
+// match the scalar reference on a twin chip and consume exactly numLanes
+// draws in lane order, leaving the chip's RNG where the scalar path
+// leaves it — checked by measuring the twins repeatedly.
 func TestMeasureLanesSparseVecNoiseStream(t *testing.T) {
 	lib := SAED90Like()
 	n := buildTiny(t)
@@ -108,8 +122,8 @@ func TestMeasureLanesSparseVecNoiseStream(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		lanes := []int{64, 5, 64}[round]
-		want := scalar.MeasureLanesSparse(ids, masks, lanes, nil)
-		got := vec.MeasureLanesSparseVec(ids, masks, lanes, nil)
+		want := scalarMeasureLanesSparse(scalar, ids, masks, lanes)
+		got := vec.MeasureLanesSparse(ids, masks, lanes, nil)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("round %d lane %d: vec %x, scalar %x",

@@ -9,12 +9,13 @@ import (
 	"superpose/internal/trust"
 )
 
-// The engine-kind equivalence suite: the PPSFP backend must produce the
-// exact words the scalar backend does — launch frames, toggle masks,
-// sweep encodings — at every pattern count, including the partial-lane
-// edges (1, 63, 64 patterns and the ragged final sweep chunk). The
-// scalar kind is the oracle; the laneMask discipline of Launch means a
-// garbage lane would surface as a masks mismatch here.
+// The launch equivalence suite: the PPSFP engine behind Engine.Launch
+// must produce the exact words a per-gate sim.Simulator reference does —
+// launch frames, toggle masks, sweep encodings — at every pattern count,
+// including the partial-lane edges (1, 63, 64 patterns and the ragged
+// final sweep chunk), and over the whole input space of every circuit in
+// the exhaustive zoo. The laneMask discipline of Launch means a garbage
+// lane would surface as a masks mismatch here.
 
 func kindEquivNetlist(t testing.TB, seed uint64) *Chains {
 	t.Helper()
@@ -27,104 +28,190 @@ func kindEquivNetlist(t testing.TB, seed uint64) *Chains {
 	return Configure(n, 3)
 }
 
-// TestEngineKindLaunchEquivalence compares full launches across kinds at
-// the partial-lane pattern counts, in both LOS and LOC.
+// exhaustiveZoo lists the brute-forceable circuits: generated multi-level
+// netlists whose scan bits + PIs stay ≤ 12.
+func exhaustiveZoo() []trust.Params {
+	return []trust.Params{
+		{Name: "xz-narrow", PIs: 2, POs: 3, FFs: 6, Comb: 60, Levels: 4, Seed: 1},
+		{Name: "xz-wide", PIs: 4, POs: 4, FFs: 8, Comb: 110, Levels: 3, Seed: 2},
+		{Name: "xz-deep", PIs: 2, POs: 2, FFs: 10, Comb: 150, Levels: 6, Seed: 3},
+	}
+}
+
+// zooChains generates every zoo circuit and configures it with two
+// chains, as the core exhaustive suite does.
+func zooChains(t testing.TB) []*Chains {
+	t.Helper()
+	var out []*Chains
+	for _, p := range exhaustiveZoo() {
+		n, err := trust.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, Configure(n, 2))
+	}
+	return out
+}
+
+// allPatterns enumerates every assignment of the configuration's scan
+// bits and PIs.
+func allPatterns(t testing.TB, ch *Chains) []*Pattern {
+	t.Helper()
+	nScan := 0
+	for i := 0; i < ch.NumChains(); i++ {
+		nScan += len(ch.Chain(i))
+	}
+	nVars := nScan + len(ch.Netlist().PIs)
+	if nVars > 12 {
+		t.Fatalf("circuit too large for exhaustive enumeration (%d vars)", nVars)
+	}
+	pats := make([]*Pattern, 0, 1<<nVars)
+	for v := 0; v < 1<<nVars; v++ {
+		p := ch.NewPattern()
+		k := 0
+		for c := range p.Scan {
+			for j := range p.Scan[c] {
+				p.Scan[c][j] = v&(1<<k) != 0
+				k++
+			}
+		}
+		for i := range p.PI {
+			p.PI[i] = v&(1<<k) != 0
+			k++
+		}
+		pats = append(pats, p)
+	}
+	return pats
+}
+
+// referenceLaunch is the oracle Engine.Launch is held to: the two frames
+// of up to 64 patterns (pattern i on lane i) through the per-gate
+// sim.Simulator, with the frame sources built straight from the scan
+// semantics. Under LOS frame 1 holds the one-shift-earlier state (cell 0
+// pinned to its own bit) and frame 2 the loaded state; under LOC frame 1
+// is the loaded state and every scannable cell captures its frame-1 D
+// pin for frame 2. PIs hold across both frames, and hidden (NoScan)
+// cells hold their pinned word throughout.
+func referenceLaunch(ch *Chains, pats []*Pattern, mode Mode, hidden map[int]logic.Word) (f1, f2 []logic.Word) {
+	n := ch.Netlist()
+	src := make([]logic.Word, n.NumGates())
+	for ff, w := range hidden {
+		src[ff] = w
+	}
+	set := func(id, lane int, v bool) {
+		if v {
+			src[id] |= logic.Word(1) << uint(lane)
+		} else {
+			src[id] &^= logic.Word(1) << uint(lane)
+		}
+	}
+	for lane, p := range pats {
+		for pi, id := range n.PIs {
+			set(id, lane, p.PI[pi])
+		}
+		for c := 0; c < ch.NumChains(); c++ {
+			for j, ff := range ch.Chain(c) {
+				if mode == LOS && j > 0 {
+					set(ff, lane, p.Scan[c][j-1])
+				} else {
+					set(ff, lane, p.Scan[c][j])
+				}
+			}
+		}
+	}
+	s := sim.New(n)
+	defer s.Release()
+	f1 = append([]logic.Word(nil), s.Run(src)...)
+
+	switch mode {
+	case LOS:
+		for lane, p := range pats {
+			for c := 0; c < ch.NumChains(); c++ {
+				for j, ff := range ch.Chain(c) {
+					set(ff, lane, p.Scan[c][j])
+				}
+			}
+		}
+	case LOC:
+		for _, ff := range n.FFs {
+			if !n.IsNoScan(ff) {
+				src[ff] = f1[n.Gates[ff].Fanin[0]]
+			}
+		}
+	}
+	f2 = append([]logic.Word(nil), s.Run(src)...)
+	return f1, f2
+}
+
+// requireLaunchMatches launches pats through eng and compares frames
+// and toggle masks against referenceLaunch.
+func requireLaunchMatches(t *testing.T, eng *Engine, pats []*Pattern, mode Mode, hidden map[int]logic.Word, label string) {
+	t.Helper()
+	n := eng.Chains().Netlist()
+	want1, want2 := referenceLaunch(eng.Chains(), pats, mode, hidden)
+	got1, got2, err := eng.Launch(pats, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range want1 {
+		if got1[id] != want1[id] || got2[id] != want2[id] {
+			t.Fatalf("%s %v: net %s frames (%016x,%016x), reference (%016x,%016x)",
+				label, mode, n.NameOf(id), got1[id], got2[id], want1[id], want2[id])
+		}
+	}
+	masks := eng.ToggleMasks(nil)
+	for id := range masks {
+		if want := want1[id] ^ want2[id]; masks[id] != want {
+			t.Fatalf("%s %v: net %s toggle mask %016x, reference %016x",
+				label, mode, n.NameOf(id), masks[id], want)
+		}
+	}
+}
+
+// TestEngineKindLaunchEquivalence compares full launches against the
+// reference at the partial-lane pattern counts, in both LOS and LOC, and
+// then over the entire input space of every zoo circuit.
 func TestEngineKindLaunchEquivalence(t *testing.T) {
 	ch := kindEquivNetlist(t, 21)
-	n := ch.Netlist()
 	rng := stats.NewRNG(31)
-
-	scalar := NewEngineKind(ch, sim.EngineScalar)
-	ppsfp := NewEngineKind(ch, sim.EnginePPSFP)
-	if scalar.Kind() != sim.EngineScalar || ppsfp.Kind() != sim.EnginePPSFP {
-		t.Fatalf("kinds resolved to %v/%v", scalar.Kind(), ppsfp.Kind())
-	}
-
+	eng := NewEngine(ch)
+	defer eng.Close()
 	for _, mode := range []Mode{LOS, LOC} {
 		for _, count := range []int{1, 2, 63, 64} {
 			pats := make([]*Pattern, count)
 			for i := range pats {
 				pats[i] = ch.RandomPattern(rng)
 			}
-			sf1, sf2, err := scalar.Launch(pats, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantF1 := append([]logic.Word(nil), sf1...)
-			wantF2 := append([]logic.Word(nil), sf2...)
-			wantMasks := scalar.ToggleMasks(nil)
+			requireLaunchMatches(t, eng, pats, mode, nil, "random")
+		}
+	}
 
-			pf1, pf2, err := ppsfp.Launch(pats, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := range wantF1 {
-				if pf1[id] != wantF1[id] || pf2[id] != wantF2[id] {
-					t.Fatalf("%v count %d net %s: frames (%016x,%016x), scalar (%016x,%016x)",
-						mode, count, n.NameOf(id), pf1[id], pf2[id], wantF1[id], wantF2[id])
-				}
-			}
-			gotMasks := ppsfp.ToggleMasks(nil)
-			for id := range wantMasks {
-				if gotMasks[id] != wantMasks[id] {
-					t.Fatalf("%v count %d net %s: toggle mask %016x, scalar %016x",
-						mode, count, n.NameOf(id), gotMasks[id], wantMasks[id])
-				}
+	if testing.Short() {
+		return
+	}
+	for _, zc := range zooChains(t) {
+		pats := allPatterns(t, zc)
+		zeng := NewEngine(zc)
+		for _, mode := range []Mode{LOS, LOC} {
+			for start := 0; start < len(pats); start += 64 {
+				end := min(start+64, len(pats))
+				requireLaunchMatches(t, zeng, pats[start:end], mode, nil, zc.Netlist().Name)
 			}
 		}
+		zeng.Close()
 	}
 }
 
-// TestEngineSetKindPreservesResults switches one engine between kinds
-// mid-stream and requires the same launch both before and after — the
-// selector must never carry state across kinds.
-func TestEngineSetKindPreservesResults(t *testing.T) {
-	ch := kindEquivNetlist(t, 22)
-	rng := stats.NewRNG(5)
-	eng := NewEngine(ch) // default kind: PPSFP
-	if eng.Kind() != sim.EnginePPSFP {
-		t.Fatalf("default kind %v, want ppsfp", eng.Kind())
-	}
-
-	pats := []*Pattern{ch.RandomPattern(rng), ch.RandomPattern(rng)}
-	f1, f2, err := eng.Launch(pats, LOS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantF1 := append([]logic.Word(nil), f1...)
-	wantF2 := append([]logic.Word(nil), f2...)
-
-	eng.SetKind(sim.EngineScalar)
-	g1, g2, err := eng.Launch(pats, LOS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range wantF1 {
-		if g1[id] != wantF1[id] || g2[id] != wantF2[id] {
-			t.Fatalf("net %d: scalar relaunch diverged after SetKind", id)
-		}
-	}
-
-	eng.SetKind(sim.EngineAuto) // back to PPSFP
-	h1, h2, err := eng.Launch(pats, LOS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range wantF1 {
-		if h1[id] != wantF1[id] || h2[id] != wantF2[id] {
-			t.Fatalf("net %d: ppsfp relaunch diverged after SetKind round-trip", id)
-		}
-	}
-}
-
-// TestSweeperKindEquivalence runs the same sweep session — including the
-// ragged final chunk and incremental Advance transitions — under both
-// kinds and requires identical sparse toggle encodings.
+// TestSweeperKindEquivalence runs a sweep session — including the ragged
+// final chunk and incremental Advance transitions — and requires every
+// chunk's sparse encoding to densify to the reference launch's toggle
+// masks over the materialized single-flip clones.
 func TestSweeperKindEquivalence(t *testing.T) {
 	ch := kindEquivNetlist(t, 23)
+	n := ch.Netlist()
 	rng := stats.NewRNG(77)
 
-	// Every stimulus bit plus one duplicate: the flip count is chosen to
+	// Every stimulus bit plus duplicates: the flip count is chosen to
 	// leave a short final chunk (the 65-pattern shape of the edge suite).
 	var flips []Flip
 	for c := 0; c < ch.NumChains(); c++ {
@@ -132,7 +219,7 @@ func TestSweeperKindEquivalence(t *testing.T) {
 			flips = append(flips, Flip{c, j})
 		}
 	}
-	for i := range ch.Netlist().PIs {
+	for i := range n.PIs {
 		flips = append(flips, Flip{PIFlip, i})
 	}
 	for len(flips)%64 != 1 {
@@ -140,39 +227,29 @@ func TestSweeperKindEquivalence(t *testing.T) {
 	}
 
 	for _, mode := range []Mode{LOS, LOC} {
-		scalar, err := NewSweeperKind(ch, mode, flips, sim.EngineScalar)
+		s, err := NewSweeper(ch, mode, flips)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ppsfp, err := NewSweeperKind(ch, mode, flips, sim.EnginePPSFP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if last := scalar.ChunkFlips(scalar.NumChunks() - 1); len(last) != 1 {
+		if last := s.ChunkFlips(s.NumChunks() - 1); len(last) != 1 {
 			t.Fatalf("final chunk holds %d flips, want the 1-lane edge", len(last))
 		}
 
 		base := ch.RandomPattern(rng)
-		baseP := base.Clone()
-		if err := scalar.Rebase(base); err != nil {
+		if err := s.Rebase(base.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		if err := ppsfp.Rebase(baseP); err != nil {
-			t.Fatal(err)
-		}
-
 		compare := func(step string) {
 			t.Helper()
-			for c := 0; c < scalar.NumChunks(); c++ {
-				sids, smasks := scalar.Run(c)
-				pids, pmasks := ppsfp.Run(c)
-				if len(sids) != len(pids) {
-					t.Fatalf("%v %s chunk %d: %d ids vs %d", mode, step, c, len(pids), len(sids))
-				}
-				for i := range sids {
-					if sids[i] != pids[i] || smasks[i] != pmasks[i] {
-						t.Fatalf("%v %s chunk %d entry %d: (%d,%016x) vs scalar (%d,%016x)",
-							mode, step, c, i, pids[i], pmasks[i], sids[i], smasks[i])
+			for c := 0; c < s.NumChunks(); c++ {
+				chunk := s.ChunkFlips(c)
+				ids, masks := s.Run(c)
+				got := densify(n.NumGates(), ids, masks)
+				r1, r2 := referenceLaunch(ch, flipClones(base, chunk), mode, nil)
+				for id := range got {
+					if want := (r1[id] ^ r2[id]) & laneMaskOf(len(chunk)); got[id] != want {
+						t.Fatalf("%v %s chunk %d gate %s: toggles %016x, reference %016x",
+							mode, step, c, n.NameOf(id), got[id], want)
 					}
 				}
 			}
@@ -182,13 +259,12 @@ func TestSweeperKindEquivalence(t *testing.T) {
 		// Two accepted climb steps: Advance must stay equivalent too.
 		for step := 0; step < 2; step++ {
 			f := flips[rng.Intn(len(flips))]
-			if err := scalar.Advance(f); err != nil {
+			if err := s.Advance(f); err != nil {
 				t.Fatal(err)
 			}
-			if err := ppsfp.Advance(f); err != nil {
-				t.Fatal(err)
-			}
+			base = flipClones(base, []Flip{f})[0]
 			compare("advanced")
 		}
+		s.Close()
 	}
 }

@@ -305,19 +305,12 @@ func (c *Chains) LOSSources(p *Pattern) (f1, f2 []logic.Word) {
 }
 
 // Engine applies patterns to a netlist and extracts launch activity. It
-// owns a simulator and scratch buffers; not safe for concurrent use.
-//
-// The simulation backend is selectable (see sim.EngineKind): the
-// default PPSFP engine evaluates full launches through a compiled
-// instruction stream over the structure-of-arrays netlist core, the
-// scalar kind through the original per-gate Simulator. The two are
-// bit-identical, so the kind never changes any frame value, toggle set
-// or downstream reading.
+// evaluates full launches through the PPSFP engine (a compiled
+// instruction stream over the structure-of-arrays netlist core) and owns
+// its scratch buffers; not safe for concurrent use.
 type Engine struct {
 	ch     *Chains
-	kind   sim.EngineKind
-	sim    *sim.Simulator
-	pp     *sim.PPSFP // non-nil iff the resolved kind is PPSFP
+	pp     *sim.PPSFP
 	src    []logic.Word
 	f1     []logic.Word // frame-1 net values (copy)
 	f2     []logic.Word // frame-2 net values (copy)
@@ -325,27 +318,20 @@ type Engine struct {
 	valid  bool
 }
 
-// NewEngine returns an Engine over the configuration's netlist, using
-// the default simulation backend (PPSFP).
-func NewEngine(ch *Chains) *Engine { return NewEngineKind(ch, sim.EngineAuto) }
-
-// NewEngineKind returns an Engine with an explicit simulation backend.
-func NewEngineKind(ch *Chains, kind sim.EngineKind) *Engine {
-	s := sim.New(ch.n)
-	e := &Engine{
+// NewEngine returns an Engine over the configuration's netlist.
+func NewEngine(ch *Chains) *Engine {
+	return &Engine{
 		ch:  ch,
-		sim: s,
+		pp:  sim.NewPPSFP(ch.n),
 		src: scratch.Words(ch.n.NumGates()),
 		f1:  scratch.Words(ch.n.NumGates()),
 		f2:  scratch.Words(ch.n.NumGates()),
 	}
-	e.SetKind(kind)
-	return e
 }
 
 // Close returns the engine's pooled per-net buffers (frames, sources,
-// simulator state) to the shared pools. The Engine must not be used
-// afterwards; Close is idempotent.
+// the PPSFP value plane) to the shared pools. The Engine must not be
+// used afterwards; Close is idempotent.
 func (e *Engine) Close() {
 	if e.f1 == nil {
 		return
@@ -354,40 +340,8 @@ func (e *Engine) Close() {
 	scratch.PutWords(e.f1)
 	scratch.PutWords(e.f2)
 	e.src, e.f1, e.f2 = nil, nil, nil
-	e.sim.Release()
-	if e.pp != nil {
-		e.pp.Release()
-		e.pp = nil
-	}
+	e.pp.Release()
 	e.valid = false
-}
-
-// SetKind switches the simulation backend in place. All other engine
-// state (hidden-cell pins, the frames of the most recent Launch) is
-// preserved; results are bit-identical across kinds either way.
-func (e *Engine) SetKind(kind sim.EngineKind) {
-	e.kind = kind.Resolve()
-	if e.kind == sim.EnginePPSFP {
-		if e.pp == nil {
-			e.pp = sim.NewPPSFP(e.ch.n)
-		}
-	} else if e.pp != nil {
-		e.pp.Release()
-		e.pp = nil
-	}
-}
-
-// Kind returns the resolved simulation backend.
-func (e *Engine) Kind() sim.EngineKind { return e.kind }
-
-// run evaluates the current source words into dst through the selected
-// backend.
-func (e *Engine) run(dst []logic.Word) {
-	if e.pp != nil {
-		e.pp.RunInto(e.src, dst)
-		return
-	}
-	copy(dst, e.sim.Run(e.src))
 }
 
 // Chains returns the engine's scan configuration.
@@ -450,7 +404,7 @@ func (e *Engine) Launch(pats []*Pattern, mode Mode) (f1, f2 []logic.Word, err er
 			}
 		}
 	}
-	e.run(e.f1)
+	e.pp.RunInto(e.src, e.f1)
 
 	// Frame 2 sources: PIs unchanged.
 	switch mode {
@@ -479,7 +433,7 @@ func (e *Engine) Launch(pats []*Pattern, mode Mode) (f1, f2 []logic.Word, err er
 			e.src[ff] = e.f1[n.Gates[ff].Fanin[0]]
 		}
 	}
-	e.run(e.f2)
+	e.pp.RunInto(e.src, e.f2)
 
 	e.valid = true
 	return e.f1, e.f2, nil

@@ -3,10 +3,8 @@ package scan
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"superpose/internal/logic"
-	"superpose/internal/netlist"
 	"superpose/internal/scratch"
 	"superpose/internal/sim"
 )
@@ -36,53 +34,41 @@ type capture struct {
 	ff, dpin int
 }
 
-// chunkPlan is the structural, base-independent precomputation of one
-// sweep chunk (up to 64 flips, one per simulator lane). The per-lane
-// source perturbations are computed at construction — O(lanes), no
-// netlist walk — while the structural cone state splits into two
-// lazily derived tiers: the LOC re-capture list (one cone walk, needed
-// by every evaluation path) and the compiled union-cone programs
-// (needed only by the scalar evaluation path and materialized on a
-// chunk's first scalar use). The PPSFP configuration propagates word
-// deviations directly (sim.DeltaProp), so under it a sweep over a
-// million-gate netlist never compiles a single cone program. Because
-// the adaptive flow sweeps the same stimulus bits every step, whatever
-// tier a chunk does materialize is reused for the whole run.
+// chunkPlan is the precomputation of one sweep chunk (up to 64 flips,
+// one per simulator lane). The per-lane source perturbations are
+// computed at construction — O(lanes), no netlist walk — and the LOC
+// re-capture list (one frame-1 cone walk) is derived on the chunk's
+// first use. Chunks propagate word deviations directly (sim.DeltaProp),
+// so a sweep over a million-gate netlist never re-evaluates a
+// structural cone. Because the adaptive flow sweeps the same stimulus
+// bits every step, the derived list is reused for the whole run.
 type chunkPlan struct {
 	flips    []Flip
 	f1Srcs   []srcFlip // frame-1 source bits to XOR, per lane
 	f2Srcs   []srcFlip // frame-2 source bits to XOR (LOS scan cells, PIs)
 	laneMask logic.Word
 
-	// Lazily derived: ensureCaptures fills captures (trivial for LOS);
-	// ensureCompiled fills the rest.
+	// Lazily derived by ensureCaptures (trivial for LOS).
 	capsDone bool
 	captures []capture // LOC only: FFs re-captured from the frame-1 cone
-	compiled bool
-	order1   []int // levelized frame-1 union-cone evaluation order
-	order2   []int // levelized frame-2 union-cone evaluation order
-	prog1    *sim.Program
-	prog2    *sim.Program
-	progF    *sim.Program // LOS only: fused dual-frame program over the merged cone
-	affected []int        // ascending union of every gate whose word may deviate
 }
 
 // Sweeper is the single-flip sweep engine of the adaptive flow (§IV-B):
 // it evaluates every pattern that differs from a base pattern in exactly
 // one stimulus bit, without materializing those patterns. The base
 // pattern's frames are simulated once per Rebase and broadcast across
-// all 64 lanes; each chunk then XORs its flips into the affected source
-// words and re-evaluates only the union fanout cone of the flipped bits
-// — the LOS transparency rule (§IV-A) guarantees the perturbation is
-// local, and the full-scan structure keeps cones shallow (they stop at
-// flip-flop D pins).
+// all 64 lanes; each chunk then seeds its flips as per-lane source
+// deviations and propagates only the words that actually change
+// (sim.DeltaProp) — the LOS transparency rule (§IV-A) guarantees the
+// perturbation is local, and the full-scan structure keeps it shallow
+// (it stops at flip-flop D pins).
 //
 // The output of a chunk is a sparse (ids, masks) toggle encoding whose
 // pricing through power.NominalLanesSparse / power.MeasureLanesSparse is
 // bit-identical to launching the 64 cloned patterns through Engine.Launch
-// and pricing the dense toggle masks: gates outside the union cone keep
-// the base pattern's toggle state on every lane, gates inside carry their
-// exactly re-simulated lane words, and the encoding preserves the
+// and pricing the dense toggle masks: gates the deviation never reaches
+// keep the base pattern's toggle state on every lane, gates it reaches
+// carry their exact lane words, and the encoding preserves the
 // ascending-gate-ID addition order of the dense path.
 //
 // A Sweeper owns its buffers and is not safe for concurrent use.
@@ -94,7 +80,6 @@ type Sweeper struct {
 
 	// Per-base state (valid after Rebase).
 	f1b, f2b    []logic.Word // broadcast base frame values
-	v1, v2      []logic.Word // working arrays; equal broadcast base between runs
 	baseToggles []int        // ascending gate IDs toggling under the base pattern
 	based       bool
 
@@ -105,11 +90,10 @@ type Sweeper struct {
 	masks []logic.Word
 	fill  []logic.Word
 
-	// Delta-propagation fast-path state (PPSFP kind): one propagator per
-	// frame, lazily built; gen is the base generation (bumped by Rebase
-	// and Advance) and dpGen tracks which generation the propagators'
-	// base words were gathered from. div is the per-Run scratch of
-	// diverged gate IDs.
+	// Delta-propagation state: one propagator per frame, lazily built;
+	// gen is the base generation (bumped by Rebase and Advance) and
+	// dpGen tracks which generation the propagators' base words were
+	// gathered from. div is the per-Run scratch of diverged gate IDs.
 	gen    uint64
 	dpGen  uint64
 	dp1    *sim.DeltaProp
@@ -122,21 +106,10 @@ type Sweeper struct {
 
 // NewSweeper builds a sweep engine over the scan configuration for the
 // given flip list, in order: flip i is lane i%64 of chunk i/64. Setup
-// is O(flips) plus pooled per-net buffers — the structural cone state
-// of each chunk is derived lazily on its first use (see chunkPlan) —
-// so per-lot construction cost stays flat as netlists grow. The
-// base-frame launches use the default simulation backend; see
-// NewSweeperKind.
+// is O(flips) plus pooled per-net buffers — the LOC re-capture list of
+// each chunk is derived lazily on its first use (see chunkPlan) — so
+// per-lot construction cost stays flat as netlists grow.
 func NewSweeper(ch *Chains, mode Mode, flips []Flip) (*Sweeper, error) {
-	return NewSweeperKind(ch, mode, flips, sim.EngineAuto)
-}
-
-// NewSweeperKind is NewSweeper with an explicit simulation backend for
-// the base-frame launches (Rebase). The kind also selects the chunk
-// evaluation path — compiled per-chunk cone programs for the scalar
-// kind, delta propagation for PPSFP — but results are bit-identical
-// either way.
-func NewSweeperKind(ch *Chains, mode Mode, flips []Flip, kind sim.EngineKind) (*Sweeper, error) {
 	n := ch.Netlist()
 	for _, f := range flips {
 		if f.IsPI() {
@@ -156,11 +129,9 @@ func NewSweeperKind(ch *Chains, mode Mode, flips []Flip, kind sim.EngineKind) (*
 	s := &Sweeper{
 		ch:   ch,
 		mode: mode,
-		eng:  NewEngineKind(ch, kind),
+		eng:  NewEngine(ch),
 		f1b:  scratch.Words(n.NumGates()),
 		f2b:  scratch.Words(n.NumGates()),
-		v1:   scratch.Words(n.NumGates()),
-		v2:   scratch.Words(n.NumGates()),
 		fill: scratch.Words(n.NumGates()),
 		gen:  1,
 	}
@@ -183,10 +154,8 @@ func (s *Sweeper) Close() {
 	}
 	scratch.PutWords(s.f1b)
 	scratch.PutWords(s.f2b)
-	scratch.PutWords(s.v1)
-	scratch.PutWords(s.v2)
 	scratch.PutWords(s.fill)
-	s.f1b, s.f2b, s.v1, s.v2, s.fill = nil, nil, nil, nil, nil
+	s.f1b, s.f2b, s.fill = nil, nil, nil
 	if s.divmap != nil {
 		scratch.PutUint64s(s.divmap)
 		s.divmap = nil
@@ -200,7 +169,7 @@ func (s *Sweeper) Close() {
 	s.based = false
 }
 
-// buildPlanSources computes the eager tier of one chunk: the per-lane
+// buildPlanSources computes the eager part of one chunk: the per-lane
 // source perturbations and the lane mask. No netlist walk happens here.
 func buildPlanSources(ch *Chains, mode Mode, flips []Flip) chunkPlan {
 	n := ch.Netlist()
@@ -245,20 +214,20 @@ func buildPlanSources(ch *Chains, mode Mode, flips []Flip) chunkPlan {
 	return p
 }
 
-// appendRoots appends the source gates of the given perturbations to
-// roots and returns it.
-func appendRoots(roots []int, srcs []srcFlip) []int {
-	for _, sf := range srcs {
-		roots = append(roots, sf.gate)
-	}
-	return roots
-}
-
-// scanCaptures fills p.captures from the walker's current Reached
-// state, which must hold the chunk's frame-1 cone: every scannable
+// ensureCaptures derives the chunk's LOC re-capture list on first use —
+// one frame-1 cone walk through a pooled walker: every scannable
 // flip-flop whose D pin the cone touches re-captures a perturbed value.
-func (s *Sweeper) scanCaptures(p *chunkPlan, w *netlist.ConeWalker) {
+func (s *Sweeper) ensureCaptures(p *chunkPlan) {
+	if p.capsDone {
+		return
+	}
 	n := s.ch.Netlist()
+	w := n.AcquireConeWalker()
+	s.roots = s.roots[:0]
+	for _, sf := range p.f1Srcs {
+		s.roots = append(s.roots, sf.gate)
+	}
+	w.Walk(s.roots)
 	for _, ff := range n.FFs {
 		if n.IsNoScan(ff) {
 			continue
@@ -269,100 +238,8 @@ func (s *Sweeper) scanCaptures(p *chunkPlan, w *netlist.ConeWalker) {
 		}
 	}
 	p.capsDone = true
-}
-
-// ensureCaptures derives the chunk's LOC re-capture list on first use —
-// one frame-1 cone walk through a pooled walker, no program compiles.
-// It is all the structural state the delta-propagation paths need.
-func (s *Sweeper) ensureCaptures(p *chunkPlan) {
-	if p.capsDone {
-		return
-	}
-	n := s.ch.Netlist()
-	w := n.AcquireConeWalker()
-	s.roots = appendRoots(s.roots[:0], p.f1Srcs)
-	w.Walk(s.roots)
-	s.scanCaptures(p, w)
 	w.Release()
 }
-
-// ensureCompiled derives the chunk's full structural tier on its first
-// scalar-path use: the levelized union cones of both frames, their
-// compiled programs, and the ascending affected-gate union. The walks
-// and the union scratch run through pooled buffers, and the derivation
-// order matches the former eager construction exactly, so the compiled
-// artifacts are bit-identical to what it produced.
-func (s *Sweeper) ensureCompiled(p *chunkPlan) {
-	if p.compiled {
-		return
-	}
-	n := s.ch.Netlist()
-	w := n.AcquireConeWalker()
-
-	roots := appendRoots(s.roots[:0], p.f1Srcs)
-	n1 := len(roots)
-	p.order1 = append([]int(nil), w.Walk(roots[:n1])...)
-	if !p.capsDone {
-		// The walker still holds the frame-1 cone: derive the LOC
-		// re-capture list from the same walk.
-		s.scanCaptures(p, w)
-	}
-	roots = appendRoots(roots, p.f2Srcs)
-	for _, cp := range p.captures {
-		roots = append(roots, cp.ff)
-	}
-	p.order2 = append([]int(nil), w.Walk(roots[n1:])...)
-	// The cones are re-evaluated once per chunk per step; compiled
-	// programs shed the generic per-gate dispatch overhead.
-	p.prog1 = sim.CompileOrdered(n, p.order1)
-	p.prog2 = sim.CompileOrdered(n, p.order2)
-	if s.mode == LOS {
-		// LOS frames are independent (no re-captures), so both can run
-		// through one fused program over the merged cone: see RunPair.
-		// Gates in only one frame's cone recompute their unchanged value
-		// in the other — harmless, and the two frames' cones overlap
-		// almost entirely (they seed from adjacent cells of the same
-		// chains), so the merged order is barely longer than either.
-		merged := w.Walk(roots)
-		p.progF = sim.CompileOrdered(n, merged)
-	}
-	s.roots = roots[:0]
-	w.Release()
-
-	// Ascending union of everything the chunk can touch.
-	inUnion := scratch.Bools(n.NumGates())
-	add := func(id int) {
-		if !inUnion[id] {
-			inUnion[id] = true
-			p.affected = append(p.affected, id)
-		}
-	}
-	for _, sf := range p.f1Srcs {
-		add(sf.gate)
-	}
-	for _, sf := range p.f2Srcs {
-		add(sf.gate)
-	}
-	for _, c := range p.captures {
-		add(c.ff)
-	}
-	for _, id := range p.order1 {
-		add(id)
-	}
-	for _, id := range p.order2 {
-		add(id)
-	}
-	scratch.PutBools(inUnion)
-	sort.Ints(p.affected)
-	p.compiled = true
-}
-
-// SetKind switches the base-launch simulation backend in place (see
-// NewSweeperKind); the per-base state survives, results are identical.
-func (s *Sweeper) SetKind(kind sim.EngineKind) { s.eng.SetKind(kind) }
-
-// Kind returns the resolved base-launch simulation backend.
-func (s *Sweeper) Kind() sim.EngineKind { return s.eng.Kind() }
 
 // Chains returns the sweep's scan configuration.
 func (s *Sweeper) Chains() *Chains { return s.ch }
@@ -404,8 +281,6 @@ func (s *Sweeper) Rebase(base *Pattern) error {
 			s.baseToggles = append(s.baseToggles, id)
 		}
 	}
-	copy(s.v1, s.f1b)
-	copy(s.v2, s.f2b)
 	s.based = true
 	s.gen++ // cached delta-propagation bases are now stale
 	return nil
@@ -414,11 +289,13 @@ func (s *Sweeper) Rebase(base *Pattern) error {
 // Advance incrementally rebases the sweeper onto the pattern that
 // differs from the current base in exactly the given flip — the accepted
 // step of the adaptive climb. Instead of a full two-frame launch, it
-// applies the flip to every lane of the broadcast base, re-evaluates the
-// flip's chunk cone, and rebuilds the base toggle list. Two-valued logic
-// is exact and every gate the flip can change lies inside its chunk's
-// union cone, so the resulting state is identical to a Rebase on the
-// materialized pattern. The flip must be one the sweeper was built for.
+// seeds both frames' propagators with the flip's source deviations on
+// every lane (the new base is broadcast, so each deviation word is
+// all-ones), commits exactly the diverged gates into the broadcast base,
+// and rebuilds the base toggle list. Two-valued logic is exact and gates
+// the deviation never reaches keep their old words, so the resulting
+// state is identical to a Rebase on the materialized pattern. The flip
+// must be one the sweeper was built for.
 func (s *Sweeper) Advance(f Flip) error {
 	if !s.based {
 		return fmt.Errorf("scan: Sweeper.Advance before Rebase")
@@ -439,94 +316,6 @@ func (s *Sweeper) Advance(f Flip) error {
 	if p == nil {
 		return fmt.Errorf("scan: Sweeper.Advance: flip %v not in sweep", f)
 	}
-	if s.eng.Kind() == sim.EnginePPSFP {
-		// Delta-propagation fast path: the accepted flip's deviation is
-		// propagated from its sources and committed where it actually
-		// diverged — no cone programs compiled, no structural-cone
-		// evaluation. Two-valued logic is exact, so the resulting state
-		// is identical to the compiled path below.
-		s.advanceDelta(p, lane)
-		return nil
-	}
-	s.ensureCompiled(p)
-
-	// Reuse the plan's source analysis: the chosen lane's perturbations,
-	// broadcast to every lane, turn the working arrays into the new base.
-	bit := logic.Word(1) << uint(lane)
-	for _, sf := range p.f1Srcs {
-		if sf.bit == bit {
-			s.v1[sf.gate] ^= ^logic.Word(0)
-		}
-	}
-	for _, sf := range p.f2Srcs {
-		if sf.bit == bit {
-			s.v2[sf.gate] ^= ^logic.Word(0)
-		}
-	}
-	if p.progF != nil {
-		p.progF.RunPair(s.v1, s.v2)
-	} else {
-		p.prog1.Run(s.v1)
-		for _, cp := range p.captures {
-			// Re-captures outside the flip's own cone read an unchanged
-			// frame-1 response and overwrite with the value already there.
-			s.v2[cp.ff] = s.v1[cp.dpin]
-		}
-		p.prog2.Run(s.v2)
-	}
-
-	// Commit: inside the cone the working arrays now hold the new
-	// broadcast base; outside they never left it.
-	for _, sf := range p.f1Srcs {
-		s.f1b[sf.gate] = s.v1[sf.gate]
-	}
-	for _, id := range p.order1 {
-		s.f1b[id] = s.v1[id]
-	}
-	for _, sf := range p.f2Srcs {
-		s.f2b[sf.gate] = s.v2[sf.gate]
-	}
-	for _, cp := range p.captures {
-		s.f2b[cp.ff] = s.v2[cp.ff]
-	}
-	for _, id := range p.order2 {
-		s.f2b[id] = s.v2[id]
-	}
-	s.baseToggles = s.baseToggles[:0]
-	for id := range s.f1b {
-		if s.f1b[id] != s.f2b[id] {
-			s.baseToggles = append(s.baseToggles, id)
-		}
-	}
-	s.gen++ // cached delta-propagation bases are now stale
-	return nil
-}
-
-// ensureDeltaProps lazily builds the two per-frame delta propagators
-// and refreshes their base words after a Rebase or Advance.
-func (s *Sweeper) ensureDeltaProps() {
-	if s.dp1 == nil {
-		n := s.ch.Netlist()
-		s.dp1 = sim.NewDeltaProp(n)
-		s.dp2 = sim.NewDeltaProp(n)
-		s.dpGen = 0 // force the first base gather
-	}
-	if s.dpGen != s.gen {
-		s.dp1.SetBase(s.f1b)
-		s.dp2.SetBase(s.f2b)
-		s.dpGen = s.gen
-	}
-}
-
-// advanceDelta is Advance's PPSFP-kind implementation: seed both
-// frames' propagators with the accepted lane's source flips on every
-// lane (the new base is broadcast, so the deviation word is all-ones),
-// propagate, and commit exactly the diverged gates into the broadcast
-// base and working arrays. Gates the deviation never reaches keep
-// their old base words — which is precisely what re-evaluating their
-// cones would have produced — so the committed state is bit-identical
-// to the compiled path's.
-func (s *Sweeper) advanceDelta(p *chunkPlan, lane int) {
 	s.ensureCaptures(p)
 	s.ensureDeltaProps()
 	bit := logic.Word(1) << uint(lane)
@@ -550,20 +339,15 @@ func (s *Sweeper) advanceDelta(p *chunkPlan, lane int) {
 	}
 	s.dp2.Run()
 
-	// Commit: diverged gates take their propagated words in both the
-	// broadcast base and the working arrays (which must equal it
-	// between runs); everything else never left the old base.
+	// Commit: diverged gates take their propagated words; everything
+	// else never left the old base.
 	s.div = s.dp1.AppendDiverged(s.div[:0])
 	for _, id := range s.div {
-		w := s.dp1.Value(int(id))
-		s.f1b[id] = w
-		s.v1[id] = w
+		s.f1b[id] = s.dp1.Value(int(id))
 	}
 	s.div = s.dp2.AppendDiverged(s.div[:0])
 	for _, id := range s.div {
-		w := s.dp2.Value(int(id))
-		s.f2b[id] = w
-		s.v2[id] = w
+		s.f2b[id] = s.dp2.Value(int(id))
 	}
 	s.baseToggles = s.baseToggles[:0]
 	for id := range s.f1b {
@@ -572,106 +356,36 @@ func (s *Sweeper) advanceDelta(p *chunkPlan, lane int) {
 		}
 	}
 	s.gen++ // the committed base invalidates the propagators' gathered words
+	return nil
 }
 
-// Run evaluates chunk c against the current base: it applies the lane
-// flips to the affected source words, re-evaluates the union cone of
-// both frames, and returns the chunk's toggle activity as a sparse
-// (ids, masks) encoding — ids ascending, masks[k] the per-lane toggle
-// word of ids[k] — covering every gate any lane toggles. The slices are
-// owned by the Sweeper and valid until the next Run.
+// ensureDeltaProps lazily builds the two per-frame delta propagators
+// and refreshes their base words after a Rebase or Advance.
+func (s *Sweeper) ensureDeltaProps() {
+	if s.dp1 == nil {
+		n := s.ch.Netlist()
+		s.dp1 = sim.NewDeltaProp(n)
+		s.dp2 = sim.NewDeltaProp(n)
+		s.dpGen = 0 // force the first base gather
+	}
+	if s.dpGen != s.gen {
+		s.dp1.SetBase(s.f1b)
+		s.dp2.SetBase(s.f2b)
+		s.dpGen = s.gen
+	}
+}
+
+// Run evaluates chunk c against the current base: it seeds each
+// frame's delta propagator with the chunk's per-lane source XORs,
+// propagates only the words that actually change, and returns the
+// chunk's toggle activity as a sparse (ids, masks) encoding — ids
+// ascending, masks[k] the per-lane toggle word of ids[k] — covering
+// every gate any lane toggles. The slices are owned by the Sweeper and
+// valid until the next Run.
 func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 	if !s.based {
 		panic("scan: Sweeper.Run before Rebase")
 	}
-	if s.eng.Kind() == sim.EnginePPSFP {
-		// The PPSFP configuration propagates only the actual word
-		// deviations of the chunk's flips (sim.DeltaProp) instead of
-		// re-evaluating the union structural cone — which, for 64 flips
-		// spread across the chains, covers half the netlist while logic
-		// masking confines true divergence to a few hundred gates. The
-		// encodings are bit-identical to the global path below, which
-		// stays as the scalar kind's reference (TestSweeperKindEquivalence
-		// and the exhaustive suite pin the equivalence).
-		return s.runDelta(c)
-	}
-	p := &s.plans[c]
-	s.ensureCompiled(p)
-
-	for _, sf := range p.f1Srcs {
-		s.v1[sf.gate] ^= sf.bit
-	}
-	for _, sf := range p.f2Srcs {
-		s.v2[sf.gate] ^= sf.bit
-	}
-	if p.progF != nil {
-		p.progF.RunPair(s.v1, s.v2)
-	} else {
-		p.prog1.Run(s.v1)
-		for _, cp := range p.captures {
-			s.v2[cp.ff] = s.v1[cp.dpin]
-		}
-		p.prog2.Run(s.v2)
-	}
-
-	// Merge the chunk's affected gates with the base toggle set, in
-	// ascending gate-ID order: unaffected base-toggled gates toggle on
-	// every lane, affected gates carry their re-simulated lane words.
-	// Base toggles far outnumber affected gates, so runs of them between
-	// consecutive affected IDs are emitted as bulk copies from a
-	// laneMask-filled template instead of element-wise appends. The same
-	// pass restores the working arrays to broadcast base: every gate a
-	// chunk can perturb is in p.affected, and its cache lines are already
-	// hot here, so the fused writes replace a separate full-array memmove.
-	ids, masks = s.ids[:0], s.masks[:0]
-	aff, bt := p.affected, s.baseToggles
-	fill := s.fill[:len(bt)]
-	if p.laneMask != ^logic.Word(0) {
-		for k := range fill {
-			fill[k] = p.laneMask
-		}
-	}
-	j := 0
-	for _, id := range aff {
-		k := j
-		for k < len(bt) && bt[k] < id {
-			k++
-		}
-		if k > j {
-			ids = append(ids, bt[j:k]...)
-			masks = append(masks, fill[:k-j]...)
-			j = k
-		}
-		if j < len(bt) && bt[j] == id {
-			j++
-		}
-		if m := (s.v1[id] ^ s.v2[id]) & p.laneMask; m != 0 {
-			ids = append(ids, id)
-			masks = append(masks, m)
-		}
-		s.v1[id] = s.f1b[id]
-		s.v2[id] = s.f2b[id]
-	}
-	if j < len(bt) {
-		ids = append(ids, bt[j:]...)
-		masks = append(masks, fill[:len(bt)-j]...)
-	}
-	if p.laneMask != ^logic.Word(0) {
-		for k := range fill {
-			fill[k] = ^logic.Word(0)
-		}
-	}
-	s.ids, s.masks = ids, masks
-	return ids, masks
-}
-
-// runDelta is Run's PPSFP-kind fast path: seed each frame's delta
-// propagator with the chunk's per-lane source XORs, propagate only the
-// words that actually change, and emit the sparse encoding from the
-// (typically small) diverged set — reading nothing and writing nothing
-// through the global working arrays, which preserves the broadcast-base
-// invariant Advance and the global path rely on.
-func (s *Sweeper) runDelta(c int) (ids []int, masks []logic.Word) {
 	p := &s.plans[c]
 	s.ensureCaptures(p)
 	s.ensureDeltaProps()
@@ -697,8 +411,9 @@ func (s *Sweeper) runDelta(c int) (ids []int, masks []logic.Word) {
 	// ascending ID order through a bitmap over original gate IDs — word
 	// order plus trailing-zero extraction yields the sorted walk without
 	// a comparison sort. The true divergence is typically a small
-	// fraction of the union structural cone, which is what makes this
-	// merge cheaper than walking p.affected in full.
+	// fraction of the chunk's union structural cone: for 64 flips spread
+	// across the chains that cone covers half the netlist, while logic
+	// masking confines the divergence to a few hundred gates.
 	s.div = s.dp1.AppendDiverged(s.div[:0])
 	s.div = s.dp2.AppendDiverged(s.div)
 	if s.divmap == nil {
@@ -708,12 +423,13 @@ func (s *Sweeper) runDelta(c int) (ids []int, masks []logic.Word) {
 		s.divmap[uint32(id)>>6] |= 1 << (uint32(id) & 63)
 	}
 
-	// The merge mirrors the global path exactly — the same ascending-ID
-	// interleave of base toggles and deviating gates, the same bulk
-	// template copies — but walks the diverged set instead of the whole
-	// structural cone: a gate neither frame's propagation reached kept
-	// its base toggle state on every lane by construction, which is
-	// precisely what re-evaluating its cone would have produced.
+	// Merge the diverged set with the base toggle set, in ascending
+	// gate-ID order: a gate neither frame's propagation reached keeps
+	// its base toggle state on every lane, a diverged gate carries its
+	// propagated lane words. Base toggles far outnumber diverged gates,
+	// so runs of them between consecutive diverged IDs are emitted as
+	// bulk copies from a laneMask-filled template instead of
+	// element-wise appends.
 	ids, masks = s.ids[:0], s.masks[:0]
 	bt := s.baseToggles
 	fill := s.fill[:len(bt)]

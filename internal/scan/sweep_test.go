@@ -11,11 +11,8 @@ import (
 	"superpose/internal/trust"
 )
 
-// referenceToggles launches the materialized single-flip clones of base
-// through the engine — the path the Sweeper replaces — and returns the
-// dense toggle-mask array, truncated to the batch's lanes.
-func referenceToggles(t *testing.T, eng *Engine, base *Pattern, flips []Flip, mode Mode) []logic.Word {
-	t.Helper()
+// flipClones materializes the single-flip clones of base, one per flip.
+func flipClones(base *Pattern, flips []Flip) []*Pattern {
 	clones := make([]*Pattern, len(flips))
 	for i, f := range flips {
 		q := base.Clone()
@@ -26,16 +23,28 @@ func referenceToggles(t *testing.T, eng *Engine, base *Pattern, flips []Flip, mo
 		}
 		clones[i] = q
 	}
-	if _, _, err := eng.Launch(clones, mode); err != nil {
+	return clones
+}
+
+// laneMaskOf returns the word with the low numLanes bits set.
+func laneMaskOf(numLanes int) logic.Word {
+	if numLanes >= 64 {
+		return ^logic.Word(0)
+	}
+	return logic.Word(1)<<uint(numLanes) - 1
+}
+
+// referenceToggles launches the materialized single-flip clones of base
+// through the engine — the path the Sweeper replaces — and returns the
+// dense toggle-mask array, truncated to the batch's lanes.
+func referenceToggles(t *testing.T, eng *Engine, base *Pattern, flips []Flip, mode Mode) []logic.Word {
+	t.Helper()
+	if _, _, err := eng.Launch(flipClones(base, flips), mode); err != nil {
 		t.Fatal(err)
 	}
 	masks := eng.ToggleMasks(nil)
-	var laneMask logic.Word = ^logic.Word(0)
-	if len(flips) < 64 {
-		laneMask = logic.Word(1)<<uint(len(flips)) - 1
-	}
 	for id := range masks {
-		masks[id] &= laneMask
+		masks[id] &= laneMaskOf(len(flips))
 	}
 	return masks
 }
@@ -53,7 +62,9 @@ func densify(numGates int, ids []int, masks []logic.Word) []logic.Word {
 // circuits, chain counts, modes and bases — every chunk's sparse toggle
 // encoding must densify to exactly the engine's toggle masks over the
 // materialized clones, and its sparse pricing must be bit-identical to
-// dense pricing of those masks.
+// dense pricing of those masks. It then repeats the check exhaustively
+// on the zoo: every pattern of each circuit's input space as the base,
+// every single-bit flip of it as a lane.
 func TestSweeperMatchesLaunch(t *testing.T) {
 	rng := stats.NewRNG(0x5eeb)
 	lib := power.SAED90Like()
@@ -132,6 +143,47 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	if testing.Short() {
+		return
+	}
+	for _, ch := range zooChains(t) {
+		n := ch.Netlist()
+		eng := NewEngine(ch)
+		var flips []Flip
+		for c := 0; c < ch.NumChains(); c++ {
+			for j := range ch.Chain(c) {
+				flips = append(flips, Flip{c, j})
+			}
+		}
+		for i := range n.PIs {
+			flips = append(flips, Flip{PIFlip, i})
+		}
+		for _, mode := range []Mode{LOS, LOC} {
+			s, err := NewSweeper(ch, mode, flips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi, base := range allPatterns(t, ch) {
+				if err := s.Rebase(base); err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < s.NumChunks(); c++ {
+					ids, masks := s.Run(c)
+					got := densify(n.NumGates(), ids, masks)
+					want := referenceToggles(t, eng, base, s.ChunkFlips(c), mode)
+					for id := range want {
+						if got[id] != want[id] {
+							t.Fatalf("%s %v base %d chunk %d: gate %s toggles %016x, want %016x",
+								n.Name, mode, bi, c, n.NameOf(id), got[id], want[id])
+						}
+					}
+				}
+			}
+			s.Close()
+		}
+		eng.Close()
 	}
 }
 

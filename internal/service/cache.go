@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,10 @@ type Cache struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
+
+// errBuildPanicked marks an entry whose build panicked, so its waiters
+// retry instead of returning the nil value.
+var errBuildPanicked = errors.New("service: cache build panicked")
 
 type cacheEntry struct {
 	ready chan struct{} // closed once val/err are set
@@ -103,7 +108,10 @@ func (c *Cache) do(key string, build func() (any, error)) (val any, hit bool, er
 		defer func() {
 			if !built {
 				// build panicked: evict and release the waiters (they
-				// retry) before the panic continues unwinding.
+				// retry) before the panic continues unwinding. The
+				// sentinel error is what tells a waiter the build failed;
+				// a nil err would read as a cached nil artifact.
+				e.err = errBuildPanicked
 				evict()
 				close(e.ready)
 			}

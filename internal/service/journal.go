@@ -30,16 +30,36 @@ type journalRecord struct {
 // jobs when the disk misbehaves (availability over durability) — the
 // operator sees journal_errors climbing in /v1/stats.
 func (s *Server) journalAppend(rec journalRecord) {
-	if s.journal == nil || s.journalDead.Load() {
-		return
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		s.counters.journalErrors.Add(1)
+	payload := s.journalPayload(rec)
+	if payload == nil {
 		return
 	}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
+	s.journalWriteLocked(payload)
+}
+
+// journalPayload encodes a record outside jmu (finish records carry
+// whole reports); nil means there is nothing to write.
+func (s *Server) journalPayload(rec journalRecord) []byte {
+	if s.journal == nil || s.journalDead.Load() {
+		return nil
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		s.counters.journalErrors.Add(1)
+		return nil
+	}
+	return payload
+}
+
+// journalWriteLocked appends an encoded record; the caller holds jmu.
+// journalDead is re-checked under the lock, so no record lands after a
+// simulated power loss.
+func (s *Server) journalWriteLocked(payload []byte) {
+	if s.journalDead.Load() {
+		return
+	}
 	if err := s.journal.Append(payload); err != nil {
 		s.counters.journalErrors.Add(1)
 		return
@@ -50,9 +70,22 @@ func (s *Server) journalAppend(rec journalRecord) {
 	}
 }
 
-func (s *Server) journalSubmit(j *Job) {
+// enqueueJournaled enqueues a new job and journals its submit record
+// under jmu. The worker that picks the job up journals its start record
+// under the same lock, so replay always sees submit before start; a job
+// the queue rejects leaves no record.
+func (s *Server) enqueueJournaled(j *Job) error {
 	spec := j.Spec
-	s.journalAppend(journalRecord{Type: "submit", ID: j.ID, Spec: &spec})
+	payload := s.journalPayload(journalRecord{Type: "submit", ID: j.ID, Spec: &spec})
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if err := s.queue.TryEnqueue(j); err != nil {
+		return err
+	}
+	if payload != nil {
+		s.journalWriteLocked(payload)
+	}
+	return nil
 }
 
 func (s *Server) journalStart(j *Job, attempt int) {
@@ -243,11 +276,14 @@ func (s *Server) finishRecovery() {
 // jmu across snapshot and Reset so a concurrent finish can never land
 // in the doomed segments and be lost.
 func (s *Server) compactJournal() {
-	if s.journal == nil || s.journalDead.Load() {
+	if s.journal == nil {
 		return
 	}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
+	if s.journalDead.Load() {
+		return
+	}
 	if err := s.journal.Reset(s.compactRecords()); err != nil {
 		s.counters.journalErrors.Add(1)
 	}

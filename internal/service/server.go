@@ -476,7 +476,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	if err := s.queue.TryEnqueue(j); err != nil {
+	if err := s.enqueueJournaled(j); err != nil {
 		cancel()
 		s.mu.Lock()
 		delete(s.jobs, id)
@@ -490,7 +490,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.counters.jobsSubmitted.Add(1)
 	s.counters.queueDepth.Store(int64(s.queue.Depth()))
 	s.tenantAdd(spec.Tenant, 1)
-	s.journalSubmit(j)
 	return j, nil
 }
 
@@ -794,12 +793,18 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON marshals v before committing the status line, so a value
+// that cannot be encoded answers 500 with an error body instead of the
+// intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(map[string]string{"error": "encode response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

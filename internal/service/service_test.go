@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -459,5 +460,20 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if _, hit, err := c.do("bad", func() (any, error) { return "ok", nil }); err != nil || hit {
 		t.Errorf("retry after failure: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestWriteJSONUnencodableAnswers500: a response value that cannot be
+// encoded (here a bare NaN) must answer 500 with an error body, never
+// the intended 200 with an empty body.
+func TestWriteJSONUnencodableAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q is not an error document (%v)", rec.Body.String(), err)
 	}
 }

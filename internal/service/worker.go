@@ -41,6 +41,10 @@ func (s *Server) workerLoop() {
 			s.counters.jobsCancelled.Add(1)
 			continue
 		}
+		// Journal the attempt before the job becomes visible as running:
+		// a crash after any client has seen "running" must still find
+		// the start record on recovery.
+		s.journalStart(j, j.Attempts()+1)
 		if !j.start() {
 			s.journalFinish(j)
 			s.counters.jobsCancelled.Add(1)
@@ -87,8 +91,7 @@ func (s *Server) runJob(j *Job) {
 
 	var err error
 	for {
-		attempt := j.nextAttempt()
-		s.journalStart(j, attempt)
+		attempt := j.nextAttempt() // journaled before the attempt began
 		err = s.runSafe(ctx, run, j)
 		if err == nil || ctx.Err() != nil || !transientErr(err) {
 			break
@@ -106,6 +109,7 @@ func (s *Server) runJob(j *Job) {
 		if retry.Sleep(ctx, backoff.Next()) != nil {
 			break // cancelled or deadlined during backoff; classify below
 		}
+		s.journalStart(j, attempt+1)
 	}
 
 	br := s.breaker(j.Spec.Tester)

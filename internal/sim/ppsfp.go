@@ -1,68 +1,25 @@
 package sim
 
 import (
-	"strings"
-
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
 	"superpose/internal/scratch"
 )
 
-// EngineKind selects the simulation backend of the launch machinery:
-// the 64-patterns-per-word PPSFP engine over the structure-of-arrays
-// netlist core, or the scalar reference paths it was proven against.
-// The two are bit-identical — two-valued logic simulation has exactly
-// one answer — so the selector only ever changes cost, never results;
-// the scalar kind exists as the oracle the equivalence and exhaustive
-// suites run the PPSFP engine against.
+// EngineKind names the simulation backend. PPSFP is the only one: the
+// type survives solely so core.AdaptiveOptions.Engine (deprecated, a
+// no-op) keeps compiling for existing callers.
 type EngineKind uint8
 
 const (
-	// EngineAuto resolves to the default engine (PPSFP).
+	// EngineAuto is the zero value; it means PPSFP.
 	EngineAuto EngineKind = iota
 	// EnginePPSFP is the compiled structure-of-arrays engine: full
 	// launches run an instruction stream over a compact value plane,
 	// and fault simulation propagates each fault event-driven through
 	// its fanout cone instead of re-simulating the whole netlist.
 	EnginePPSFP
-	// EngineScalar is the original per-gate reference implementation.
-	EngineScalar
 )
-
-// Resolve maps EngineAuto to the concrete default kind.
-func (k EngineKind) Resolve() EngineKind {
-	if k == EngineAuto {
-		return EnginePPSFP
-	}
-	return k
-}
-
-// String names the kind ("auto", "ppsfp", "scalar").
-func (k EngineKind) String() string {
-	switch k {
-	case EngineAuto:
-		return "auto"
-	case EnginePPSFP:
-		return "ppsfp"
-	case EngineScalar:
-		return "scalar"
-	default:
-		return "EngineKind(?)"
-	}
-}
-
-// ParseEngineKind converts a flag value to an EngineKind.
-func ParseEngineKind(s string) (EngineKind, bool) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return EngineAuto, true
-	case "ppsfp":
-		return EnginePPSFP, true
-	case "scalar", "legacy":
-		return EngineScalar, true
-	}
-	return EngineAuto, false
-}
 
 // PPSFP is the 64-patterns-per-word batch launcher over the
 // structure-of-arrays netlist core: the whole combinational netlist
@@ -131,7 +88,7 @@ func (p *PPSFP) RunInto(sources, dst []logic.Word) {
 // worklists over the SoA layout — instead of re-simulating the whole
 // netlist. Gates the fault effect never reaches keep their fault-free
 // words by construction, so the detection mask is bit-identical to the
-// full RunForced evaluation the scalar path performs.
+// full re-simulation of the netlist through Simulator.RunForced.
 //
 // A FaultProp owns its overlay state and is not safe for concurrent
 // use; fault-simulation workers each hold their own.

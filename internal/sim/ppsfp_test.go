@@ -187,29 +187,3 @@ func TestFaultPropEarlyExitLanes(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineKindRoundTrip pins the flag vocabulary: every kind parses
-// back from its String, and the aliases map where they should.
-func TestEngineKindRoundTrip(t *testing.T) {
-	for _, k := range []sim.EngineKind{sim.EngineAuto, sim.EnginePPSFP, sim.EngineScalar} {
-		got, ok := sim.ParseEngineKind(k.String())
-		if !ok || got != k {
-			t.Errorf("ParseEngineKind(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if k, ok := sim.ParseEngineKind("legacy"); !ok || k != sim.EngineScalar {
-		t.Errorf(`ParseEngineKind("legacy") = %v, %v, want scalar`, k, ok)
-	}
-	if k, ok := sim.ParseEngineKind(""); !ok || k != sim.EngineAuto {
-		t.Errorf(`ParseEngineKind("") = %v, %v, want auto`, k, ok)
-	}
-	if _, ok := sim.ParseEngineKind("warp"); ok {
-		t.Error(`ParseEngineKind("warp") accepted`)
-	}
-	if sim.EngineAuto.Resolve() != sim.EnginePPSFP {
-		t.Error("EngineAuto must resolve to PPSFP")
-	}
-	if sim.EngineScalar.Resolve() != sim.EngineScalar {
-		t.Error("EngineScalar must resolve to itself")
-	}
-}

@@ -103,10 +103,9 @@ func evalGate(n *netlist.Netlist, id int, values []logic.Word) logic.Word {
 
 // EvalOrdered re-evaluates the listed combinational gates, in the given
 // topological (e.g. levelized) order, reading and writing the value array
-// in place. It is the incremental core of the single-flip sweep engine:
-// callers re-evaluate only the fanout cone of a handful of changed
-// sources and leave every other net's word untouched, so the cost is
-// O(|cone|) instead of O(|netlist|).
+// in place: callers re-evaluate only the fanout cone of a handful of
+// changed sources and leave every other net's word untouched, so the
+// cost is O(|cone|) instead of O(|netlist|).
 func EvalOrdered(n *netlist.Netlist, order []int, values []logic.Word) {
 	for _, id := range order {
 		values[id] = evalGate(n, id, values)
@@ -116,10 +115,10 @@ func EvalOrdered(n *netlist.Netlist, order []int, values []logic.Word) {
 // Program is a compiled evaluation sequence: one fixed (levelized) gate
 // order flattened into an instruction stream with inline fanin indices.
 // Evaluating through a Program is semantically identical to EvalOrdered
-// over the same order; it exists because the sweep engine re-evaluates
-// the same union cones hundreds of times per climb, where the per-gate
-// overhead of the generic path (gate-record load, fanin slice traversal,
-// call dispatch) dominates. Two-input gates — the bulk of a mapped
+// over the same order; it exists because the PPSFP engine runs the whole
+// netlist once per launch, where the per-gate overhead of the generic
+// path (gate-record load, fanin slice traversal, call dispatch)
+// dominates. Two-input gates — the bulk of a mapped
 // netlist — execute as single inline operations; wider gates read their
 // fanins from a shared side table.
 type Program struct {
@@ -149,27 +148,9 @@ const (
 	opXnorN
 )
 
-// CompileOrdered flattens the listed combinational gates, in the given
-// topological order, into a Program. It panics on a source gate, exactly
-// as evaluating one would.
-func CompileOrdered(n *netlist.Netlist, order []int) *Program {
-	p := &Program{ops: make([]progOp, 0, len(order))}
-	var scratch []int32
-	for _, id := range order {
-		g := &n.Gates[id]
-		scratch = scratch[:0]
-		for _, f := range g.Fanin {
-			scratch = append(scratch, int32(f))
-		}
-		p.push(int32(id), g.Type, scratch)
-	}
-	return p
-}
-
 // push appends one gate to the compiled stream. The target and fanin
-// indices address whatever value array the Program will run over — the
-// original gate-ID space for CompileOrdered, the compact SoA space for
-// the PPSFP engine's whole-netlist program.
+// indices address the compact SoA value plane of the PPSFP engine's
+// whole-netlist program.
 func (p *Program) push(id int32, typ netlist.GateType, fanin []int32) {
 	o := progOp{id: id}
 	var two, wide uint8
@@ -261,84 +242,6 @@ func (p *Program) Run(values []logic.Word) {
 				w = ^w
 			}
 			values[o.id] = w
-		}
-	}
-}
-
-// RunPair evaluates the compiled sequence over two value arrays at once
-// — bit-identical to running each array separately. The sweep engine
-// uses it for the two frames of a launch-off-shift chunk, whose frames
-// are independent (frame-2 sources are the loaded scan state, never a
-// frame-1 response): pairing gives the core two independent dependency
-// chains per instruction, hiding the load latency that dominates a
-// single-frame pass, and streams the instruction words once instead of
-// twice. Evaluating a gate in a frame where no perturbed source reaches
-// it rewrites the value already there, so running the merged cone of
-// both frames is exact.
-func (p *Program) RunPair(a, b []logic.Word) {
-	ext := p.ext
-	for i := range p.ops {
-		o := &p.ops[i]
-		switch o.op {
-		case opAnd2:
-			a[o.id] = a[o.f0] & a[o.f1]
-			b[o.id] = b[o.f0] & b[o.f1]
-		case opNand2:
-			a[o.id] = ^(a[o.f0] & a[o.f1])
-			b[o.id] = ^(b[o.f0] & b[o.f1])
-		case opOr2:
-			a[o.id] = a[o.f0] | a[o.f1]
-			b[o.id] = b[o.f0] | b[o.f1]
-		case opNor2:
-			a[o.id] = ^(a[o.f0] | a[o.f1])
-			b[o.id] = ^(b[o.f0] | b[o.f1])
-		case opXor2:
-			a[o.id] = a[o.f0] ^ a[o.f1]
-			b[o.id] = b[o.f0] ^ b[o.f1]
-		case opXnor2:
-			a[o.id] = ^(a[o.f0] ^ a[o.f1])
-			b[o.id] = ^(b[o.f0] ^ b[o.f1])
-		case opBuf:
-			a[o.id] = a[o.f0]
-			b[o.id] = b[o.f0]
-		case opNot:
-			a[o.id] = ^a[o.f0]
-			b[o.id] = ^b[o.f0]
-		default:
-			wa, wb := logic.AllZero, logic.AllZero
-			neg := false
-			switch o.op {
-			case opNandN:
-				neg = true
-				fallthrough
-			case opAndN:
-				wa, wb = logic.AllOne, logic.AllOne
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					wa &= a[f]
-					wb &= b[f]
-				}
-			case opNorN:
-				neg = true
-				fallthrough
-			case opOrN:
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					wa |= a[f]
-					wb |= b[f]
-				}
-			case opXnorN:
-				neg = true
-				fallthrough
-			case opXorN:
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					wa ^= a[f]
-					wb ^= b[f]
-				}
-			}
-			if neg {
-				wa, wb = ^wa, ^wb
-			}
-			a[o.id] = wa
-			b[o.id] = wb
 		}
 	}
 }

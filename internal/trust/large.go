@@ -87,7 +87,7 @@ type largeEmitter interface {
 // emitLarge drives one deterministic generation pass. Both the text
 // writer and the in-memory builder consume this same stream (inputs,
 // flip-flops, rank gates, D-pin buffers, then outputs), interning names
-// in identical order — which is what makes EmitLarge → ParseStream and
+// in identical order — which is what makes EmitLarge → bench.Parse and
 // GenerateLarge produce bit-identical netlists, IDs included.
 func emitLarge(p LargeParams, em largeEmitter) error {
 	if err := p.validate(); err != nil {
@@ -368,7 +368,7 @@ func EmitLarge(w io.Writer, p LargeParams) error {
 
 // GenerateLarge builds the generated netlist in memory through the
 // arena StreamBuilder — bit-identical (IDs included) to writing
-// EmitLarge text and reading it back with bench.ParseStream.
+// EmitLarge text and reading it back with bench.Parse.
 func GenerateLarge(p LargeParams) (*netlist.Netlist, error) {
 	b := netlist.NewStreamBuilder(p.Name, p.TotalGates())
 	if err := emitLarge(p, &builderEmitter{b: b}); err != nil {

@@ -19,7 +19,7 @@ func TestLargeRoundTripBitIdentical(t *testing.T) {
 	if err := EmitLarge(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := bench.ParseStream(bytes.NewReader(buf.Bytes()), p.Name)
+	parsed, err := bench.Parse(bytes.NewReader(buf.Bytes()), p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@ import (
 	"superpose/internal/netlist"
 )
 
-// FuzzParse exercises both structural Verilog parsers with arbitrary
-// input: no panics, the streaming parser must agree with the legacy one
-// gate-for-gate (or both must reject), and accepted modules must
-// survive a Write/Parse round trip.
+// FuzzParse throws arbitrary input at Parse: it may not panic, it must
+// agree gate-for-gate with the map-based reference parser
+// (mapparse_test.go) or reject exactly when the reference does, and
+// accepted modules must survive a Write/Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add(miniSrc)
 	f.Add("module m(a);\ninput a;\nendmodule\n")
@@ -21,15 +21,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("module m(z); /* c */ input a; // x\noutput z;\nbuf g (z, a);\nendmodule\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := Parse(strings.NewReader(src), "fuzz")
-		sn, serr := ParseStream(strings.NewReader(src), "fuzz")
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("parser disagreement: legacy err %v, streaming err %v\n%s", err, serr, src)
+		ref, rerr := parseMap(strings.NewReader(src), "fuzz")
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("parser disagreement: Parse err %v, reference err %v\n%s", err, rerr, src)
 		}
 		if err != nil {
 			return
 		}
-		if d := netlist.Diff(n, sn); d != "" {
-			t.Fatalf("streaming parse differs from legacy: %s\n%s", d, src)
+		if d := netlist.Diff(ref, n); d != "" {
+			t.Fatalf("Parse differs from the reference parser: %s\n%s", d, src)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, n); err != nil {

@@ -11,19 +11,19 @@ import (
 	"superpose/internal/textio"
 )
 
-// ParseStream reads a structural Verilog module through the streaming
-// ingestion path: the lexer tokenizes one line at a time from a fixed
-// bufio window instead of materializing the whole file's token slice,
-// and net names intern straight into a netlist.StreamBuilder. The
-// accepted language and the resulting netlist are identical to Parse
-// (the fuzz target holds the two paths to agreement); peak memory drops
-// from O(file) to the symbol table plus arenas.
-func ParseStream(r io.Reader, name string) (*netlist.Netlist, error) {
+// Parse reads a structural Verilog module into a netlist. The lexer
+// tokenizes one line at a time from a fixed bufio window instead of
+// materializing the whole file's token slice, and net names intern
+// straight into a netlist.StreamBuilder, so peak memory is the symbol
+// table plus arenas rather than O(file). FuzzParse holds it to
+// gate-for-gate agreement with the map-based reference parser kept in
+// the package tests.
+func Parse(r io.Reader, name string) (*netlist.Netlist, error) {
 	return ParseStreamSized(r, name, 0)
 }
 
-// ParseStreamSized is ParseStream with a pre-sizing hint for the
-// expected number of nets (see netlist.NewStreamBuilder).
+// ParseStreamSized is Parse with a pre-sizing hint for the expected
+// number of nets (see netlist.NewStreamBuilder).
 func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist, error) {
 	p := &streamParser{
 		lx: newLexer(r),
@@ -61,7 +61,7 @@ type streamTok struct {
 }
 
 func newLexer(r io.Reader) *lexer {
-	// The 64 MiB cap mirrors the legacy tokenizer's Scanner buffer.
+	// The 64 MiB cap mirrors the reference tokenizer's Scanner buffer.
 	return &lexer{lines: textio.NewLines(r, 64*1024*1024)}
 }
 
@@ -115,7 +115,7 @@ func (l *lexer) advanceLine() error {
 	}
 	l.lineno++
 
-	// Comment handling replicates the legacy per-line transformation
+	// Comment handling replicates the reference per-line transformation
 	// exactly, quirks included: "//" strips before inline "/*...*/"
 	// splicing, and an unterminated "/*" swallows the rest of the line.
 	if l.inBlk {
@@ -350,7 +350,7 @@ func (p *streamParser) parseInstance() error {
 				return err
 			}
 			p.namedCount++
-			if isQ { // last named .Q wins, like the legacy map
+			if isQ { // last named .Q wins, like the reference parser's map
 				p.qSpan, p.hasQ = p.addPort(net.text), true
 			}
 			if isD {

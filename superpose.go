@@ -38,7 +38,6 @@ import (
 	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/scan"
-	"superpose/internal/sim"
 	"superpose/internal/stil"
 	"superpose/internal/tester"
 	"superpose/internal/timing"
@@ -88,22 +87,6 @@ const (
 	LOS = scan.LOS
 	LOC = scan.LOC
 )
-
-// EngineKind selects the simulation backend: the 64-patterns-per-word
-// PPSFP engine over the structure-of-arrays netlist core (default), or
-// the scalar reference paths it is proven bit-identical to.
-type EngineKind = sim.EngineKind
-
-// Simulation engine kinds.
-const (
-	EngineAuto   = sim.EngineAuto
-	EnginePPSFP  = sim.EnginePPSFP
-	EngineScalar = sim.EngineScalar
-)
-
-// ParseEngineKind converts a flag value ("auto", "ppsfp", "scalar") to an
-// EngineKind.
-func ParseEngineKind(s string) (EngineKind, bool) { return sim.ParseEngineKind(s) }
 
 // ConfigureScan partitions a netlist's flip-flops into numChains chains.
 func ConfigureScan(n *Netlist, numChains int) *Chains { return scan.Configure(n, numChains) }
