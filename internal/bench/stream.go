@@ -14,7 +14,7 @@ import (
 // Parse reads a .bench netlist from r. The name is attached to the
 // resulting netlist (the format itself carries no name). Lines are
 // tokenized in place from a fixed bufio window, net names intern
-// through netlist.StreamBuilder's byte-token API (allocating only on
+// through netlist.Builder's byte-token API (allocating only on
 // first sight of a symbol), and fanins land in a flat arena instead of
 // one slice per gate. Peak memory is the interned symbol table plus the
 // arenas rather than per-line garbage, which is what lets 10⁶–10⁷-gate
@@ -26,9 +26,9 @@ func Parse(r io.Reader, name string) (*netlist.Netlist, error) {
 }
 
 // ParseStreamSized is Parse with a pre-sizing hint for the expected
-// number of nets (see netlist.NewStreamBuilder).
+// number of nets (see netlist.NewBuilderSized).
 func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist, error) {
-	b := netlist.NewStreamBuilder(name, sizeHint)
+	b := netlist.NewBuilderSized(name, sizeHint)
 	lines := textio.NewLines(r, maxLine)
 	var ids []int32 // reusable per-line fanin scratch
 	lineno := 0
@@ -58,7 +58,7 @@ func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist,
 // maxLine mirrors the reference parser's bufio.Scanner token limit.
 const maxLine = 16 * 1024 * 1024
 
-func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int32, error) {
+func parseLineStream(b *netlist.Builder, line []byte, ids []int32) ([]int32, error) {
 	// Directive form: INPUT(x) / OUTPUT(x).
 	isInput := hasUpperPrefix(line, "INPUT(")
 	if isInput || hasUpperPrefix(line, "OUTPUT(") {
@@ -72,9 +72,9 @@ func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int3
 			return ids, fmt.Errorf("empty net name in %q", line)
 		}
 		if isInput {
-			return ids, b.AddInput(b.Intern(arg))
+			return ids, b.DefineInput(b.Intern(arg))
 		}
-		b.MarkOutput(arg)
+		b.MarkOutput(string(arg))
 		return ids, nil
 	}
 
@@ -131,9 +131,9 @@ func parseLineStream(b *netlist.StreamBuilder, line []byte, ids []int32) ([]int3
 		}
 	}
 	if typ == netlist.DFF {
-		return ids, b.AddDFF(id, ids[0])
+		return ids, b.DefineDFF(id, ids[0])
 	}
-	return ids, b.AddGate(id, typ, ids)
+	return ids, b.DefineGate(id, typ, ids)
 }
 
 // splitComma returns the bytes before the first comma and the remainder

@@ -7,12 +7,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"superpose/internal/journal"
 	"superpose/internal/service"
 )
 
@@ -65,6 +68,12 @@ func startCoordinator(t *testing.T, opts Options) (*Coordinator, *httptest.Serve
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
+	return c, serveCoordinator(t, c)
+}
+
+// serveCoordinator starts c on an httptest listener.
+func serveCoordinator(t *testing.T, c *Coordinator) *httptest.Server {
+	t.Helper()
 	c.Start()
 	ts := httptest.NewServer(c)
 	t.Cleanup(func() {
@@ -73,7 +82,7 @@ func startCoordinator(t *testing.T, opts Options) (*Coordinator, *httptest.Serve
 		cancel()
 		c.Drain(dctx)
 	})
-	return c, ts
+	return ts
 }
 
 // registerWorker joins a worker to the coordinator over the real HTTP
@@ -546,14 +555,18 @@ func TestAgentReregistersAfterLeaseLoss(t *testing.T) {
 	waitLive(0, "deregister on shutdown")
 }
 
-// TestCoordinatorRestartReclaimsResult: a coordinator that crashes
-// while a worker runs a job must, on restart, collect that worker's
-// finished result instead of re-running the job.
-func TestCoordinatorRestartReclaimsResult(t *testing.T) {
-	dir := t.TempDir()
-	release := make(chan struct{})
+// crashAfterAssign dispatches one job through a coordinator journaling
+// under opts.Service.DataDir to a worker that runs until release is
+// closed, then "crashes" the coordinator once the confirming assign
+// record is durable. It returns the job ID and the worker.
+//
+// Hour-scale lease and poll intervals in opts make the abandoned
+// coordinator write nothing more after the assign, so this models a
+// kill -9: journals end at submit/start/assign, with no finish record
+// (which a drain would wrongly write).
+func crashAfterAssign(t *testing.T, opts Options, release <-chan struct{}, runs *atomic.Int64) (string, *httptest.Server) {
+	t.Helper()
 	started := make(chan struct{}, 1)
-	var runs atomic.Int64
 	_, worker := startWorker(t, func(ctx context.Context, j *service.Job) error {
 		runs.Add(1)
 		select {
@@ -568,15 +581,6 @@ func TestCoordinatorRestartReclaimsResult(t *testing.T) {
 		}
 	})
 
-	// Hour-scale lease and poll intervals: after assigning the job the
-	// first coordinator writes nothing more, so abandoning it models a
-	// kill -9 (journals end at submit/start/assign, no finish record —
-	// which a drain would wrongly write).
-	opts := Options{
-		Service:      service.Options{QueueSize: 16, Workers: 2, DataDir: dir, NoSync: true},
-		LeaseTTL:     time.Hour,
-		PollInterval: time.Hour,
-	}
 	c1, err := New(opts)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -603,6 +607,26 @@ func TestCoordinatorRestartReclaimsResult(t *testing.T) {
 	// "Crash": close the listener and abandon the coordinator without
 	// draining. Its goroutines idle until the test exits.
 	ts1.Close()
+	return st.ID, worker
+}
+
+// restartOptions are the coordinator options of the restart tests.
+func restartOptions(dir string) Options {
+	return Options{
+		Service:      service.Options{QueueSize: 16, Workers: 2, DataDir: dir, NoSync: true},
+		LeaseTTL:     time.Hour,
+		PollInterval: time.Hour,
+	}
+}
+
+// TestCoordinatorRestartReclaimsResult: a coordinator that crashes
+// while a worker runs a job must, on restart, collect that worker's
+// finished result instead of re-running the job.
+func TestCoordinatorRestartReclaimsResult(t *testing.T) {
+	opts := restartOptions(t.TempDir())
+	release := make(chan struct{})
+	var runs atomic.Int64
+	jobID, worker := crashAfterAssign(t, opts, release, &runs)
 
 	// The worker finishes while the coordinator is down.
 	close(release)
@@ -612,7 +636,7 @@ func TestCoordinatorRestartReclaimsResult(t *testing.T) {
 	// journal points at the worker, and the result comes home.
 	_, ts2 := startCoordinator(t, opts)
 	registerWorker(t, ts2.URL, worker.URL)
-	got := waitState(t, ts2.URL, st.ID, service.StateDone, 10*time.Second)
+	got := waitState(t, ts2.URL, jobID, service.StateDone, 10*time.Second)
 	if got.State != service.StateDone {
 		t.Fatalf("job state after restart = %q, want done", got.State)
 	}
@@ -623,6 +647,85 @@ func TestCoordinatorRestartReclaimsResult(t *testing.T) {
 	if stats.Cluster["results_reclaimed"] != 1 {
 		t.Fatalf("results_reclaimed = %d, want 1", stats.Cluster["results_reclaimed"])
 	}
+}
+
+// TestCoordinatorRestartCompactsJournal: a restarted coordinator taps
+// every replayed cluster-journal record, then rewrites the journal to
+// the snapshot of the state it rebuilt, so later boots do not replay
+// the register/intent/confirm history again. Reclaim still works from
+// the compacted journal.
+func TestCoordinatorRestartCompactsJournal(t *testing.T) {
+	dir := t.TempDir()
+	opts := restartOptions(dir)
+	release := make(chan struct{})
+	var runs atomic.Int64
+	jobID, worker := crashAfterAssign(t, opts, release, &runs)
+	close(release)
+	waitWorkerCounter(t, worker.URL, "completed", func(s service.Stats) uint64 { return s.JobsCompleted })
+
+	history := clusterJournal(t, dir)
+	var tapped atomic.Int64
+	opts.ClusterJournalTap = func([]byte) { tapped.Add(1) }
+	// Inspect before Start: once dispatchers run, the reclaim appends.
+	c2, err := New(opts)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	// register + intent + confirm: the tap saw all of them, the rewrite
+	// went untapped.
+	if n := int(tapped.Load()); len(history) < 3 || n != len(history) {
+		t.Fatalf("tapped %d replayed records of a %d-record journal, want all of them (≥3)", n, len(history))
+	}
+	var snapshot [][]byte
+	c2.SnapshotClusterUnderJournalLock(func(records [][]byte) { snapshot = records })
+	compacted := clusterJournal(t, dir)
+	if len(snapshot) != 1 || len(compacted) != len(snapshot) {
+		t.Fatalf("journal holds %d records after restart, want the %d-record snapshot", len(compacted), len(snapshot))
+	}
+	for i := range snapshot {
+		if !bytes.Equal(compacted[i], snapshot[i]) {
+			t.Fatalf("journal record %d = %s, want snapshot %s", i, compacted[i], snapshot[i])
+		}
+	}
+
+	ts2 := serveCoordinator(t, c2)
+	registerWorker(t, ts2.URL, worker.URL)
+	if got := waitState(t, ts2.URL, jobID, service.StateDone, 10*time.Second); got.State != service.StateDone {
+		t.Fatalf("job state after restart = %q, want done", got.State)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("job ran %d times across the restart, want exactly 1", runs.Load())
+	}
+	if got := serverStats(t, ts2.URL).Cluster["results_reclaimed"]; got != 1 {
+		t.Fatalf("results_reclaimed = %d, want 1", got)
+	}
+}
+
+// clusterJournal reads the cluster journal under dataDir from a copy of
+// its segment files, leaving the live journal untouched.
+func clusterJournal(t *testing.T, dataDir string) [][]byte {
+	t.Helper()
+	src := filepath.Join(dataDir, "cluster")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl, records, err := journal.Open(dst, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+	return records
 }
 
 // TestClusterFusedSpecPassthrough: a fused-channel spec survives the
@@ -668,7 +771,7 @@ func TestClusterFusedSpecPassthrough(t *testing.T) {
 // body, never 200 with an empty body.
 func TestWriteJSONUnencodableAnswers500(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	service.WriteJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}

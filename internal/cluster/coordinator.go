@@ -186,6 +186,15 @@ func New(opts Options) (*Coordinator, error) {
 			}
 		}
 		c.replay(records)
+		// Compact like the service journal does after recovery: the
+		// rewrite holds only the state replay just rebuilt, so the next
+		// boot or promotion does not replay this history again. It is
+		// not tapped — the tap has already seen every replayed record.
+		c.jmu.Lock()
+		if err := c.jnl.Reset(c.clusterSnapshot()); err != nil {
+			c.counters.journalErrors.Add(1)
+		}
+		c.jmu.Unlock()
 	}
 
 	svcOpts := opts.Service
@@ -510,12 +519,12 @@ func (c *Coordinator) recordAssign(jobID string, w *workerNode, workerJob, token
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err := failpoint.Inject("cluster/lease/grant"); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		service.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	var req RegisterRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
-		httpError(w, http.StatusBadRequest, "register: non-empty addr required")
+		service.HTTPError(w, http.StatusBadRequest, "register: non-empty addr required")
 		return
 	}
 	node, superseded := c.leases.register(req.Addr)
@@ -526,7 +535,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.journalRec(clusterRecord{Type: "expire", Worker: superseded.id, Addr: superseded.addr})
 	}
 	c.journalRec(clusterRecord{Type: "register", Worker: node.id, Addr: node.addr})
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	service.WriteJSON(w, http.StatusOK, RegisterResponse{
 		WorkerID: node.id,
 		LeaseID:  node.leaseID,
 		TTLSec:   c.opts.LeaseTTL.Seconds(),
@@ -535,38 +544,38 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if err := failpoint.Inject("cluster/lease/renew"); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		service.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "heartbeat: malformed body")
+		service.HTTPError(w, http.StatusBadRequest, "heartbeat: malformed body")
 		return
 	}
 	ttl, err := c.leases.heartbeat(req.WorkerID, req.LeaseID)
 	switch {
 	case errors.Is(err, ErrUnknownWorker):
-		httpError(w, http.StatusNotFound, err.Error())
+		service.HTTPError(w, http.StatusNotFound, err.Error())
 		return
 	case errors.Is(err, ErrLeaseSuperseded):
-		httpError(w, http.StatusConflict, err.Error())
+		service.HTTPError(w, http.StatusConflict, err.Error())
 		return
 	}
 	c.counters.heartbeats.Add(1)
-	writeJSON(w, http.StatusOK, HeartbeatResponse{TTLSec: ttl.Seconds()})
+	service.WriteJSON(w, http.StatusOK, HeartbeatResponse{TTLSec: ttl.Seconds()})
 }
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "deregister: malformed body")
+		service.HTTPError(w, http.StatusBadRequest, "deregister: malformed body")
 		return
 	}
 	if node := c.leases.drop(req.WorkerID); node != nil {
 		c.counters.deregistrations.Add(1)
 		c.journalRec(clusterRecord{Type: "expire", Worker: node.id, Addr: node.addr})
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "bye"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "bye"})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
@@ -583,7 +592,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			LeaseRemainingSec: expires.Sub(now).Seconds(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"workers": views})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"workers": views})
 }
 
 // ---------------------------------------------------------------------
@@ -894,21 +903,7 @@ func (c *Coordinator) tryReclaim(ctx context.Context, j *service.Job, rec cluste
 			c.leases.release(node)
 			return false, nil
 		}
-		// Confirm failure tolerated: the original intent is already
-		// durable under the same token.
-		_ = c.recordAssign(j.ID, node, workerJob, rec.Token, rec.Try)
-		err = c.await(ctx, j, node, workerJob)
-		c.leases.release(node)
-		if errors.Is(err, errWorkerLost) {
-			c.counters.handoffs.Add(1)
-			c.journalRec(clusterRecord{Type: "handoff", Job: j.ID, Worker: node.id})
-			return false, nil
-		}
-		if err == nil {
-			c.counters.resultsReclaimed.Add(1)
-			c.journalComplete(j.ID, node.id)
-		}
-		return true, err
+		return c.reattach(ctx, j, node, workerJob, rec)
 	}
 
 	st, perr := c.pollOnce(ctx, rec.Addr, rec.WorkerJob)
@@ -928,22 +923,32 @@ func (c *Coordinator) tryReclaim(ctx context.Context, j *service.Job, rec cluste
 	// for them rather than killing live work), re-attach and await its
 	// result; otherwise cancel the zombie and start fresh.
 	if node := c.waitAddr(ctx, rec.Addr); node != nil {
-		_ = c.recordAssign(j.ID, node, rec.WorkerJob, rec.Token, rec.Try)
-		err = c.await(ctx, j, node, rec.WorkerJob)
-		c.leases.release(node)
-		if errors.Is(err, errWorkerLost) {
-			c.counters.handoffs.Add(1)
-			c.journalRec(clusterRecord{Type: "handoff", Job: j.ID, Worker: node.id})
-			return false, nil
-		}
-		if err == nil {
-			c.counters.resultsReclaimed.Add(1)
-			c.journalComplete(j.ID, node.id)
-		}
-		return true, err
+		return c.reattach(ctx, j, node, rec.WorkerJob, rec)
 	}
 	c.cancelOn(rec.Addr, rec.WorkerJob)
 	return false, nil
+}
+
+// reattach is the shared tail of both reclaim paths: it records the
+// assignment of workerJob on node under rec's token, awaits the result
+// and settles it. A lost worker is a handoff (done=false: dispatch
+// afresh); any other outcome resolves the job. A failed confirm append
+// is tolerated — the intent or earlier assignment is already durable
+// under the same token.
+func (c *Coordinator) reattach(ctx context.Context, j *service.Job, node *workerNode, workerJob string, rec clusterRecord) (done bool, err error) {
+	_ = c.recordAssign(j.ID, node, workerJob, rec.Token, rec.Try)
+	err = c.await(ctx, j, node, workerJob)
+	c.leases.release(node)
+	if errors.Is(err, errWorkerLost) {
+		c.counters.handoffs.Add(1)
+		c.journalRec(clusterRecord{Type: "handoff", Job: j.ID, Worker: node.id})
+		return false, nil
+	}
+	if err == nil {
+		c.counters.resultsReclaimed.Add(1)
+		c.journalComplete(j.ID, node.id)
+	}
+	return true, err
 }
 
 // waitAddr returns the live member at addr, waiting up to one lease
@@ -971,22 +976,4 @@ func (c *Coordinator) waitAddr(ctx context.Context, addr string) *workerNode {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-}
-
-// writeJSON marshals v before committing the status line, so a value
-// that cannot be encoded answers 500 with an error body instead of the
-// intended status with an empty one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		status = http.StatusInternalServerError
-		body, _ = json.MarshalIndent(map[string]string{"error": "encode response: " + err.Error()}, "", "  ")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

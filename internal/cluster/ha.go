@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -341,39 +340,26 @@ func (h *HANode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (h *HANode) serveNotPrimary(w http.ResponseWriter, r *http.Request, role HARole) {
 	switch {
 	case r.URL.Path == "/healthz" || r.URL.Path == "/healthz/live":
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "ha_role": string(role)})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "ha_role": string(role)})
 	case r.URL.Path == "/healthz/ready":
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":  "not_ready",
 			"reasons": []string{string(role)},
 		})
 	case r.URL.Path == "/v1/stats":
-		writeJSON(w, http.StatusOK, service.Stats{HA: h.haStats()})
+		service.WriteJSON(w, http.StatusOK, service.Stats{HA: h.haStats()})
 	default:
-		w.Header().Set("Retry-After", retryAfterSecs(h.jit.Around(h.opts.LeaseTTL/2)))
-		httpError(w, http.StatusServiceUnavailable,
+		w.Header().Set("Retry-After", service.RetryAfterSecs(h.jit.Around(h.opts.LeaseTTL/2)))
+		service.HTTPError(w, http.StatusServiceUnavailable,
 			errNotPrimary.Error()+" (role "+string(role)+")")
 	}
-}
-
-// retryAfterSecs mirrors the service's Retry-After rendering: whole
-// seconds, at least 1.
-func retryAfterSecs(d time.Duration) string {
-	secs := int(d / time.Second)
-	if d%time.Second != 0 {
-		secs++
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // handleReplicate streams a journal to the peer's follower. Only a
 // primary has an authoritative history to offer.
 func (h *HANode) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if h.Role() != HAPrimary {
-		httpError(w, http.StatusServiceUnavailable, errNotPrimary.Error())
+		service.HTTPError(w, http.StatusServiceUnavailable, errNotPrimary.Error())
 		return
 	}
 	h.hub.serveStream(w, r, h.opts.LeaseTTL/3, h.stop, h.rebaseStream)
@@ -409,18 +395,18 @@ func (h *HANode) rebaseStream(name string) bool {
 func (h *HANode) handleAck(w http.ResponseWriter, r *http.Request) {
 	var req AckRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Stream == "" {
-		httpError(w, http.StatusBadRequest, "ack: stream and count required")
+		service.HTTPError(w, http.StatusBadRequest, "ack: stream and count required")
 		return
 	}
 	h.hub.ack(req.Stream, req.Count)
 	h.peerAcked.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleRole reports the node's role — the discovery probe clients and
 // scripts use to find the current primary.
 func (h *HANode) handleRole(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":  string(h.Role()),
 		"epoch": h.currentEpoch(),
 	})

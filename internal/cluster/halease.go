@@ -207,14 +207,6 @@ func (l *haLease) Observe() (haLeaseState, error) {
 	return l.read()
 }
 
-// Holding reports whether this handle believes it owns the lease.
-// Renew/Acquire results are authoritative; this is for stats.
-func (l *haLease) Holding() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch != 0
-}
-
 // leaseWatch is the standby's silence detector: it remembers the last
 // (epoch, nonce) observed and when — on the LOCAL clock — it last
 // changed. Vacant ownership counts as silence from the start.

@@ -17,6 +17,7 @@ import (
 	"superpose/internal/failpoint"
 	"superpose/internal/journal"
 	"superpose/internal/retry"
+	"superpose/internal/service"
 )
 
 // HA journal replication. The primary does not copy segment files —
@@ -231,7 +232,7 @@ func (h *repHub) reset() {
 func (h *repHub) serveStream(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, stop <-chan struct{}, rebase func(stream string) bool) {
 	name := r.URL.Query().Get("stream")
 	if name == "" {
-		httpError(w, http.StatusBadRequest, "replicate: stream parameter required")
+		service.HTTPError(w, http.StatusBadRequest, "replicate: stream parameter required")
 		return
 	}
 	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
@@ -240,20 +241,20 @@ func (h *repHub) serveStream(w http.ResponseWriter, r *http.Request, heartbeat t
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "replicate: streaming unsupported")
+		service.HTTPError(w, http.StatusInternalServerError, "replicate: streaming unsupported")
 		return
 	}
 
 	hist := r.URL.Query().Get("history")
 	cur := h.historyOf(name)
 	if hist != "" && hist != cur {
-		httpError(w, http.StatusConflict,
+		service.HTTPError(w, http.StatusConflict,
 			fmt.Sprintf("replicate: stream %s history is %s, follower has %s", name, cur, hist))
 		return
 	}
 	if hist == "" && from > 0 {
 		// Records of unknown provenance: the offset cannot be trusted.
-		httpError(w, http.StatusConflict,
+		service.HTTPError(w, http.StatusConflict,
 			fmt.Sprintf("replicate: stream %s resume at %d without a history tag", name, from))
 		return
 	}
@@ -263,7 +264,7 @@ func (h *repHub) serveStream(w http.ResponseWriter, r *http.Request, heartbeat t
 		// The follower (necessarily fresh: hist=="" ⇒ from==0) predates
 		// the retained window. Re-seed the stream from a snapshot.
 		if rebase == nil || !rebase(name) {
-			httpError(w, http.StatusServiceUnavailable, "replicate: stream snapshot unavailable")
+			service.HTTPError(w, http.StatusServiceUnavailable, "replicate: stream snapshot unavailable")
 			return
 		}
 		cur = h.historyOf(name)

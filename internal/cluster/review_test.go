@@ -159,7 +159,7 @@ func TestHAAssignIntentJournalFailureBlocksDispatch(t *testing.T) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			rpcs.Add(1)
 		}
-		httpError(w, http.StatusInternalServerError, "unexpected RPC")
+		service.HTTPError(w, http.StatusInternalServerError, "unexpected RPC")
 	}))
 	defer fake.Close()
 

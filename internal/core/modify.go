@@ -97,7 +97,7 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 		// MeasureBatch's nominal pricing already launched exactly this
 		// ≤64-lane batch on the golden engine, and nothing since touched
 		// it (drift tracking re-measures on the device engine only), so
-		// the frames behind TogglesAll are still the flat batch's.
+		// the frames behind TogglesAllBuf are still the flat batch's.
 		readings := ev.MeasureBatch(flat)
 		sets, tbuf := ev.eng.TogglesAllBuf(len(flat), ev.tsetBuf)
 		ev.tsetBuf = tbuf

@@ -96,9 +96,10 @@ type Gate struct {
 
 // Netlist is an immutable-after-Freeze gate-level circuit.
 //
-// Construction goes through Builder (or the bench parser); afterwards the
-// structure is treated as read-only by the rest of the toolchain, so a
-// single Netlist may be shared freely between goroutines.
+// Construction goes through Builder (which the parsers and generators
+// drive too); afterwards the structure is treated as read-only by the
+// rest of the toolchain, so a single Netlist may be shared freely
+// between goroutines.
 type Netlist struct {
 	Name string
 
@@ -115,7 +116,7 @@ type Netlist struct {
 	NoScan []bool
 
 	byName   map[string]int
-	nameOnce sync.Once // guards the lazy byName build (streaming path)
+	nameOnce sync.Once // guards the lazy byName build
 	fanouts  [][]int   // computed by Freeze
 	order    []int     // topological order of non-source gates
 	level    []int     // logic level per gate (sources are level 0)
@@ -159,13 +160,10 @@ func (n *Netlist) IsNoScan(id int) bool {
 func (n *Netlist) NumCombinational() int { return len(n.order) }
 
 // GateID looks up a gate by net name. The name index is built lazily on
-// first use: netlists from the streaming ingestion path carry no map, so
-// pure build/simulate workloads never pay for a million-entry index.
+// first use: Builder hands netlists over without one, so pure
+// build/simulate workloads never pay for a million-entry index.
 func (n *Netlist) GateID(name string) (int, bool) {
 	n.nameOnce.Do(func() {
-		if n.byName != nil {
-			return // eager index from the legacy Builder
-		}
 		m := make(map[string]int, len(n.Names))
 		for id, nm := range n.Names {
 			m[nm] = id

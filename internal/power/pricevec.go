@@ -10,7 +10,3 @@ package power
 // the IEEE-754 contract the sweep equivalence suites pin. Everywhere
 // else (or when the CPU lacks AVX-512F) priceSparse falls
 // through to the scalar loop.
-
-// VectorPricing reports whether the vectorized sparse pricing kernel is
-// available on this machine (amd64 with OS-enabled AVX-512F).
-func VectorPricing() bool { return haveVectorPricing }

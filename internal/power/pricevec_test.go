@@ -16,7 +16,6 @@ import (
 // scalar loop, so the test degenerates to a tautology rather than
 // skipping — keeping the call sites covered everywhere.
 func TestVectorPricingBitIdentity(t *testing.T) {
-	t.Logf("vector pricing available: %v", VectorPricing())
 	rng := stats.NewRNG(97)
 
 	energy := make([]float64, 3000)

@@ -439,17 +439,6 @@ func (e *Engine) Launch(pats []*Pattern, mode Mode) (f1, f2 []logic.Word, err er
 	return e.f1, e.f2, nil
 }
 
-// Frame2Sources returns a copy of the frame-2 source assignment of the
-// most recent Launch (per-net words; only PI and FF entries meaningful).
-// Fault simulation uses this to rerun the capture frame with a fault
-// injected.
-func (e *Engine) Frame2Sources() []logic.Word {
-	if !e.valid {
-		panic("scan: Frame2Sources before Launch")
-	}
-	return append([]logic.Word(nil), e.src...)
-}
-
 // ToggleMasks writes the per-net toggle lane masks (frame1 XOR frame2) of
 // the most recent Launch into dst (allocated if nil) and returns it.
 func (e *Engine) ToggleMasks(dst []logic.Word) []logic.Word {
@@ -459,19 +448,11 @@ func (e *Engine) ToggleMasks(dst []logic.Word) []logic.Word {
 	return sim.ToggleMask(e.f1, e.f2, dst)
 }
 
-// TogglesAll returns the toggle sets of the first numLanes lanes of the
-// most recent Launch in one pass (cheaper than per-lane Toggles when most
-// lanes are needed).
-func (e *Engine) TogglesAll(numLanes int) [][]int {
-	if !e.valid {
-		panic("scan: TogglesAll before Launch")
-	}
-	return sim.ToggleSetsAll(e.f1, e.f2, numLanes)
-}
-
-// TogglesAllBuf is TogglesAll with a caller-owned backing array (see
-// sim.ToggleSetsAllBuf): the returned sets alias buf and are valid only
-// until the buffer is passed back in.
+// TogglesAllBuf returns the toggle sets of the first numLanes lanes of
+// the most recent Launch in one pass (cheaper than per-lane Toggles when
+// most lanes are needed). The sets are carved out of the caller-owned buf
+// (see sim.ToggleSetsAllBuf) and are valid only until the buffer is
+// passed back in.
 func (e *Engine) TogglesAllBuf(numLanes int, buf []int) ([][]int, []int) {
 	if e.f1 == nil {
 		panic("scan: TogglesAllBuf before Launch")

@@ -49,7 +49,6 @@ var (
 	wordPool    slices[logic.Word]
 	uint32Pool  slices[uint32]
 	uint64Pool  slices[uint64]
-	boolPool    slices[bool]
 	float64Pool slices[float64]
 	intPool     slices[int]
 )
@@ -71,12 +70,6 @@ func Uint64s(n int) []uint64 { return uint64Pool.get(n) }
 
 // PutUint64s returns a slice to the pool.
 func PutUint64s(s []uint64) { uint64Pool.put(s) }
-
-// Bools returns a zeroed []bool of length n.
-func Bools(n int) []bool { return boolPool.get(n) }
-
-// PutBools returns a slice to the pool.
-func PutBools(s []bool) { boolPool.put(s) }
 
 // Float64s returns a zeroed []float64 of length n.
 func Float64s(n int) []float64 { return float64Pool.get(n) }

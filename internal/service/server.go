@@ -562,7 +562,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("malformed job spec: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("malformed job spec: %v", err))
 		return
 	}
 	j, err := s.Submit(spec)
@@ -572,69 +572,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, errBadSpec):
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	case errors.Is(err, ErrQueueFull):
 		// The hint is jittered (decorrelated across rejections) so the
 		// backlog does not come back in lockstep the moment the queue
 		// frees up.
-		w.Header().Set("Retry-After", retryAfterSecs(s.jitter.Around(time.Second)))
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		w.Header().Set("Retry-After", RetryAfterSecs(s.jitter.Around(time.Second)))
+		HTTPError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.As(err, &throttled):
-		w.Header().Set("Retry-After", retryAfterSecs(throttled.RetryAfter))
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		w.Header().Set("Retry-After", RetryAfterSecs(throttled.RetryAfter))
+		HTTPError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.As(err, &unavail):
-		w.Header().Set("Retry-After", retryAfterSecs(unavail.RetryAfter))
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		w.Header().Set("Retry-After", RetryAfterSecs(unavail.RetryAfter))
+		HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.As(err, &shed):
 		// Jitter around the breaker's cooldown: never earlier than the
 		// breaker would admit, spread out beyond it.
-		w.Header().Set("Retry-After", retryAfterSecs(s.jitter.Around(shed.retryAfter)))
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		w.Header().Set("Retry-After", RetryAfterSecs(s.jitter.Around(shed.retryAfter)))
+		HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, ErrQueueClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	writeJSON(w, http.StatusAccepted, j.Status())
+	WriteJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	j.Cancel()
 	s.journalCancel(j)
-	writeJSON(w, http.StatusAccepted, j.Status())
+	WriteJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -742,12 +742,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.opts.ExtraStats != nil {
 		s.opts.ExtraStats(&st)
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-// retryAfterSecs renders a Retry-After header value: whole seconds,
+// RetryAfterSecs renders a Retry-After header value: whole seconds,
 // at least 1.
-func retryAfterSecs(d time.Duration) string {
+func RetryAfterSecs(d time.Duration) string {
 	secs := int(math.Ceil(d.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -758,7 +758,7 @@ func retryAfterSecs(d time.Duration) string {
 // handleHealth is the liveness probe (also served at /healthz/live): the
 // process is up and the handler is reachable — nothing more.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"queue_depth": s.queue.Depth(),
 	})
@@ -781,22 +781,22 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		reasons = append(reasons, s.opts.ExtraReady()...)
 	}
 	if len(reasons) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":  "not_ready",
 			"reasons": reasons,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ready",
 		"queue_depth": s.queue.Depth(),
 	})
 }
 
-// writeJSON marshals v before committing the status line, so a value
+// WriteJSON marshals v before committing the status line, so a value
 // that cannot be encoded answers 500 with an error body instead of the
 // intended status with an empty one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -807,8 +807,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// HTTPError answers status with the error document {"error": msg}.
+func HTTPError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
 func writeSSE(w http.ResponseWriter, ev Event) error {

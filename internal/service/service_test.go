@@ -468,7 +468,7 @@ func TestCacheSingleflight(t *testing.T) {
 // the intended 200 with an empty body.
 func TestWriteJSONUnencodableAnswers500(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	WriteJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}

@@ -14,9 +14,9 @@ import (
 // build, levelization or simulation pipeline.
 func deepChain(t testing.TB, depth int) (*netlist.Netlist, int, int) {
 	t.Helper()
-	b := netlist.NewStreamBuilder("deepsim", depth+4)
+	b := netlist.NewBuilderSized("deepsim", depth+4)
 	in := b.InternString("a")
-	if err := b.AddInput(in); err != nil {
+	if err := b.DefineInput(in); err != nil {
 		t.Fatal(err)
 	}
 	prev := in
@@ -29,12 +29,12 @@ func deepChain(t testing.TB, depth int) (*netlist.Netlist, int, int) {
 		} else {
 			inversions++
 		}
-		if err := b.AddGate(id, typ, []int32{prev}); err != nil {
+		if err := b.DefineGate(id, typ, []int32{prev}); err != nil {
 			t.Fatal(err)
 		}
 		prev = id
 	}
-	b.MarkOutput([]byte(fmt.Sprintf("c%d", depth-1)))
+	b.MarkOutput(fmt.Sprintf("c%d", depth-1))
 	n, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

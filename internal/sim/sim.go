@@ -101,26 +101,15 @@ func evalGate(n *netlist.Netlist, id int, values []logic.Word) logic.Word {
 	}
 }
 
-// EvalOrdered re-evaluates the listed combinational gates, in the given
-// topological (e.g. levelized) order, reading and writing the value array
-// in place: callers re-evaluate only the fanout cone of a handful of
-// changed sources and leave every other net's word untouched, so the
-// cost is O(|cone|) instead of O(|netlist|).
-func EvalOrdered(n *netlist.Netlist, order []int, values []logic.Word) {
-	for _, id := range order {
-		values[id] = evalGate(n, id, values)
-	}
-}
-
 // Program is a compiled evaluation sequence: one fixed (levelized) gate
 // order flattened into an instruction stream with inline fanin indices.
-// Evaluating through a Program is semantically identical to EvalOrdered
-// over the same order; it exists because the PPSFP engine runs the whole
-// netlist once per launch, where the per-gate overhead of the generic
-// path (gate-record load, fanin slice traversal, call dispatch)
-// dominates. Two-input gates — the bulk of a mapped
-// netlist — execute as single inline operations; wider gates read their
-// fanins from a shared side table.
+// Evaluating through a Program is semantically identical to applying
+// evalGate over the same order; it exists because the PPSFP engine runs
+// the whole netlist once per launch, where the per-gate overhead of the
+// generic path (gate-record load, fanin slice traversal, call dispatch)
+// dominates. Two-input gates — the bulk of a mapped netlist — execute as
+// single inline operations; wider gates read their fanins from a shared
+// side table.
 type Program struct {
 	ops []progOp
 	ext []int32
@@ -188,8 +177,8 @@ func (p *Program) push(id int32, typ netlist.GateType, fanin []int32) {
 }
 
 // Run evaluates the compiled sequence over the value array in place —
-// bit-identical to EvalOrdered over the order the Program was compiled
-// from.
+// bit-identical to applying evalGate over the order the Program was
+// compiled from.
 func (p *Program) Run(values []logic.Word) {
 	ext := p.ext
 	for i := range p.ops {
@@ -318,16 +307,11 @@ func ToggleMask(a, b []logic.Word, dst []logic.Word) []logic.Word {
 	return dst
 }
 
-// ToggleSetsAll extracts the toggle sets of the first numLanes lanes in a
-// single pass over the nets (O(nets + total toggles), against O(nets ×
-// lanes) for per-lane ToggleSet calls).
-func ToggleSetsAll(a, b []logic.Word, numLanes int) [][]int {
-	out, _ := ToggleSetsAllBuf(a, b, numLanes, nil)
-	return out
-}
-
-// ToggleSetsAllBuf is ToggleSetsAll with a caller-owned backing array:
-// the per-lane sets are carved out of buf (grown only when too small),
+// ToggleSetsAllBuf extracts the toggle sets of the first numLanes lanes
+// in a single pass over the nets (O(nets + total toggles), against
+// O(nets × lanes) for per-lane ToggleSet calls). The per-lane sets are
+// carved out of the caller-owned buf (grown only when too small; nil
+// allocates),
 // so a steady caller — the strategic climb analyses pairs once per
 // candidate modification — churns no per-call garbage. The returned
 // buffer must be threaded back into the next call; the sets alias it

@@ -328,7 +328,7 @@ func TestToggleSetsAllMatchesPerLane(t *testing.T) {
 	f2 := append([]logic.Word(nil), s.Run(src)...)
 
 	for _, lanes := range []int{1, 7, 64} {
-		sets := ToggleSetsAll(f1, f2, lanes)
+		sets, _ := ToggleSetsAllBuf(f1, f2, lanes, nil)
 		if len(sets) != lanes {
 			t.Fatalf("lanes = %d", len(sets))
 		}

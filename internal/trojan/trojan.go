@@ -237,14 +237,14 @@ func Insert(host *netlist.Netlist, spec Spec) (*Instance, error) {
 		return nil, fmt.Errorf("trojan %q: infected netlist invalid: %w", spec.Name, err)
 	}
 	inst.Infected = infected
+	// Every name below was declared through b, whose net IDs are the
+	// infected netlist's, so the builder resolves them without making
+	// the netlist build its name index.
+	netID := func(name string) int { return int(b.InternString(name)) }
 	for _, p := range payloads {
-		pid, ok := infected.GateID(p)
-		if !ok {
-			return nil, fmt.Errorf("trojan %q: payload net lost", spec.Name)
-		}
-		inst.PayloadOuts = append(inst.PayloadOuts, pid)
+		inst.PayloadOuts = append(inst.PayloadOuts, netID(p))
 	}
-	payload := payloads[0]
+	inst.PayloadOut = inst.PayloadOuts[0]
 
 	// Ground truth: every gate beyond the host's count is Trojan logic.
 	inst.isTrojan = make([]bool, infected.NumGates())
@@ -252,28 +252,11 @@ func Insert(host *netlist.Netlist, spec Spec) (*Instance, error) {
 		inst.isTrojan[id] = true
 		inst.TrojanGates = append(inst.TrojanGates, id)
 	}
-	tid, ok := infected.GateID(trigger)
-	if !ok {
-		return nil, fmt.Errorf("trojan %q: trigger net lost", spec.Name)
-	}
-	inst.TriggerOut = tid
-	eid, ok := infected.GateID(event)
-	if !ok {
-		return nil, fmt.Errorf("trojan %q: event net lost", spec.Name)
-	}
-	inst.EventOut = eid
+	inst.TriggerOut = netID(trigger)
+	inst.EventOut = netID(event)
 	for _, cell := range counterCells {
-		cid, ok := infected.GateID(cell)
-		if !ok {
-			return nil, fmt.Errorf("trojan %q: counter cell lost", spec.Name)
-		}
-		inst.CounterFFs = append(inst.CounterFFs, cid)
+		inst.CounterFFs = append(inst.CounterFFs, netID(cell))
 	}
-	pid, ok := infected.GateID(payload)
-	if !ok {
-		return nil, fmt.Errorf("trojan %q: payload net lost", spec.Name)
-	}
-	inst.PayloadOut = pid
 	return inst, nil
 }
 

@@ -14,7 +14,7 @@ import (
 // capacity tier (10⁵–10⁷ gates). It mirrors Params but drives the
 // streaming generator: gate names are pure functions of (rank, ordinal),
 // so the netlist can be emitted as text — or interned straight into a
-// StreamBuilder — without ever materializing rank name lists or maps.
+// netlist.Builder — without ever materializing rank name lists or maps.
 // Generation scratch is O(levels), independent of gate count.
 type LargeParams struct {
 	Name   string
@@ -323,25 +323,25 @@ func (e *textEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte) e
 	return err
 }
 
-// builderEmitter interns the event stream straight into a StreamBuilder.
+// builderEmitter interns the event stream straight into a netlist.Builder.
 type builderEmitter struct {
-	b *netlist.StreamBuilder
+	b *netlist.Builder
 
 	ids []int32
 }
 
 func (e *builderEmitter) input(name []byte) error {
-	return e.b.AddInput(e.b.Intern(name))
+	return e.b.DefineInput(e.b.Intern(name))
 }
 
 func (e *builderEmitter) output(name []byte) error {
-	e.b.MarkOutput(name)
+	e.b.MarkOutput(string(name))
 	return nil
 }
 
 func (e *builderEmitter) dff(q, d []byte) error {
 	id := e.b.Intern(q)
-	return e.b.AddDFF(id, e.b.Intern(d))
+	return e.b.DefineDFF(id, e.b.Intern(d))
 }
 
 func (e *builderEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte) error {
@@ -350,7 +350,7 @@ func (e *builderEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte
 	for _, f := range fanins {
 		e.ids = append(e.ids, e.b.Intern(f))
 	}
-	return e.b.AddGate(id, typ, e.ids)
+	return e.b.DefineGate(id, typ, e.ids)
 }
 
 // EmitLarge streams the generated netlist as .bench text to w. Memory
@@ -367,10 +367,10 @@ func EmitLarge(w io.Writer, p LargeParams) error {
 }
 
 // GenerateLarge builds the generated netlist in memory through the
-// arena StreamBuilder — bit-identical (IDs included) to writing
+// arena netlist.Builder — bit-identical (IDs included) to writing
 // EmitLarge text and reading it back with bench.Parse.
 func GenerateLarge(p LargeParams) (*netlist.Netlist, error) {
-	b := netlist.NewStreamBuilder(p.Name, p.TotalGates())
+	b := netlist.NewBuilderSized(p.Name, p.TotalGates())
 	if err := emitLarge(p, &builderEmitter{b: b}); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 
 // The capacity-tier generator must agree with itself across its two
 // consumers: text emission re-parsed through the streaming parser and
-// direct StreamBuilder construction produce bit-identical netlists,
+// direct netlist.Builder construction produce bit-identical netlists,
 // IDs included.
 func TestLargeRoundTripBitIdentical(t *testing.T) {
 	p := SizedLargeParams(20000, 0xfeed)

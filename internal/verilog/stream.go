@@ -14,7 +14,7 @@ import (
 // Parse reads a structural Verilog module into a netlist. The lexer
 // tokenizes one line at a time from a fixed bufio window instead of
 // materializing the whole file's token slice, and net names intern
-// straight into a netlist.StreamBuilder, so peak memory is the symbol
+// straight into a netlist.Builder, so peak memory is the symbol
 // table plus arenas rather than O(file). FuzzParse holds it to
 // gate-for-gate agreement with the map-based reference parser kept in
 // the package tests.
@@ -23,11 +23,11 @@ func Parse(r io.Reader, name string) (*netlist.Netlist, error) {
 }
 
 // ParseStreamSized is Parse with a pre-sizing hint for the expected
-// number of nets (see netlist.NewStreamBuilder).
+// number of nets (see netlist.NewBuilderSized).
 func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist, error) {
 	p := &streamParser{
 		lx: newLexer(r),
-		b:  netlist.NewStreamBuilder(name, sizeHint),
+		b:  netlist.NewBuilderSized(name, sizeHint),
 	}
 	if err := p.parseModule(); err != nil {
 		return nil, fmt.Errorf("verilog %s: %w", name, err)
@@ -181,7 +181,7 @@ func (l *lexer) advanceLine() error {
 
 type streamParser struct {
 	lx *lexer
-	b  *netlist.StreamBuilder
+	b  *netlist.Builder
 
 	outputs []string // PO names in declaration order, marked at endmodule
 
@@ -231,7 +231,7 @@ func (p *streamParser) parseModule() error {
 		case "endmodule":
 			p.lx.idx++
 			for _, o := range p.outputs {
-				p.b.MarkOutput([]byte(o))
+				p.b.MarkOutput(o)
 			}
 			return nil
 		case "input":
@@ -240,7 +240,7 @@ func (p *streamParser) parseModule() error {
 				if ignoredTok(tok) {
 					return nil
 				}
-				return p.b.AddInput(p.b.Intern(tok))
+				return p.b.DefineInput(p.b.Intern(tok))
 			}); err != nil {
 				return err
 			}
@@ -375,7 +375,7 @@ func (p *streamParser) buildInstance(line int) error {
 		for _, s := range p.ports[1:] {
 			p.ids = append(p.ids, p.b.Intern(p.portBytes(s)))
 		}
-		return p.b.AddGate(outID, typ, p.ids)
+		return p.b.DefineGate(outID, typ, p.ids)
 	}
 
 	// Flip-flop (any kind containing "dff" or the Trust-Hub "fd"-style
@@ -404,7 +404,7 @@ func (p *streamParser) buildInstance(line int) error {
 			return fmt.Errorf("line %d: flip-flop %q needs Q and D ports", line, p.kind)
 		}
 		qID := p.b.Intern(q)
-		return p.b.AddDFF(qID, p.b.Intern(d))
+		return p.b.DefineDFF(qID, p.b.Intern(d))
 	}
 	return fmt.Errorf("line %d: unknown cell %q", line, p.kind)
 }

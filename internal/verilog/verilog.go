@@ -45,32 +45,33 @@ func Write(w io.Writer, n *netlist.Netlist) error {
 		moduleName = "top"
 	}
 
+	names := identifiers(n)
 	var ports []string
 	for _, pi := range n.PIs {
-		ports = append(ports, sanitize(n.NameOf(pi)))
+		ports = append(ports, names[pi])
 	}
 	for _, po := range n.POs {
-		ports = append(ports, sanitize(n.NameOf(po)))
+		ports = append(ports, names[po])
 	}
 	fmt.Fprintf(bw, "// %s\n", n.ComputeStats())
 	fmt.Fprintf(bw, "module %s(%s);\n", moduleName, strings.Join(ports, ", "))
 
 	for _, pi := range n.PIs {
-		fmt.Fprintf(bw, "  input %s;\n", sanitize(n.NameOf(pi)))
+		fmt.Fprintf(bw, "  input %s;\n", names[pi])
 	}
 	for _, po := range n.POs {
-		fmt.Fprintf(bw, "  output %s;\n", sanitize(n.NameOf(po)))
+		fmt.Fprintf(bw, "  output %s;\n", names[po])
 	}
 	// Wires: every non-PI net that is not already an output port name.
 	isPO := make(map[string]bool, len(n.POs))
 	for _, po := range n.POs {
-		isPO[sanitize(n.NameOf(po))] = true
+		isPO[names[po]] = true
 	}
 	for id, g := range n.Gates {
 		if g.Type == netlist.Input {
 			continue
 		}
-		name := sanitize(n.NameOf(id))
+		name := names[id]
 		if !isPO[name] {
 			fmt.Fprintf(bw, "  wire %s;\n", name)
 		}
@@ -79,7 +80,7 @@ func Write(w io.Writer, n *netlist.Netlist) error {
 	gi := 0
 	for _, ff := range n.FFs {
 		fmt.Fprintf(bw, "  dff r%d (.Q(%s), .D(%s));\n",
-			gi, sanitize(n.NameOf(ff)), sanitize(n.NameOf(n.Gates[ff].Fanin[0])))
+			gi, names[ff], names[n.Gates[ff].Fanin[0]])
 		gi++
 	}
 	for _, id := range n.TopoOrder() {
@@ -91,15 +92,43 @@ func Write(w io.Writer, n *netlist.Netlist) error {
 				break
 			}
 		}
-		terms := []string{sanitize(n.NameOf(id))}
+		terms := []string{names[id]}
 		for _, f := range g.Fanin {
-			terms = append(terms, sanitize(n.NameOf(f)))
+			terms = append(terms, names[f])
 		}
 		fmt.Fprintf(bw, "  %s g%d (%s);\n", kind, gi, strings.Join(terms, ", "))
 		gi++
 	}
 	fmt.Fprintln(bw, "endmodule")
 	return bw.Flush()
+}
+
+// identifiers maps every net to a distinct Verilog-safe identifier,
+// indexed by net ID. Names that already are identifiers are kept; the
+// others are sanitized and, where that collides with a name already
+// taken (both "0" and "1" sanitize to "_"), suffixed until unique.
+func identifiers(n *netlist.Netlist) []string {
+	names := make([]string, len(n.Names))
+	taken := make(map[string]bool, len(n.Names))
+	for id, name := range n.Names {
+		if sanitize(name) == name {
+			names[id] = name
+			taken[name] = true
+		}
+	}
+	for id, name := range n.Names {
+		if names[id] != "" {
+			continue
+		}
+		base := sanitize(name)
+		cand := base
+		for k := 0; taken[cand]; k++ {
+			cand = fmt.Sprintf("%s_%d", base, k)
+		}
+		names[id] = cand
+		taken[cand] = true
+	}
+	return names
 }
 
 // sanitize maps net names to Verilog-identifier-safe ones.
