@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-parallel bench-ppsfp bench-scale bench-fusion test-race cover experiments experiments-full serve smoke smoke-cluster clean
+.PHONY: all build test vet bench bench-parallel bench-ppsfp bench-scale test-race cover experiments experiments-full serve smoke smoke-cluster clean
 
 all: vet test build
 
@@ -49,14 +49,6 @@ bench-scale:
 bench-scale-smoke:
 	$(GO) run ./cmd/benchjson -scale -max-gates 100000 > BENCH_scale_ci.json
 	cat BENCH_scale_ci.json
-
-# Delay-channel measurement overhead: the same infected lot certified
-# power-only, delay-only and fused (interleaved reps), plus the
-# one-time fused-calibration training cost, archived as a machine-
-# readable artifact.
-bench-fusion:
-	$(GO) run ./cmd/benchjson -fusion > BENCH_fusion.json
-	cat BENCH_fusion.json
 
 # The determinism guarantee under the race detector: shuffled, twice.
 test-race:

@@ -454,88 +454,6 @@ func BenchmarkPPSFP(b *testing.B) {
 	})
 }
 
-// BenchmarkFusion measures the multi-parameter fusion pipeline: the
-// fused power×delay lot certification against the power-only
-// certification of the same lot. The fused arm interleaves an untimed
-// power-only run with every timed fused run and reports the paired
-// wall-clock ratio as "overhead" — the cost of the second measurement
-// channel plus the fused scoring. The calibration trains once on a
-// clean control lot outside the timed region (the service caches it
-// the same way), and the detection outcome rides along as metrics.
-func BenchmarkFusion(b *testing.B) {
-	// ς = 0.08: the fused threshold doubles the worst clean training
-	// score, and at the default bench ς the infected/clean separation
-	// narrows below that bound (see EXPERIMENTS.md).
-	const fusionVarsigma = 0.08
-	inst, err := trust.Build(trust.Cases()[0], benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := superpose.StandardCellLibrary()
-	fused, err := superpose.WithSharedSeeds(inst.Host, superpose.Config{
-		NumChains:   4,
-		Varsigma:    fusionVarsigma,
-		ATPG:        benchATPG(),
-		MaxPairs:    6,
-		Acquisition: superpose.RobustAcquisition(),
-		Channel:     superpose.ChannelFused,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const lotDies = 4
-	lot := func(salt int) superpose.LotOptions {
-		return superpose.LotOptions{
-			Dies:      lotDies,
-			Variation: superpose.ThreeSigmaIntra(fusionVarsigma),
-			Seed:      superpose.DeriveSeed(99, salt),
-			Workers:   1,
-		}
-	}
-
-	// Train on a clean control lot (Fusion still nil: both channels
-	// measured, no fused verdict yet).
-	train, err := superpose.CertifyLot(inst.Host, lib, inst.Host, fused, lot(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var obs []superpose.FusionObservation
-	for _, d := range train.Dies {
-		obs = append(obs, superpose.FusionObservation{Power: d.FinalMag, Delay: d.DelayMag})
-	}
-	cal := superpose.TrainFusion(obs, 0)
-	fused.Fusion = &cal
-
-	powerOnly := fused
-	powerOnly.Channel = superpose.ChannelPower
-	powerOnly.Fusion = nil
-
-	var detected, dies int
-	var powerTotal, fusedTotal time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		t0 := time.Now()
-		if _, err := superpose.CertifyLot(inst.Host, lib, inst.Infected, powerOnly, lot(2)); err != nil {
-			b.Fatal(err)
-		}
-		powerTotal += time.Since(t0)
-		b.StartTimer()
-		t1 := time.Now()
-		lr, err := superpose.CertifyLot(inst.Host, lib, inst.Infected, fused, lot(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fusedTotal += time.Since(t1)
-		detected, dies = lr.FusedDetected, len(lr.Dies)
-	}
-	b.ReportMetric(float64(fusedTotal)/float64(powerTotal), "overhead")
-	b.ReportMetric(float64(detected), "fused-detected")
-	b.ReportMetric(float64(dies), "dies")
-	b.ReportMetric(cal.Threshold, "threshold")
-}
-
 // BenchmarkATPG measures seed-pattern generation throughput.
 func BenchmarkATPG(b *testing.B) {
 	c := trust.Cases()[0]

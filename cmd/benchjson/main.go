@@ -16,13 +16,6 @@
 //	benchjson -scale > BENCH_scale.json
 //	benchjson -scale -max-gates 100000 > BENCH_scale.json   # CI smoke
 //
-// With -fusion it measures the delay-channel overhead instead: the
-// same infected lot certified power-only, delay-only and fused
-// (interleaved reps, shared machine conditions), recorded together
-// with the one-time calibration training cost:
-//
-//	benchjson -fusion > BENCH_fusion.json
-//
 // Each benchmark line
 //
 //	BenchmarkFoo/sub-8   5   123456 ns/op   2.00 speedup
@@ -65,9 +58,6 @@ func main() {
 		maxGates   = flag.Int("max-gates", 10_000_000, "scale: largest point to run")
 		certifyMax = flag.Int("certify-max-gates", 1_000_000, "scale: largest point to certify (larger points parse+levelize only)")
 
-		fusionBench = flag.Bool("fusion", false, "measure the delay-channel overhead (power vs delay vs fused certify) instead of converting stdin")
-		fusionReps  = flag.Int("fusion-reps", 3, "fusion: interleaved lot certifications per arm")
-
 		scaleChild   = flag.Bool("scale-child", false, "internal: run one scale point in-process")
 		childGates   = flag.Int("gates", 0, "internal: gate count for -scale-child")
 		childCertify = flag.Bool("certify", false, "internal: certify in -scale-child")
@@ -82,12 +72,6 @@ func main() {
 		return
 	case *scale:
 		if err := runScale(*maxGates, *certifyMax); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	case *fusionBench:
-		if err := runFusion(*fusionReps); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

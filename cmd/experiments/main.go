@@ -18,10 +18,6 @@
 //	# σ-sweep: detection probability vs intra-die variation, run for real
 //	experiments -table sweep -case s38584-T100 -dies 5
 //
-//	# multi-parameter fusion ROC: power vs delay vs fused verdict across
-//	# tester fault presets; -roc-out keeps the full curves as JSON
-//	experiments -table fusion -scale 0.04 -varsigma 0.08 -chip-seed 99 -roc-out roc.json
-//
 // Every table fans out across -workers goroutines (default: one per CPU)
 // with bit-identical output at any worker count; -workers 1 is the exact
 // serial path.
@@ -40,7 +36,6 @@ import (
 	"strings"
 
 	"superpose/internal/core"
-	"superpose/internal/netio"
 	"superpose/internal/profile"
 	"superpose/internal/report"
 	"superpose/internal/trust"
@@ -48,7 +43,7 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "which artifact: 1, 2, fig1, fig2, control, robust, sweep, fusion, all")
+		table    = flag.String("table", "all", "which artifact: 1, 2, fig1, fig2, control, robust, sweep, all")
 		scale    = flag.Float64("scale", 0.25, "benchmark scale (1.0 = published size)")
 		varsigma = flag.Float64("varsigma", 0.15, "manufacturing intra-die 3σ")
 		chipSeed = flag.Uint64("chip-seed", 0xC0FFEE, "die selection seed")
@@ -56,7 +51,6 @@ func main() {
 		caseName = flag.String("case", "", "restrict Table I (or pick the sweep case), e.g. s35932-T200")
 		csvPath  = flag.String("csv", "", "also write Table I rows as CSV to this file")
 		dies     = flag.Int("dies", 5, "table sweep: dies per variation magnitude")
-		rocOut   = flag.String("roc-out", "", "table fusion: also write the full ROC curves as JSON to this file")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = one per CPU, 1 = serial); output is bit-identical at any count")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -144,26 +138,6 @@ func main() {
 			os.Exit(1)
 		}
 		printRobustness(rrows)
-	case "fusion":
-		fcfg := cfg
-		// Same widened strategic net the robustness table uses: the
-		// fault-perturbed rankings need more candidate pairs.
-		fcfg.MaxPairs = 6
-		fmt.Fprintf(os.Stderr, "running fusion table (%d tester presets x 3 channels)...\n",
-			len(core.FusionPresets))
-		frows, err := core.RunFusionTable(fcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		printFusion(frows)
-		if *rocOut != "" {
-			if err := netio.WriteROCFile(*rocOut, frows); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote ROC curves to %s\n", *rocOut)
-		}
 	case "sweep":
 		c := trust.Case{Benchmark: "s38584", Trojan: "T100"}
 		if *caseName != "" {
@@ -313,25 +287,6 @@ func printRobustness(rows []core.RobustnessRow) {
 			fmt.Sprintf("%d", r.Unstable),
 			fmt.Sprintf("%.4f", r.MeanSRPD),
 			fmt.Sprintf("%v", r.Acquisition))
-	}
-	fmt.Print(tbl)
-}
-
-func printFusion(rows []core.FusionRow) {
-	tbl := report.New("FUSION: power x delay side-channel fusion across tester fault presets",
-		"Regime", "Case", "AUC power", "AUC delay", "AUC fused", "Threshold",
-		"Fused TPR", "Fused FPR", "Power TPR", "Train FP", "Unstable")
-	for _, r := range rows {
-		tbl.Row(r.Preset, r.Case,
-			fmt.Sprintf("%.3f", r.PowerAUC),
-			fmt.Sprintf("%.3f", r.DelayAUC),
-			fmt.Sprintf("%.3f", r.FusedAUC),
-			fmt.Sprintf("%.3g", r.Threshold),
-			fmt.Sprintf("%d/%d", r.FusedDetected, r.Infected),
-			fmt.Sprintf("%d/%d", r.FusedFP, r.Clean),
-			fmt.Sprintf("%d/%d", r.PowerDetected, r.Infected),
-			fmt.Sprintf("%d/%d", r.TrainFP, r.TrainDies),
-			fmt.Sprintf("%d", r.Unstable))
 	}
 	fmt.Print(tbl)
 }

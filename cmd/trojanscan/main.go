@@ -14,7 +14,6 @@
 //	trojanscan -case s35932-T200 -lot 5              # whole-lot certification
 //	trojanscan -case s35932-T200 -lot 5 -workers 8   # parallel lot (bit-identical output)
 //	trojanscan -case s35932-T200 -mode delay         # delay-fingerprint baseline
-//	trojanscan -case s35932-T200 -channel fused      # power×delay fused verdict
 //	trojanscan -case s35932-T200 -report             # full report document
 //	trojanscan -case s35932-T200 -tester combined    # faulty tester, robust acquisition
 //	trojanscan -case s35932-T200 -tester spikes -acq naive   # show the naive collapse
@@ -30,11 +29,8 @@ import (
 
 	"superpose/internal/atpg"
 	"superpose/internal/core"
-	"superpose/internal/delay"
-	"superpose/internal/fusion"
 	"superpose/internal/netio"
 	"superpose/internal/netlist"
-	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/profile"
 	"superpose/internal/scan"
@@ -59,7 +55,6 @@ func main() {
 		seeds    = flag.Int("seeds", 3, "adaptive runs from the strongest seed patterns")
 		lot      = flag.Int("lot", 0, "certify a lot of this many dies instead of a single die")
 		mode     = flag.String("mode", "power", "side channel: power (superposition) or delay (fingerprint baseline)")
-		channel  = flag.String("channel", "power", "measurement channel: power, delay (adds the path-delay measurement), or fused (power×delay with a learned calibration)")
 		report   = flag.Bool("report", false, "print the full certification report document")
 
 		testerPreset = flag.String("tester", "clean", "tester fault model preset: "+strings.Join(tester.PresetNames(), ", "))
@@ -117,10 +112,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	ch, err := core.ParseChannel(*channel)
-	if err != nil {
-		fail(err)
-	}
 
 	lib := power.SAED90Like()
 	cfg := core.Config{
@@ -129,23 +120,6 @@ func main() {
 		Varsigma:    *varsigma,
 		ATPG:        atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120, Workers: workers},
 		Acquisition: acq,
-		Channel:     ch,
-	}
-
-	if ch == core.ChannelFused {
-		// Share the seed set between the calibration lot and the run
-		// proper, then learn the fused operating point on clean controls
-		// of the golden design under the same tester preset.
-		cfg, err = core.WithSharedSeeds(golden, cfg)
-		if err != nil {
-			fail(err)
-		}
-		cal, err := trainFusionCalibration(golden, lib, cfg, faultCfg, *varsigma, *chipSeed, *testerSeed, workers)
-		if err != nil {
-			fail(fmt.Errorf("fusion calibration: %w", err))
-		}
-		cfg.Fusion = &cal
-		fmt.Println("calibration:", cal)
 	}
 
 	if *lot > 0 {
@@ -165,10 +139,6 @@ func main() {
 
 	chip := power.Manufacture(physical, lib, power.ThreeSigmaIntra(*varsigma), *chipSeed)
 	dev := core.NewDevice(chip, *chains, scan.LOS)
-	if ch.UsesDelay() {
-		dev.SetDelayChip(delay.Manufacture(physical, timing.SAED90LikeDelays(),
-			power.ThreeSigmaIntra(*varsigma), *chipSeed))
-	}
 	if faultCfg.Enabled() {
 		dev.SetFaultModel(tester.New(faultCfg))
 	}
@@ -209,40 +179,11 @@ func main() {
 	if faultCfg.Enabled() {
 		fmt.Printf("acquisition (%s tester, %s policy): %v\n", *testerPreset, acq.Aggregation, rep.Acquisition)
 	}
-	if rep.Delay != nil {
-		fmt.Printf("delay channel     score = %.5f  (scale %.4f, %d patterns, %d unstable) -> %s\n",
-			rep.Delay.Score, rep.Delay.Scale, rep.Delay.Patterns, rep.Delay.Unstable,
-			verdictWord(rep.Delay.Detected))
-	}
-	if cfg.Fusion != nil {
-		fmt.Printf("fused score       %.4f  (threshold %.4f) -> %s\n",
-			rep.FusedScore, cfg.Fusion.Threshold, verdictWord(rep.FusedDetected))
-	}
-	// The headline verdict is the selected channel's; the power line
-	// above always reports the paper's |S-RPD| criterion alongside.
-	fmt.Printf("verdict: ")
-	switch {
-	case ch == core.ChannelDelay:
-		if rep.Delay.Detected {
-			fmt.Printf("TROJAN DETECTED  (delay residual %.4f > threshold %.4f)\n",
-				rep.Delay.Score, rep.Delay.Threshold)
-		} else {
-			fmt.Printf("clean (delay residual %.4f within threshold %.4f; power |S-RPD| %.4f vs bound %.4f -> %s)\n",
-				rep.Delay.Score, rep.Delay.Threshold, abs(rep.FinalSRPD), rep.Varsigma, verdictWord(rep.Detected))
-		}
-	case ch == core.ChannelFused && cfg.Fusion != nil:
-		if rep.FusedDetected {
-			fmt.Printf("TROJAN DETECTED  (fused score %.4f > learned threshold %.4f)\n",
-				rep.FusedScore, cfg.Fusion.Threshold)
-		} else {
-			fmt.Printf("clean (fused score %.4f within learned threshold %.4f)\n",
-				rep.FusedScore, cfg.Fusion.Threshold)
-		}
-	case rep.Detected:
-		fmt.Printf("TROJAN DETECTED  (|S-RPD| %.4f > max benign %.4f at 3σ_intra=%.0f%%)\n",
+	if rep.Detected {
+		fmt.Printf("verdict: TROJAN DETECTED  (|S-RPD| %.4f > max benign %.4f at 3σ_intra=%.0f%%)\n",
 			abs(rep.FinalSRPD), rep.Varsigma, 100**varsigma)
-	default:
-		fmt.Printf("clean (|S-RPD| %.4f within benign bound %.4f)\n", abs(rep.FinalSRPD), rep.Varsigma)
+	} else {
+		fmt.Printf("verdict: clean (|S-RPD| %.4f within benign bound %.4f)\n", abs(rep.FinalSRPD), rep.Varsigma)
 	}
 	fmt.Println("\ndetection likelihood vs intra-die variation (Eq. 3):")
 	for _, v := range core.TableIIVarsigmas {
@@ -298,44 +239,6 @@ func materialize(caseName, benchFile string, infect int, clean bool, scale float
 	}
 }
 
-// verdictWord renders a per-channel boolean verdict.
-func verdictWord(detected bool) string {
-	if detected {
-		return "DETECTED"
-	}
-	return "clean"
-}
-
-// trainFusionCalibration learns the fused operating point on a clean
-// control lot of the golden design: 8 Trojan-free dies certified under
-// the same tester preset, their (power, delay) scores reduced by
-// fusion.Train. The lot's process and fault seeds are decorrelated
-// from the die under certification, so the evaluated die is held out
-// of its own calibration.
-func trainFusionCalibration(golden *netlist.Netlist, lib *power.Library, cfg core.Config,
-	faultCfg tester.Config, varsigma float64, chipSeed, testerSeed uint64, workers int) (fusion.Calibration, error) {
-	tcfg := cfg
-	tcfg.Fusion = nil
-	tc := faultCfg
-	tc.Seed = parallel.Mix(testerSeed, 0x5EED)
-	lr, err := core.CertifyLot(golden, lib, golden, tcfg, core.LotOptions{
-		Dies:        8,
-		Variation:   power.ThreeSigmaIntra(varsigma),
-		Seed:        parallel.Mix(chipSeed, 0xCA1),
-		Tester:      tc,
-		Acquisition: cfg.Acquisition,
-		Workers:     workers,
-	})
-	if err != nil {
-		return fusion.Calibration{}, err
-	}
-	obs := make([]fusion.Observation, 0, len(lr.Dies))
-	for _, d := range lr.Dies {
-		obs = append(obs, fusion.Observation{Power: d.FinalMag, Delay: d.DelayMag})
-	}
-	return fusion.Train(obs, 0), nil
-}
-
 // runDelayFingerprint runs the path-delay baseline ([1]-style) instead of
 // the power superposition pipeline.
 func runDelayFingerprint(golden, physical *netlist.Netlist, truth *trojan.Instance,
@@ -378,15 +281,8 @@ func runLot(out io.Writer, golden *netlist.Netlist, lib *power.Library, physical
 	fmt.Fprintln(out, "golden:", golden.ComputeStats())
 	fmt.Fprintln(out, lr)
 	for _, d := range lr.Dies {
-		line := fmt.Sprintf("  die %d (seed %d): |S-RPD| %.4f  detected=%v",
+		fmt.Fprintf(out, "  die %d (seed %d): |S-RPD| %.4f  detected=%v\n",
 			d.Die, d.Seed, d.FinalMag, d.Report.Detected)
-		if d.Report.Delay != nil {
-			line += fmt.Sprintf("  delay %.4f=%v", d.DelayMag, d.Report.Delay.Detected)
-		}
-		if cfg.Fusion != nil {
-			line += fmt.Sprintf("  fused %.4f=%v", d.FusedScore, d.Report.FusedDetected)
-		}
-		fmt.Fprintln(out, line)
 	}
 	if truth != nil {
 		fmt.Fprintf(out, "ground truth: lot is attacked (%d Trojan gates)\n", len(truth.TrojanGates))

@@ -728,14 +728,15 @@ func clusterJournal(t *testing.T, dataDir string) [][]byte {
 	return records
 }
 
-// TestClusterFusedSpecPassthrough: a fused-channel spec survives the
-// coordinator → worker dispatch intact — the worker-side runner sees
-// the channel field, so a remote fused certification trains and
-// applies its calibration exactly like a local one.
-func TestClusterFusedSpecPassthrough(t *testing.T) {
-	gotChannel := make(chan string, 1)
+// TestRemovedChannelKeyRejected: the job spec no longer has a
+// "channel" key (power is the only side channel), and the strict spec
+// decoder turns a spec that still carries one into HTTP 400 — from a
+// standalone server and from the coordinator alike, before anything
+// runs or is dispatched.
+func TestRemovedChannelKeyRejected(t *testing.T) {
+	var runs atomic.Int32
 	_, worker := startWorker(t, func(ctx context.Context, j *service.Job) error {
-		gotChannel <- j.Spec.Channel
+		runs.Add(1)
 		return nil
 	})
 	_, coord := startCoordinator(t, Options{
@@ -745,24 +746,16 @@ func TestClusterFusedSpecPassthrough(t *testing.T) {
 	})
 	registerWorker(t, coord.URL, worker.URL)
 
-	st, resp := submitSpec(t, coord.URL, `{"kind":"detect","case":"s35932-T200","channel":"fused"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	waitState(t, coord.URL, st.ID, service.StateDone, 5*time.Second)
-	select {
-	case ch := <-gotChannel:
-		if ch != "fused" {
-			t.Fatalf("worker saw channel %q, want fused", ch)
+	for _, base := range []string{worker.URL, coord.URL} {
+		for _, ch := range []string{"power", "fused"} {
+			spec := `{"kind":"detect","case":"s35932-T200","channel":"` + ch + `"}`
+			if _, resp := submitSpec(t, base, spec); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: channel %q: HTTP %d, want 400", base, ch, resp.StatusCode)
+			}
 		}
-	default:
-		t.Fatal("worker runner never observed the spec")
 	}
-
-	// An invalid channel is rejected at submission, before dispatch.
-	_, resp = submitSpec(t, coord.URL, `{"kind":"detect","case":"s35932-T200","channel":"thermal"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid channel: HTTP %d, want 400", resp.StatusCode)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("a rejected spec ran %d times", n)
 	}
 }
 

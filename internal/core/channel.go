@@ -1,43 +1,12 @@
 package core
 
-import "fmt"
-
-// Channel selects which side-channel observable(s) drive a
-// certification run. The power channel is the paper's method and the
-// default; the delay channel reuses the same LOS stimuli as
-// transition-delay launches (internal/delay); fused combines both
-// through a learned calibration (internal/fusion).
+// Channel names a side channel.
+//
+// Deprecated: power is the only side channel, so there is nothing left
+// to select; the type remains so existing callers keep compiling.
 type Channel string
 
-// The supported measurement channels.
-const (
-	ChannelPower Channel = "power"
-	ChannelDelay Channel = "delay"
-	ChannelFused Channel = "fused"
-)
-
-// ParseChannel resolves a channel name; the empty string means power
-// (backward compatible with every pre-fusion config and job spec).
-func ParseChannel(s string) (Channel, error) {
-	switch Channel(s) {
-	case "", ChannelPower:
-		return ChannelPower, nil
-	case ChannelDelay:
-		return ChannelDelay, nil
-	case ChannelFused:
-		return ChannelFused, nil
-	}
-	return "", fmt.Errorf("core: unknown channel %q (have power, delay, fused)", s)
-}
-
-// UsesDelay reports whether the channel needs the delay measurement
-// path (a delay chip on the device).
-func (c Channel) UsesDelay() bool { return c == ChannelDelay || c == ChannelFused }
-
-// String returns the channel name, never empty.
-func (c Channel) String() string {
-	if c == "" {
-		return string(ChannelPower)
-	}
-	return string(c)
-}
+// ChannelPower is the power side channel.
+//
+// Deprecated: see Channel.
+const ChannelPower Channel = "power"

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"superpose/internal/atpg"
-	"superpose/internal/fusion"
 	"superpose/internal/netlist"
 	"superpose/internal/power"
 	"superpose/internal/scan"
@@ -60,22 +59,12 @@ type Config struct {
 	// NaiveAcquisition, RobustAcquisition). The zero value leaves the
 	// device's configured policy untouched.
 	Acquisition AcquisitionPolicy
-	// Channel selects the side-channel observable(s): power (default,
-	// the paper's method), delay (transition-delay launches over the
-	// same LOS stimuli), or fused (both, joined through Fusion). The
-	// delay and fused channels require a delay chip on the device
-	// (Device.SetDelayChip; CertifyLot mounts one automatically).
+	// Channel is ignored.
+	//
+	// Deprecated: power is the only side channel, so there is nothing
+	// left to select; the field remains so existing callers keep
+	// compiling.
 	Channel Channel
-	// DelayThreshold is the delay channel's verdict bound on the worst
-	// calibrated path residual (default: Varsigma — the same "what can
-	// process variation explain" budget, conservatively applied to the
-	// relative delay residual).
-	DelayThreshold float64
-	// Fusion, when trained, supplies the learned fused operating point
-	// (see fusion.Train over clean-control observations). Required for a
-	// fused verdict; with a nil or untrained calibration the fused score
-	// stays NaN and FusedDetected false.
-	Fusion *fusion.Calibration
 	// Progress, when non-nil, receives per-phase progress events
 	// (seeds, calibration, adaptive climb, pair analysis, confirmation).
 	// Reporting never alters the flow; see ProgressFunc for the
@@ -95,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPairs == 0 {
 		c.MaxPairs = 3
-	}
-	if c.Channel == "" {
-		c.Channel = ChannelPower
-	}
-	if c.DelayThreshold == 0 {
-		c.DelayThreshold = c.Varsigma
 	}
 	return c
 }
@@ -143,60 +126,13 @@ type Report struct {
 	UnstableSeeds int              `json:"unstable_seeds"`
 	UnstablePairs int              `json:"unstable_pairs"`
 
-	// Verdict. Detected is the power channel's verdict — the paper's
-	// method, reported identically regardless of Channel; the delay and
-	// fused channels carry their own verdicts below (ChannelDetected
-	// selects among them).
+	// Verdict.
 	FinalSRPD float64 `json:"final_srpd"`
 	// FinalZ is the final pair's residual in benign standard deviations
 	// (Significance / σ_intra with σ_intra = Varsigma/3).
 	FinalZ   float64 `json:"final_z"`
 	Varsigma float64 `json:"varsigma"`
 	Detected bool    `json:"detected"`
-
-	// Channel echoes the configured measurement channel; Delay holds the
-	// delay channel's result when it was measured (Channel delay or
-	// fused). FusedScore/FusedDetected carry the learned-calibration
-	// verdict (FusedScore is NaN unless Channel is fused and a trained
-	// fusion.Calibration was supplied).
-	Channel       Channel      `json:"channel,omitempty"`
-	Delay         *DelayResult `json:"delay,omitempty"`
-	FusedScore    float64      `json:"fused_score"`
-	FusedDetected bool         `json:"fused_detected"`
-}
-
-// DelayResult is the delay side channel's contribution to a Report: the
-// worst calibrated sensitized-path residual over the run's LOS stimuli
-// (seeds plus the adaptive climb's flagged pairs — the same patterns,
-// reused as transition-delay launches). It is a wire type; Score and
-// Scale go NaN when no pattern stabilized (see wire.go).
-type DelayResult struct {
-	// Score is the worst calibrated relative path-delay residual; NaN
-	// when the delay channel never stabilized.
-	Score float64 `json:"score"`
-	// Scale is the calibrated inter-die delay factor (median
-	// measured/nominal) — the delay analogue of the power calibration.
-	Scale float64 `json:"scale"`
-	// Patterns counts stimuli contributing to the score; Unstable counts
-	// stimuli whose measurement the acquisition layer could not recover.
-	Patterns int `json:"patterns"`
-	Unstable int `json:"unstable"`
-	// Threshold is the verdict bound applied to Score.
-	Threshold float64 `json:"threshold"`
-	Detected  bool    `json:"detected"`
-}
-
-// ChannelDetected returns the verdict of the requested channel: power's
-// Eq. 3 bound, delay's residual threshold, or the fused learned
-// operating point. An unmeasured channel is never a detection.
-func (r *Report) ChannelDetected(ch Channel) bool {
-	switch ch {
-	case ChannelDelay:
-		return r.Delay != nil && r.Delay.Detected
-	case ChannelFused:
-		return r.FusedDetected
-	}
-	return r.Detected
 }
 
 // DetectionProbabilityAt evaluates the Eq. 3 bound for the report's final
@@ -241,9 +177,6 @@ func Detect(golden *netlist.Netlist, lib *power.Library, dev *Device, cfg Config
 // measurements. With a background context it is bit-identical to Detect.
 func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Library, dev *Device, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Channel.UsesDelay() && dev.DelayChip() == nil {
-		return nil, fmt.Errorf("core: channel %q requires a delay chip on the device (SetDelayChip)", cfg.Channel)
-	}
 	if cfg.Acquisition != (AcquisitionPolicy{}) {
 		dev.SetAcquisition(cfg.Acquisition)
 	}
@@ -253,7 +186,7 @@ func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Libr
 	defer ev.Close() // the workbench is per-Detect; its pooled buffers recycle across dies
 
 	seeds := cfg.SeedPatterns
-	rep := &Report{Varsigma: cfg.Varsigma, Channel: cfg.Channel, FusedScore: math.NaN()}
+	rep := &Report{Varsigma: cfg.Varsigma}
 	if len(seeds) == 0 {
 		cfg.Progress.emit(StageSeeds, 0, 0, "generating ATPG seed patterns")
 		gen, err := atpg.Generate(ev.Chains(), cfg.ATPG)
@@ -432,51 +365,6 @@ func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Libr
 	}
 	rep.Detected = abs(rep.FinalSRPD) > MaxBenignSRPD(cfg.Varsigma) ||
 		(cfg.ZThreshold > 0 && rep.FinalZ > cfg.ZThreshold)
-
-	// Delay channel: the same LOS stimuli, reapplied as transition-delay
-	// launches — the seeds plus the adaptive climb's flagged pairs, whose
-	// low-activity alignment makes a trigger-extended path a large
-	// fraction of the measured delay. No pattern re-generation.
-	if cfg.Channel.UsesDelay() {
-		cfg.Progress.emit(StageDelay, 0, 0, "transition-delay channel measurement")
-		stimuli := make([]*scan.Pattern, 0, len(seeds)+2*nPairs+2)
-		stimuli = append(stimuli, seeds...)
-		for i := 0; i < nPairs; i++ {
-			stimuli = append(stimuli, flagged[i].A, flagged[i].B)
-		}
-		if rep.HasPair {
-			stimuli = append(stimuli, rep.Strategic.Final.A, rep.Strategic.Final.B)
-		}
-		dr := ev.MeasureDelayChannel(stimuli)
-		if math.IsNaN(dr.Score) {
-			// An all-NaN delay sweep means the acquisition aborted
-			// (cancellation or an injected fault held sticky on the
-			// device) — report the abort, not a silently clean channel.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := dev.Err(); err != nil {
-				return nil, fmt.Errorf("core: delay acquisition aborted: %w", err)
-			}
-			// Otherwise the tester's delay faults defeated every stimulus:
-			// degrade gracefully — NaN score, never a verdict.
-		}
-		rep.Delay = &DelayResult{
-			Score:     dr.Score,
-			Scale:     dr.Scale,
-			Patterns:  dr.Used,
-			Unstable:  dr.Unstable,
-			Threshold: cfg.DelayThreshold,
-			Detected:  !math.IsNaN(dr.Score) && dr.Score > cfg.DelayThreshold,
-		}
-	}
-
-	// Fused verdict: the learned operating point over the channel pair.
-	if cfg.Channel == ChannelFused && cfg.Fusion != nil && cfg.Fusion.Enabled() {
-		obs := fusion.Observation{Power: abs(rep.FinalSRPD), Delay: rep.Delay.Score}
-		rep.FusedScore = cfg.Fusion.Score(obs)
-		rep.FusedDetected = cfg.Fusion.Detect(obs)
-	}
 
 	rep.Acquisition = dev.AcquisitionStats().Sub(acqStart)
 	return rep, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"superpose/internal/delay"
 	"superpose/internal/failpoint"
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
@@ -12,7 +11,6 @@ import (
 	"superpose/internal/scan"
 	"superpose/internal/stats"
 	"superpose/internal/tester"
-	"superpose/internal/timing"
 )
 
 // Device is the IC-under-certification sitting on the tester. Applying a
@@ -40,15 +38,6 @@ type Device struct {
 	acq      AcquisitionStats
 	masks    []logic.Word // scratch
 	sweepRaw []float64    // scratch for sparse sweep pricing
-
-	// Delay measurement path (SetDelayChip): the die's timing reality
-	// plus a pooled walker over the physical netlist that turns a
-	// launch's toggle set into the tester-visible sensitized-path delay.
-	// delayRaw/delayTog are per-chunk scratch.
-	dchip    *delay.Chip
-	dwalker  *timing.PathWalker
-	delayRaw []float64
-	delayTog []int
 
 	// Run context (see SetContext): a cancelled context makes every
 	// subsequent acquisition deliver NaN readings instead of partial
@@ -115,32 +104,7 @@ func newDevice(chip *power.Chip, ch *scan.Chains, mode scan.Mode) *Device {
 // pools. The Device must not be used afterwards; Close is idempotent.
 func (d *Device) Close() {
 	d.eng.Close()
-	if d.dwalker != nil {
-		d.dwalker.Release()
-		d.dwalker = nil
-	}
 }
-
-// SetDelayChip mounts the die's delay-channel reality (nil unmounts it).
-// The chip must be manufactured over the same physical netlist as the
-// power chip; a walker over that netlist is pooled with the device.
-// Mounting the delay channel perturbs nothing on the power path: power
-// readings, fault realizations and stuck-guard state stay bit-identical
-// to a device that never measures delay.
-func (d *Device) SetDelayChip(c *delay.Chip) {
-	d.dchip = c
-	if d.dwalker != nil {
-		d.dwalker.Release()
-		d.dwalker = nil
-	}
-	if c != nil {
-		d.dwalker = timing.NewPathWalker(d.physical)
-	}
-}
-
-// DelayChip returns the mounted delay-channel chip (nil when the device
-// measures power only).
-func (d *Device) DelayChip() *delay.Chip { return d.dchip }
 
 // SetRepeats makes every reading the aggregate of k pattern applications —
 // standard tester practice to suppress measurement noise (process
@@ -241,49 +205,17 @@ func (d *Device) measureChunk(pats []*scan.Pattern) []float64 {
 		func(i int) readingKey { return readingKey{pat: pats[i]} })
 }
 
-// acqChannel parameterizes the acquisition loop per measurement
-// channel: the chaos failpoint site, the tester fault transform on the
-// raw stream (nil for an ideal tester), whether a single pass is exact
-// (no chip noise, no faults), and whether the stuck-latch guard
-// participates. The power channel guards; the delay channel does not —
-// a quantizing TDC legitimately repeats codes, and more importantly the
-// guard's run state belongs to the power stream: the delay channel must
-// never advance it (cross-channel identity contract).
-type acqChannel struct {
-	site     string
-	apply    func(float64) float64
-	exact    bool
-	useGuard bool
-}
-
-// acquire runs the acquisition policy for the power channel. price
-// performs one tester pass — it must return n raw lane readings and
-// draw any chip measurement noise afresh per call — and key identifies
-// lane i's stimulus for the stuck-latch guard. Both the batch path
-// (dense toggle masks of materialized patterns) and the single-flip
-// sweep path (sparse masks of virtual flip lanes) funnel through here,
-// so the two acquire readings with bit-identical policy behavior.
-func (d *Device) acquire(n int, price func() []float64, key func(lane int) readingKey) []float64 {
-	var apply func(float64) float64
-	if d.faults != nil {
-		apply = d.faults.Apply
-	}
-	return d.acquireChannel(n, price, key, acqChannel{
-		site:     "core/acquire",
-		apply:    apply,
-		exact:    d.chip.NoiseSigma() == 0 && d.faults == nil,
-		useGuard: true,
-	})
-}
-
-// acquireChannel runs the measurement-acquisition policy over one chunk
-// of n lanes of one channel — repeats, MAD outlier rejection, spread
-// gate, retry budget and aggregation are channel-agnostic; the channel
-// spec supplies what differs (see acqChannel). The delay channel gets
-// the identical robust treatment the power channel hardened in PR 5,
-// including the run-context contract: a cancelled context yields NaN
+// acquire runs the measurement-acquisition policy over one chunk of n
+// lanes: repeats, MAD outlier rejection, the stuck-latch guard, spread
+// gate, retry budget and aggregation. price performs one tester pass —
+// it must return n raw lane readings and draw any chip measurement noise
+// afresh per call — and key identifies lane i's stimulus for the
+// stuck-latch guard. Both the batch path (dense toggle masks of
+// materialized patterns) and the single-flip sweep path (sparse masks of
+// virtual flip lanes) funnel through here, so the two acquire readings
+// with bit-identical policy behavior. A cancelled run context yields NaN
 // lanes and a sticky Err, never partially-aggregated readings.
-func (d *Device) acquireChannel(n int, price func() []float64, key func(lane int) readingKey, ch acqChannel) []float64 {
+func (d *Device) acquire(n int, price func() []float64, key func(lane int) readingKey) []float64 {
 	// A cancelled run context aborts the acquisition before the first
 	// tester pass: the caller gets NaN readings and Err() the cause.
 	if d.cancelled() != nil {
@@ -293,7 +225,7 @@ func (d *Device) acquireChannel(n int, price func() []float64, key func(lane int
 	// Chaos hook: an injected acquisition fault aborts exactly like a
 	// cancellation — NaN readings, cause sticky in ctxErr — so the flow
 	// above exercises its abort path without a real tester outage.
-	if err := failpoint.Inject(ch.site); err != nil {
+	if err := failpoint.Inject("core/acquire"); err != nil {
 		d.ctxErr = err
 		return d.nanReadings(n)
 	}
@@ -301,7 +233,7 @@ func (d *Device) acquireChannel(n int, price func() []float64, key func(lane int
 	// Fast path: a noiseless chip behind an ideal tester returns the
 	// identical value on every repeat, so one sweep is exact regardless
 	// of the configured repeat count.
-	if ch.exact {
+	if d.chip.NoiseSigma() == 0 && d.faults == nil {
 		d.acq.Passes++
 		d.acq.Raw += uint64(n)
 		d.acq.Readings += uint64(n)
@@ -320,8 +252,8 @@ func (d *Device) acquireChannel(n int, price func() []float64, key func(lane int
 		d.acq.Passes++
 		vals := price()
 		for i, v := range vals {
-			if ch.apply != nil {
-				v = ch.apply(v)
+			if d.faults != nil {
+				v = d.faults.Apply(v)
 			}
 			d.acq.Raw++
 
@@ -333,7 +265,7 @@ func (d *Device) acquireChannel(n int, price func() []float64, key func(lane int
 			// run is already suspect. The run state advances on every
 			// reading, recorded or not, to stay aligned with the stream.
 			suspect := false
-			if ch.useGuard && p.StuckGuard {
+			if p.StuckGuard {
 				k := key(i)
 				suspect = v == d.prevRaw && (k != d.prevKey || d.prevSuspect)
 				d.prevRaw, d.prevKey, d.prevSuspect = v, k, suspect
@@ -461,77 +393,6 @@ func (d *Device) MeasureSweep(base *scan.Pattern, flips []scan.Flip, ids []int, 
 		func(i int) readingKey {
 			return readingKey{pat: base, chain: flips[i].Chain, index: flips[i].Index, sweep: true}
 		})
-}
-
-// MeasureDelayBatch applies a set of patterns as transition-delay
-// launches and returns one sensitized-path-delay reading per pattern,
-// acquired under the configured policy. The physical truth per pattern
-// is the worst arrival over the gates the launch toggles on the die's
-// true (process-varied) delays; the tester's delay fault model (jitter,
-// TDC quantization, dropped conversions) perturbs the stream, and the
-// same repeats/MAD/retry machinery as the power path stabilizes it.
-// Requires SetDelayChip; panics otherwise (programming error, like an
-// oversized engine launch).
-//
-// The delay path deliberately touches no power-channel state: the power
-// fault stream, the chip's measurement-noise RNG and the stuck-guard
-// run state all stay exactly where a power-only run would leave them.
-func (d *Device) MeasureDelayBatch(pats []*scan.Pattern) []float64 {
-	if d.dchip == nil {
-		panic("core: MeasureDelayBatch without SetDelayChip")
-	}
-	out := make([]float64, 0, len(pats))
-	for start := 0; start < len(pats); start += 64 {
-		end := start + 64
-		if end > len(pats) {
-			end = len(pats)
-		}
-		out = append(out, d.measureDelayChunk(pats[start:end])...)
-	}
-	return out
-}
-
-// measureDelayChunk acquires delay readings for 1..64 patterns (one
-// launch). The die's true path delays are computed once per chunk —
-// they are deterministic per pattern, all between-pass variation coming
-// from the tester — and re-served to every acquisition pass.
-func (d *Device) measureDelayChunk(pats []*scan.Pattern) []float64 {
-	if _, _, err := d.eng.Launch(pats, d.mode); err != nil {
-		panic(err.Error()) // chunked to 1..64 patterns by construction
-	}
-	sets, tbuf := d.eng.TogglesAllBuf(len(pats), d.delayTog)
-	d.delayTog = tbuf
-	if cap(d.delayRaw) < len(pats) {
-		d.delayRaw = make([]float64, len(pats))
-	}
-	raw := d.delayRaw[:len(pats)]
-	for i := range pats {
-		raw[i] = d.dwalker.PathDelay(d.dchip.Delays(), sets[i])
-	}
-
-	var apply func(float64) float64
-	exact := true
-	if d.faults != nil && d.faults.Config().DelayEnabled() {
-		apply = d.faults.ApplyDelay
-		exact = false
-	}
-	return d.acquireChannel(len(pats),
-		func() []float64 { return raw },
-		func(i int) readingKey { return readingKey{pat: pats[i]} },
-		acqChannel{
-			site:  "core/acquire/delay",
-			apply: apply,
-			exact: exact,
-			// No stuck guard: a quantizing TDC repeats codes across
-			// different stimuli legitimately, and the guard's run state
-			// belongs to the power stream.
-			useGuard: false,
-		})
-}
-
-// MeasureDelay applies a single pattern as a transition-delay launch.
-func (d *Device) MeasureDelay(p *scan.Pattern) float64 {
-	return d.MeasureDelayBatch([]*scan.Pattern{p})[0]
 }
 
 // GroundTruthToggles returns the physical toggle set of a pattern

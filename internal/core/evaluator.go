@@ -4,12 +4,10 @@ import (
 	"math"
 	"sort"
 
-	"superpose/internal/delay"
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
 	"superpose/internal/power"
 	"superpose/internal/scan"
-	"superpose/internal/timing"
 )
 
 // Evaluator is the defender's workbench: the golden (Trojan-free) netlist
@@ -55,14 +53,6 @@ type Evaluator struct {
 	// is fixed per Evaluator, so the structural cone analysis is paid
 	// once per workbench rather than once per climb.
 	adaptiveSweep *Sweep
-
-	// Delay-channel golden side, built lazily on the first
-	// MeasureDelayChannel call: the nominal delay model over the golden
-	// netlist (same library as the device's delay chip) and a pooled
-	// walker that turns golden toggle predictions into nominal
-	// sensitized-path delays.
-	goldenDelay  *timing.Model
-	goldenWalker *timing.PathWalker
 }
 
 // NewEvaluator assembles the workbench. The scan configuration is built on
@@ -97,10 +87,6 @@ func (ev *Evaluator) Close() {
 	if ev.adaptiveSweep != nil {
 		ev.adaptiveSweep.Close()
 		ev.adaptiveSweep = nil
-	}
-	if ev.goldenWalker != nil {
-		ev.goldenWalker.Release()
-		ev.goldenWalker = nil
 	}
 }
 
@@ -256,42 +242,6 @@ func (ev *Evaluator) measureChunk(pats []*scan.Pattern) []Reading {
 // Measure evaluates a single pattern.
 func (ev *Evaluator) Measure(p *scan.Pattern) Reading {
 	return ev.MeasureBatch([]*scan.Pattern{p})[0]
-}
-
-// MeasureDelayChannel runs the delay side channel over a pattern set:
-// the device measures each pattern's sensitized-path delay on the die
-// (tester delay faults and the robust acquisition policy included), the
-// golden side computes the nominal expectation from the same stimuli —
-// the patterns need no re-generation, exactly the LOS-reuse argument —
-// and delay.Analyze calibrates out the inter-die scale and scores the
-// worst residual. Requires a delay chip on the device (SetDelayChip).
-//
-// The golden nominal model is built lazily from the device chip's
-// library, so defender and die price delays from the same cells. The
-// call leaves every power-channel quantity untouched: calibration
-// scale, drift tracking and the device's power fault stream all stay
-// bit-identical to a run that never measures delay.
-func (ev *Evaluator) MeasureDelayChannel(pats []*scan.Pattern) delay.Result {
-	measured := ev.dev.MeasureDelayBatch(pats)
-	if ev.goldenDelay == nil {
-		ev.goldenDelay = timing.NewModel(ev.golden, ev.dev.DelayChip().Library())
-		ev.goldenWalker = timing.NewPathWalker(ev.golden)
-	}
-	nominal := make([]float64, len(pats))
-	for start := 0; start < len(pats); start += 64 {
-		end := start + 64
-		if end > len(pats) {
-			end = len(pats)
-		}
-		chunk := pats[start:end]
-		ev.launch(chunk)
-		sets, tbuf := ev.eng.TogglesAllBuf(len(chunk), ev.tsetBuf)
-		ev.tsetBuf = tbuf
-		for i := range chunk {
-			nominal[start+i] = ev.goldenWalker.PathDelay(ev.goldenDelay.Delays(), sets[i])
-		}
-	}
-	return delay.Analyze(measured, nominal)
 }
 
 // GoldenToggles returns the golden-model toggle set of a pattern — the

@@ -7,14 +7,12 @@ import (
 	"sync/atomic"
 
 	"superpose/internal/atpg"
-	"superpose/internal/delay"
 	"superpose/internal/netlist"
 	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/scan"
 	"superpose/internal/stats"
 	"superpose/internal/tester"
-	"superpose/internal/timing"
 )
 
 // LotOptions describes a manufacturing lot to certify.
@@ -69,12 +67,6 @@ type DieResult struct {
 	Seed     uint64  `json:"seed"`
 	Report   *Report `json:"report,omitempty"`
 	FinalMag float64 `json:"final_mag"` // |FinalSRPD|
-	// DelayMag is the delay channel's score (NaN when the channel was
-	// not measured or never stabilized); FusedScore the learned-fusion
-	// score (NaN unless the lot ran the fused channel with a trained
-	// calibration). Both are NaN-safe on the wire (see wire.go).
-	DelayMag   float64 `json:"delay_mag"`
-	FusedScore float64 `json:"fused_score"`
 }
 
 // LotReport aggregates a lot certification. Like Report it is a wire
@@ -90,15 +82,6 @@ type LotReport struct {
 	Unstable int `json:"unstable"`
 	// Acquisition accumulates the acquisition counters across dies.
 	Acquisition AcquisitionStats `json:"acquisition"`
-
-	// Delay/fused channel aggregates, populated when the lot's Config
-	// selected a delay-bearing channel: per-channel detection counts and
-	// summaries of the stable per-die scores (NaN scores excluded, like
-	// SRPD's treatment of unstable dies).
-	DelayDetected int           `json:"delay_detected,omitempty"`
-	FusedDetected int           `json:"fused_detected,omitempty"`
-	Delay         stats.Summary `json:"delay"`
-	Fused         stats.Summary `json:"fused"`
 }
 
 // DetectionRate returns the fraction of dies flagged.
@@ -168,13 +151,6 @@ func CertifyLotContext(ctx context.Context, golden *netlist.Netlist, lib *power.
 			}
 			dev := NewDevice(chip, cfg.NumChains, cfg.Mode)
 			defer dev.Close() // per-die device; recycle its pooled buffers
-			if cfg.Channel.UsesDelay() {
-				// The delay die shares the lot's variation magnitudes but
-				// draws from a decorrelated stream (see delay.Manufacture):
-				// power and delay realities of the same die are independent,
-				// reproducible from the same per-die seed.
-				dev.SetDelayChip(delay.Manufacture(physical, timing.SAED90LikeDelays(), lot.Variation, seed))
-			}
 			if lot.MeasurementRepeats > 1 {
 				dev.SetRepeats(lot.MeasurementRepeats)
 			}
@@ -193,23 +169,14 @@ func CertifyLotContext(ctx context.Context, golden *netlist.Netlist, lib *power.
 				return DieResult{}, fmt.Errorf("core: die %d: %w", die, err)
 			}
 			lot.Progress.emit(StageDie, int(done.Add(1)), lot.Dies, "die certified")
-			dr := DieResult{
-				Die: die, Seed: seed, Report: rep,
-				FinalMag:   abs(rep.FinalSRPD),
-				DelayMag:   math.NaN(),
-				FusedScore: rep.FusedScore,
-			}
-			if rep.Delay != nil {
-				dr.DelayMag = rep.Delay.Score
-			}
-			return dr, nil
+			return DieResult{Die: die, Seed: seed, Report: rep, FinalMag: abs(rep.FinalSRPD)}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 
 	lr := &LotReport{Dies: dies}
-	var mags, delayMags, fusedScores []float64
+	var mags []float64
 	for _, d := range dies {
 		if d.Report.Detected {
 			lr.Detected++
@@ -219,25 +186,9 @@ func CertifyLotContext(ctx context.Context, golden *netlist.Netlist, lib *power.
 		} else {
 			mags = append(mags, d.FinalMag)
 		}
-		if d.Report.Delay != nil {
-			if d.Report.Delay.Detected {
-				lr.DelayDetected++
-			}
-			if !math.IsNaN(d.DelayMag) {
-				delayMags = append(delayMags, d.DelayMag)
-			}
-		}
-		if d.Report.FusedDetected {
-			lr.FusedDetected++
-		}
-		if !math.IsNaN(d.FusedScore) {
-			fusedScores = append(fusedScores, d.FusedScore)
-		}
 		lr.Acquisition = lr.Acquisition.add(d.Report.Acquisition)
 	}
 	lr.SRPD = stats.Summarize(mags)
-	lr.Delay = stats.Summarize(delayMags)
-	lr.Fused = stats.Summarize(fusedScores)
 	return lr, nil
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,9 +18,11 @@ import (
 // TestCertifyLotEngineWorkerEquivalence is the lot-level statement of
 // the PPSFP engine's determinism contract at the wire: the same lot, on
 // an ideal tester and under the combined fault preset, must encode
-// (netio.EncodeLotReport) to the same bytes at every worker count. The
-// sha256 of each regime's encoding is logged, so the bytes can be
-// compared across commits with -v.
+// (netio.EncodeLotReport) to the same bytes at every worker count. On
+// amd64 each regime's encoding is also pinned to a golden sha256, so a
+// change to the power path's bytes fails here rather than slipping
+// through; other architectures may round float arithmetic differently
+// (fused multiply-add), so there the digest is only logged.
 func TestCertifyLotEngineWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-die pipeline runs")
@@ -41,16 +44,17 @@ func TestCertifyLotEngineWorkerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	regimes := []struct {
-		name string
-		lot  core.LotOptions
+		name   string
+		lot    core.LotOptions
+		sha256 string
 	}{
 		{"ideal", core.LotOptions{
 			Dies: 3, Variation: power.ThreeSigmaIntra(0.10), Seed: 5,
-		}},
+		}, "fa222813fa87f163ea9754be51de655f7686b77e305ff09c83c5f3079c41fb1b"},
 		{"combined-tester", core.LotOptions{
 			Dies: 3, Variation: power.ThreeSigmaIntra(0.10), Seed: 5,
 			Tester: combined, Acquisition: core.RobustAcquisition(),
-		}},
+		}, "58cd2b5aff3a95ab246df24a8d5c5f44ab21fad55fadeb300f2fe7869367c512"},
 	}
 	for _, rg := range regimes {
 		rg := rg
@@ -69,7 +73,11 @@ func TestCertifyLotEngineWorkerEquivalence(t *testing.T) {
 				}
 				if ref == nil {
 					ref = buf.Bytes()
-					t.Logf("%s LotReport sha256 %x (%d bytes)", rg.name, sha256.Sum256(ref), len(ref))
+					sum := fmt.Sprintf("%x", sha256.Sum256(ref))
+					t.Logf("%s LotReport sha256 %s (%d bytes)", rg.name, sum, len(ref))
+					if runtime.GOARCH == "amd64" && sum != rg.sha256 {
+						t.Errorf("LotReport sha256 %s, want %s: the power path's bytes changed", sum, rg.sha256)
+					}
 					continue
 				}
 				if !bytes.Equal(buf.Bytes(), ref) {

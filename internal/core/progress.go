@@ -14,7 +14,6 @@ const (
 	StageAdaptive  Stage = "adaptive"  // adaptive climb (Step = accepted step or seed index)
 	StagePairs     Stage = "pairs"     // superposition + strategic pair analysis
 	StageConfirm   Stage = "confirm"   // verdict-pair re-measurement
-	StageDelay     Stage = "delay"     // transition-delay channel measurement
 	StageDie       Stage = "die"       // lot certification: Step dies of Total done
 )
 

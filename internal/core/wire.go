@@ -134,19 +134,17 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	type alias Report
 	return json.Marshal(struct {
 		alias
-		FinalSRPD  nanf `json:"final_srpd"`
-		FinalZ     nanf `json:"final_z"`
-		FusedScore nanf `json:"fused_score"`
-	}{alias(r), nanf(r.FinalSRPD), nanf(r.FinalZ), nanf(r.FusedScore)})
+		FinalSRPD nanf `json:"final_srpd"`
+		FinalZ    nanf `json:"final_z"`
+	}{alias(r), nanf(r.FinalSRPD), nanf(r.FinalZ)})
 }
 
 func (r *Report) UnmarshalJSON(b []byte) error {
 	type alias Report
 	var w struct {
 		alias
-		FinalSRPD  nanf `json:"final_srpd"`
-		FinalZ     nanf `json:"final_z"`
-		FusedScore nanf `json:"fused_score"`
+		FinalSRPD nanf `json:"final_srpd"`
+		FinalZ    nanf `json:"final_z"`
 	}
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
@@ -154,34 +152,6 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 	*r = Report(w.alias)
 	r.FinalSRPD = float64(w.FinalSRPD)
 	r.FinalZ = float64(w.FinalZ)
-	r.FusedScore = float64(w.FusedScore)
-	return nil
-}
-
-// The delay channel's score and calibration scale go NaN when no
-// stimulus stabilized under the tester's delay faults.
-func (d DelayResult) MarshalJSON() ([]byte, error) {
-	type alias DelayResult
-	return json.Marshal(struct {
-		alias
-		Score nanf `json:"score"`
-		Scale nanf `json:"scale"`
-	}{alias(d), nanf(d.Score), nanf(d.Scale)})
-}
-
-func (d *DelayResult) UnmarshalJSON(b []byte) error {
-	type alias DelayResult
-	var w struct {
-		alias
-		Score nanf `json:"score"`
-		Scale nanf `json:"scale"`
-	}
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*d = DelayResult(w.alias)
-	d.Score = float64(w.Score)
-	d.Scale = float64(w.Scale)
 	return nil
 }
 
@@ -189,50 +159,20 @@ func (d DieResult) MarshalJSON() ([]byte, error) {
 	type alias DieResult
 	return json.Marshal(struct {
 		alias
-		FinalMag   nanf `json:"final_mag"`
-		DelayMag   nanf `json:"delay_mag"`
-		FusedScore nanf `json:"fused_score"`
-	}{alias(d), nanf(d.FinalMag), nanf(d.DelayMag), nanf(d.FusedScore)})
+		FinalMag nanf `json:"final_mag"`
+	}{alias(d), nanf(d.FinalMag)})
 }
 
 func (d *DieResult) UnmarshalJSON(b []byte) error {
 	type alias DieResult
 	var w struct {
 		alias
-		FinalMag   nanf `json:"final_mag"`
-		DelayMag   nanf `json:"delay_mag"`
-		FusedScore nanf `json:"fused_score"`
+		FinalMag nanf `json:"final_mag"`
 	}
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
 	*d = DieResult(w.alias)
 	d.FinalMag = float64(w.FinalMag)
-	d.DelayMag = float64(w.DelayMag)
-	d.FusedScore = float64(w.FusedScore)
-	return nil
-}
-
-// ROCPoint thresholds sit infinitesimally below observed scores and are
-// finite by construction, but a curve built from degenerate inputs must
-// still survive the wire — every field rides the NaN-safe carrier.
-func (p ROCPoint) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Threshold nanf `json:"threshold"`
-		TPR       nanf `json:"tpr"`
-		FPR       nanf `json:"fpr"`
-	}{nanf(p.Threshold), nanf(p.TPR), nanf(p.FPR)})
-}
-
-func (p *ROCPoint) UnmarshalJSON(b []byte) error {
-	var w struct {
-		Threshold nanf `json:"threshold"`
-		TPR       nanf `json:"tpr"`
-		FPR       nanf `json:"fpr"`
-	}
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*p = ROCPoint{float64(w.Threshold), float64(w.TPR), float64(w.FPR)}
 	return nil
 }

@@ -88,44 +88,3 @@ func ReadLotReportFile(path string) (*core.LotReport, error) {
 	defer f.Close()
 	return DecodeLotReport(f)
 }
-
-// EncodeROC writes an ROC artifact — the fusion table's per-preset
-// power/delay/fused curves — as indented JSON (NaN-safe via core's
-// wire marshalers).
-func EncodeROC(w io.Writer, rows []core.FusionRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// DecodeROC reads a JSON ROC artifact.
-func DecodeROC(r io.Reader) ([]core.FusionRow, error) {
-	var rows []core.FusionRow
-	if err := json.NewDecoder(r).Decode(&rows); err != nil {
-		return nil, fmt.Errorf("netio: decode roc: %w", err)
-	}
-	return rows, nil
-}
-
-// WriteROCFile saves an ROC artifact to path as JSON.
-func WriteROCFile(path string, rows []core.FusionRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := EncodeROC(f, rows); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadROCFile loads a JSON ROC artifact from path.
-func ReadROCFile(path string) ([]core.FusionRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeROC(f)
-}

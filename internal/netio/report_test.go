@@ -3,7 +3,6 @@ package netio
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -198,29 +197,6 @@ func TestReportFileRoundTrip(t *testing.T) {
 	}
 	if gotLot.Unstable != 1 || len(gotLot.Dies) != 1 {
 		t.Errorf("lot changed: %+v", gotLot)
-	}
-}
-
-func TestROCArtifactRoundTrip(t *testing.T) {
-	rows := []core.FusionRow{{
-		Preset:   "combined",
-		Case:     "s35932-T200",
-		PowerAUC: math.NaN(),
-		DelayAUC: 0.9,
-		FusedAUC: 1,
-		PowerROC: []core.ROCPoint{{Threshold: 0.1, TPR: 1, FPR: 0}},
-	}}
-	path := filepath.Join(t.TempDir(), "roc.json")
-	if err := WriteROCFile(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadROCFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Preset != "combined" || !math.IsNaN(back[0].PowerAUC) ||
-		back[0].FusedAUC != 1 || len(back[0].PowerROC) != 1 {
-		t.Errorf("ROC artifact mangled: %+v", back)
 	}
 }
 

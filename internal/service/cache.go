@@ -10,7 +10,6 @@ import (
 
 	"superpose/internal/atpg"
 	"superpose/internal/failpoint"
-	"superpose/internal/fusion"
 	"superpose/internal/netlist"
 	"superpose/internal/scan"
 	"superpose/internal/trojan"
@@ -156,19 +155,6 @@ func (c *Cache) Seeds(key string, build func() ([]*scan.Pattern, error)) ([]*sca
 	return v.([]*scan.Pattern), hit, nil
 }
 
-// Calibration returns the trained fusion operating point for key. The
-// training lot is the most expensive artifact the service builds, so
-// repeat fused submissions of the same design must share one
-// calibration — which the fusion determinism contract permits: the
-// trained threshold is bit-identical regardless of who trained it.
-func (c *Cache) Calibration(key string, build func() (fusion.Calibration, error)) (fusion.Calibration, bool, error) {
-	v, hit, err := c.do(key, func() (any, error) { return build() })
-	if err != nil {
-		return fusion.Calibration{}, false, err
-	}
-	return v.(fusion.Calibration), hit, nil
-}
-
 // instanceKey derives the cache key for a job's materialized design.
 func instanceKey(spec JobSpec) string {
 	if spec.Case != "" {
@@ -186,13 +172,4 @@ func seedsKey(ikey string, chains int, o atpg.Options) string {
 	return fmt.Sprintf("%s|chains=%d|atpg=bt%d,r%d,mp%d,mf%d,fs%d,s%d,nd%d",
 		ikey, chains, o.BacktrackLimit, o.RandomPatterns, o.MaxPatterns,
 		o.MaxFaults, o.FaultSample, o.Seed, o.NDetect)
-}
-
-// calibrationKey derives the cache key for a design's fusion
-// calibration: the seed-set key (the training lot reuses the shared
-// seeds) plus every knob that shapes the clean training lot. Clean and
-// infected submissions of the same design deliberately share a key —
-// the calibration trains on the golden netlist either way.
-func calibrationKey(skey string, spec JobSpec) string {
-	return fmt.Sprintf("%s|cal=vs%g,t%s,ts%d,cs%d", skey, spec.Varsigma, spec.Tester, spec.TesterSeed, spec.ChipSeed)
 }

@@ -353,65 +353,3 @@ func TestE2ECancelInFlight(t *testing.T) {
 		t.Error("cancelled job must not deliver a report")
 	}
 }
-
-// TestE2EFusedDetect drives a fused-channel job end to end: the worker
-// trains the fusion calibration on a clean control lot (cached), the
-// report carries the delay and fused verdicts, and a clean die is not
-// flagged at the learned operating point. The repeat submission must
-// reuse the cached calibration.
-func TestE2EFusedDetect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline over HTTP")
-	}
-	_, ts := newTestServer(t, Options{Workers: 1}, nil)
-
-	// ς=0.08: at the tiny test scale the Trojan's relative signal is
-	// modest, so the test runs at a variation where the learned margin
-	// (2× the worst clean control) clearly separates.
-	spec := JobSpec{Kind: KindDetect, Case: "s35932-T200", Scale: 0.04, Varsigma: 0.08, Channel: "fused", Workers: 2}
-	st1 := submitSpec(t, ts, spec)
-	final1 := waitState(t, ts, st1.ID, StateDone)
-	if final1.Report == nil {
-		t.Fatal("done fused job carries no report")
-	}
-	rep := final1.Report
-	if rep.Channel != core.ChannelFused {
-		t.Errorf("report channel %q, want fused", rep.Channel)
-	}
-	if rep.Delay == nil {
-		t.Fatal("fused report carries no delay result")
-	}
-	if !rep.FusedDetected {
-		t.Errorf("fused verdict missed the infected die: fused score %v", rep.FusedScore)
-	}
-
-	// Repeat submission: the calibration (and everything else) is cached.
-	st2 := submitSpec(t, ts, spec)
-	final2 := waitState(t, ts, st2.ID, StateDone)
-	if !final2.CacheHit {
-		t.Error("repeat fused submission trained a fresh calibration")
-	}
-	j1, err := json.Marshal(final1.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(final2.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("repeat fused run differs:\nfirst:  %s\nsecond: %s", j1, j2)
-	}
-
-	// A clean die of the same design must pass at the learned point.
-	clean := spec
-	clean.Clean = true
-	st3 := submitSpec(t, ts, clean)
-	final3 := waitState(t, ts, st3.ID, StateDone)
-	if final3.Report == nil {
-		t.Fatal("done clean fused job carries no report")
-	}
-	if final3.Report.FusedDetected {
-		t.Errorf("clean die flagged at the learned operating point: fused score %v", final3.Report.FusedScore)
-	}
-}

@@ -64,12 +64,6 @@ type JobSpec struct {
 	Tester     string  `json:"tester,omitempty"`      // tester fault preset (default clean)
 	TesterSeed uint64  `json:"tester_seed,omitempty"` // fault realization seed (default 1)
 	Workers    int     `json:"workers,omitempty"`     // per-job fan-out (0 = one per CPU)
-	// Channel selects the measurement channel: "power" (default),
-	// "delay", or "fused". Delay-bearing channels manufacture a delay
-	// die alongside each power die; "fused" additionally trains a
-	// fusion calibration on a clean control lot of the same design
-	// (cached — repeat fused submissions reuse it).
-	Channel string `json:"channel,omitempty"`
 
 	// TimeoutSec, when positive, caps the job's total run time (across
 	// retries). A job that exceeds it finishes in state "deadline".
@@ -116,9 +110,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	}
 	if s.Tenant == "" {
 		s.Tenant = "default"
-	}
-	if s.Channel == "" {
-		s.Channel = string(core.ChannelPower)
 	}
 	return s
 }
@@ -182,9 +173,6 @@ func (s JobSpec) Validate() error {
 		if _, err := tester.Preset(s.Tester, 1); err != nil {
 			return err
 		}
-	}
-	if _, err := core.ParseChannel(s.Channel); err != nil {
-		return err
 	}
 	return nil
 }

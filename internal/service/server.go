@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -557,11 +558,20 @@ func (e *shedError) Error() string {
 		e.profile, e.retryAfter.Round(time.Millisecond))
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec strictly decodes a submitted job spec: a key JobSpec does
+// not have is an error, never silently ignored, so a misspelled option
+// cannot run a job with the default in its place.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("malformed job spec: %v", err))
 		return
 	}

@@ -12,15 +12,12 @@ import (
 	"superpose/internal/atpg"
 	"superpose/internal/bench"
 	"superpose/internal/core"
-	"superpose/internal/delay"
 	"superpose/internal/failpoint"
-	"superpose/internal/fusion"
 	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/retry"
 	"superpose/internal/scan"
 	"superpose/internal/tester"
-	"superpose/internal/timing"
 	"superpose/internal/trojan"
 	"superpose/internal/trust"
 )
@@ -188,13 +185,6 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	cfg.Progress = j.PublishProgress
 
 	lib := power.SAED90Like()
-	if cfg.Channel == core.ChannelFused {
-		cal, err := s.trainCalibration(ctx, j, inst, cfg, faultCfg, workers)
-		if err != nil {
-			return fmt.Errorf("fusion calibration: %w", err)
-		}
-		cfg.Fusion = &cal
-	}
 	switch spec.Kind {
 	case KindLot:
 		lr, err := core.CertifyLotContext(ctx, inst.golden, lib, inst.physical, cfg, core.LotOptions{
@@ -216,10 +206,6 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		chip := power.Manufacture(inst.physical, lib, power.ThreeSigmaIntra(spec.Varsigma), spec.ChipSeed)
 		dev := core.NewDevice(chip, cfg.NumChains, cfg.Mode)
 		defer dev.Close()
-		if cfg.Channel.UsesDelay() {
-			dev.SetDelayChip(delay.Manufacture(inst.physical, timing.SAED90LikeDelays(),
-				power.ThreeSigmaIntra(spec.Varsigma), spec.ChipSeed))
-		}
 		if faultCfg.Enabled() {
 			dev.SetFaultModel(tester.New(faultCfg))
 		}
@@ -233,47 +219,6 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	default:
 		return fmt.Errorf("unknown job kind %q", spec.Kind)
 	}
-}
-
-// calibrationDies sizes the clean control lot a fused job trains its
-// calibration on.
-const calibrationDies = 8
-
-// trainCalibration resolves a fused job's learned operating point
-// through the artifact cache: certify a clean control lot of the
-// job's golden design under the job's tester preset, then train the
-// fusion threshold on the per-die (power, delay) observations. The
-// training lot's seeds are decorrelated from the job's own die so the
-// evaluated die is held out of its calibration.
-func (s *Server) trainCalibration(ctx context.Context, j *Job, inst *instance,
-	cfg core.Config, faultCfg tester.Config, workers int) (fusion.Calibration, error) {
-	spec := j.Spec
-	key := calibrationKey(seedsKey(instanceKey(spec), cfg.NumChains, cfg.ATPG), spec)
-	cal, hit, err := s.cache.Calibration(key, func() (fusion.Calibration, error) {
-		tcfg := cfg
-		tcfg.Fusion = nil
-		tcfg.Progress = nil
-		tc := faultCfg
-		tc.Seed = parallel.Mix(spec.TesterSeed, 0x5EED)
-		lr, err := core.CertifyLotContext(ctx, inst.golden, power.SAED90Like(), inst.golden, tcfg, core.LotOptions{
-			Dies:        calibrationDies,
-			Variation:   power.ThreeSigmaIntra(spec.Varsigma),
-			Seed:        parallel.Mix(spec.ChipSeed, 0xCA1),
-			Tester:      tc,
-			Acquisition: tcfg.Acquisition,
-			Workers:     workers,
-		})
-		if err != nil {
-			return fusion.Calibration{}, err
-		}
-		obs := make([]fusion.Observation, 0, len(lr.Dies))
-		for _, d := range lr.Dies {
-			obs = append(obs, fusion.Observation{Power: d.FinalMag, Delay: d.DelayMag})
-		}
-		return fusion.Train(obs, 0), nil
-	})
-	j.SetCacheHit(hit)
-	return cal, err
 }
 
 // materialize resolves the job's design through the artifact cache.
@@ -327,17 +272,12 @@ func (s *Server) buildConfig(j *Job, inst *instance) (core.Config, tester.Config
 	if faultCfg.Enabled() {
 		acq = core.RobustAcquisition()
 	}
-	channel, err := core.ParseChannel(spec.Channel)
-	if err != nil {
-		return core.Config{}, tester.Config{}, 0, err
-	}
 	cfg := core.Config{
 		NumChains:   spec.Chains,
 		MaxSeeds:    spec.Seeds,
 		Varsigma:    spec.Varsigma,
 		ATPG:        atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120, Workers: workers},
 		Acquisition: acq,
-		Channel:     channel,
 	}
 
 	ikey := instanceKey(spec)

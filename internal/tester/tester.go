@@ -57,31 +57,13 @@ type Config struct {
 	// latched value is repeated for the next StuckLen readings (default 8).
 	StuckRate float64
 	StuckLen  int
-
-	// Delay-channel pathologies. The transition-delay measurement path
-	// runs through its own instrumentation — a time-to-digital converter
-	// rather than the power ADC — with its own fault physics: per-reading
-	// Gaussian jitter (relative), quantization to a fixed LSB (absolute,
-	// in delay units; a quantizing TDC legitimately repeats values, which
-	// is why the delay acquisition runs with the stuck-latch guard off),
-	// and dropped conversions. They perturb only the ApplyDelay stream,
-	// from an RNG stream independent of the power faults', so enabling
-	// the delay channel never changes a single power reading.
-	DelayJitterSigma float64
-	DelayQuantum     float64
-	DelayDropRate    float64
 }
 
 // Enabled reports whether any pathology is configured.
 func (c Config) Enabled() bool {
 	return c.SpikeRate > 0 || c.DropRate > 0 ||
 		c.DriftPerReading != 0 || c.DriftAmplitude > 0 ||
-		c.BurstRate > 0 || c.StuckRate > 0 || c.DelayEnabled()
-}
-
-// DelayEnabled reports whether any delay-channel pathology is configured.
-func (c Config) DelayEnabled() bool {
-	return c.DelayJitterSigma > 0 || c.DelayQuantum > 0 || c.DelayDropRate > 0
+		c.BurstRate > 0 || c.StuckRate > 0
 }
 
 // Validate checks rates and magnitudes for sanity.
@@ -96,15 +78,6 @@ func (c Config) Validate() error {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("tester: %s %v outside [0, 1]", r.name, r.v)
 		}
-	}
-	if c.DelayDropRate < 0 || c.DelayDropRate > 1 {
-		return fmt.Errorf("tester: DelayDropRate %v outside [0, 1]", c.DelayDropRate)
-	}
-	if c.DelayJitterSigma < 0 {
-		return fmt.Errorf("tester: DelayJitterSigma %v must not be negative", c.DelayJitterSigma)
-	}
-	if c.DelayQuantum < 0 {
-		return fmt.Errorf("tester: DelayQuantum %v must not be negative", c.DelayQuantum)
 	}
 	if c.SpikeRate > 0 && c.SpikeMag <= 1 {
 		return fmt.Errorf("tester: SpikeMag %v must exceed 1 when spikes are enabled", c.SpikeMag)
@@ -124,9 +97,6 @@ type Stats struct {
 	Dropped  uint64
 	Burst    uint64 // readings inside a burst window
 	Stuck    uint64 // readings replaced by a latched value
-
-	DelayReadings uint64 // delay readings passed through ApplyDelay
-	DelayDropped  uint64 // delay conversions lost (NaN)
 }
 
 // FaultModel applies a Config to a stream of readings. Not safe for
@@ -139,13 +109,6 @@ type FaultModel struct {
 	burstLeft int
 	stuckLeft int
 	stuckVal  float64
-
-	// The delay channel draws from its own RNG stream and advances its
-	// own reading index: interleaving delay acquisitions between power
-	// acquisitions must leave the power fault realization bit-identical
-	// to a power-only run (the cross-channel identity contract).
-	delayRNG   *stats.RNG
-	delayIndex uint64
 
 	st Stats
 }
@@ -167,9 +130,8 @@ func New(cfg Config) *FaultModel {
 		cfg.DriftPeriod = 4096
 	}
 	return &FaultModel{
-		cfg:      cfg,
-		rng:      stats.NewRNG(cfg.Seed ^ 0xAC9D15E0FAB71E57),
-		delayRNG: stats.NewRNG(cfg.Seed ^ 0x3D5C1D3A9E44B1A7),
+		cfg: cfg,
+		rng: stats.NewRNG(cfg.Seed ^ 0xAC9D15E0FAB71E57),
 	}
 }
 
@@ -237,27 +199,6 @@ func (f *FaultModel) Apply(v float64) float64 {
 	return v
 }
 
-// ApplyDelay transforms one clean delay reading into what the TDC
-// reports. NaN marks a lost conversion. The stream is independent of
-// Apply's: its RNG and reading index advance only here, so a run that
-// interleaves delay acquisitions sees bit-identical power faults to one
-// that never measures delay, and vice versa.
-func (f *FaultModel) ApplyDelay(v float64) float64 {
-	f.delayIndex++
-	f.st.DelayReadings++
-	if f.cfg.DelayDropRate > 0 && f.delayRNG.Float64() < f.cfg.DelayDropRate {
-		f.st.DelayDropped++
-		return math.NaN()
-	}
-	if f.cfg.DelayJitterSigma > 0 {
-		v *= 1 + f.cfg.DelayJitterSigma*f.delayRNG.Norm()
-	}
-	if f.cfg.DelayQuantum > 0 {
-		v = math.Round(v/f.cfg.DelayQuantum) * f.cfg.DelayQuantum
-	}
-	return v
-}
-
 // Preset returns a named pathology configuration. The presets are the
 // regimes of the tester-fault robustness table (EXPERIMENTS.md): "clean"
 // (no faults), "spikes" (heavy-tailed contamination plus occasional
@@ -265,10 +206,7 @@ func (f *FaultModel) ApplyDelay(v float64) float64 {
 // (burst-noise windows and stuck latches), "stuck" (aggressive ADC
 // latching alone — long identical runs that only the stuck-latch guard
 // catches), and "combined" (all of the above, with ≥1% spike
-// contamination at 10× magnitude). Every fault-bearing preset also
-// carries delay-channel pathologies (jitter, TDC quantization, dropped
-// conversions) so the fused verdict is exercised against both
-// instruments misbehaving at once.
+// contamination at 10× magnitude).
 func Preset(name string, seed uint64) (Config, error) {
 	c := Config{Seed: seed}
 	switch name {
@@ -277,22 +215,14 @@ func Preset(name string, seed uint64) (Config, error) {
 	case "spikes":
 		c.SpikeRate, c.SpikeMag = 0.02, 10
 		c.DropRate = 0.005
-		c.DelayJitterSigma, c.DelayDropRate = 0.01, 0.005
 	case "drift":
 		c.DriftPerReading = 2e-6
 		c.DriftAmplitude, c.DriftPeriod = 0.02, 4096
-		// Thermal drift is a power-ADC pathology; the TDC sees only its
-		// own mild jitter and LSB quantization.
-		c.DelayJitterSigma, c.DelayQuantum = 0.005, 2
 	case "burst":
 		c.BurstRate, c.BurstLen, c.BurstSigma = 0.002, 16, 0.25
 		c.StuckRate, c.StuckLen = 0.0005, 8
-		c.DelayJitterSigma = 0.015
 	case "stuck":
 		c.StuckRate, c.StuckLen = 0.01, 24
-		// A coarse TDC repeats codes legitimately — the delay analogue of
-		// a latched ADC, handled by quantization rather than the guard.
-		c.DelayQuantum = 4
 	case "combined":
 		c.SpikeRate, c.SpikeMag = 0.015, 10
 		c.DropRate = 0.003
@@ -300,7 +230,6 @@ func Preset(name string, seed uint64) (Config, error) {
 		c.DriftAmplitude, c.DriftPeriod = 0.02, 4096
 		c.BurstRate, c.BurstLen, c.BurstSigma = 0.001, 16, 0.2
 		c.StuckRate, c.StuckLen = 0.0003, 8
-		c.DelayJitterSigma, c.DelayQuantum, c.DelayDropRate = 0.02, 2, 0.003
 	default:
 		return Config{}, fmt.Errorf("tester: unknown preset %q (have %v)", name, PresetNames())
 	}

@@ -10,9 +10,6 @@
 #
 # Requires only the go toolchain and a POSIX shell (no curl/jq): the
 # HTTP client half lives in scripts/smokeclient, a tiny stdlib program.
-#
-# SMOKE_SPEC overrides the job spec the client submits (e.g. a fused-
-# channel spec for the chaos job); empty keeps the client's default.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,16 +23,6 @@ trap 'for p in "$pid" "$pid2" "$pid3"; do [ -n "$p" ] && kill "$p" 2>/dev/null |
 
 go build -o /tmp/superposed-smoke ./cmd/superposed
 go build -o /tmp/smokeclient-smoke ./scripts/smokeclient
-
-# client <args...>: the smoke client, with SMOKE_SPEC threaded through
-# when set (modes that don't submit ignore the flag).
-client() {
-    if [ -n "${SMOKE_SPEC:-}" ]; then
-        /tmp/smokeclient-smoke -spec "$SMOKE_SPEC" "$@"
-    else
-        /tmp/smokeclient-smoke "$@"
-    fi
-}
 
 # wait_banner <log> <pid>: print the daemon's bound base URL.
 wait_banner() {
@@ -56,7 +43,7 @@ pid=$!
 base=$(wait_banner "$log" "$pid")
 echo "smoke: daemon at $base"
 
-client -base "$base"
+/tmp/smokeclient-smoke -base "$base"
 
 # Graceful drain: SIGTERM, then require a clean exit and the farewell.
 kill -TERM "$pid"
@@ -71,7 +58,7 @@ pid2=$!
 base2=$(wait_banner "$log2" "$pid2")
 echo "smoke: journaled daemon at $base2 (data dir $datadir)"
 
-id=$(client -base "$base2" -mode submit)
+id=$(/tmp/smokeclient-smoke -base "$base2" -mode submit)
 echo "smoke: submitted $id, delivering SIGKILL"
 kill -9 "$pid2"
 wait "$pid2" 2>/dev/null || true
@@ -82,8 +69,8 @@ pid3=$!
 base3=$(wait_banner "$log3" "$pid3")
 echo "smoke: restarted daemon at $base3, waiting for recovery"
 
-client -base "$base3" -mode ready -timeout 30s
-client -base "$base3" -mode wait -job "$id"
+/tmp/smokeclient-smoke -base "$base3" -mode ready -timeout 30s
+/tmp/smokeclient-smoke -base "$base3" -mode wait -job "$id"
 
 kill -TERM "$pid3"
 wait "$pid3" || { echo "recovered daemon exited non-zero after SIGTERM:"; cat "$log3"; exit 1; }

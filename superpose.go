@@ -31,8 +31,6 @@ import (
 	"superpose/internal/atpg"
 	"superpose/internal/bench"
 	"superpose/internal/core"
-	"superpose/internal/delay"
-	"superpose/internal/fusion"
 	"superpose/internal/netio"
 	"superpose/internal/netlist"
 	"superpose/internal/parallel"
@@ -40,7 +38,6 @@ import (
 	"superpose/internal/scan"
 	"superpose/internal/stil"
 	"superpose/internal/tester"
-	"superpose/internal/timing"
 	"superpose/internal/trojan"
 	"superpose/internal/trust"
 	"superpose/internal/verilog"
@@ -304,51 +301,6 @@ func NaiveAcquisition() AcquisitionPolicy { return core.NaiveAcquisition() }
 // clean-tester verdicts under the fault model.
 func RobustAcquisition() AcquisitionPolicy { return core.RobustAcquisition() }
 
-// Measurement channels and side-channel fusion. The power channel is
-// the paper's verdict; the delay channel measures sensitized path
-// delays over the same LOS launches; the fused channel combines both
-// through a calibration learned on clean-control lots.
-type (
-	// Channel selects which side channel(s) drive the verdict.
-	Channel = core.Channel
-	// DelayChip is a die's manufactured timing realization, mounted on
-	// a Device via SetDelayChip when the channel uses delay.
-	DelayChip = delay.Chip
-	// DelayLibrary holds per-cell nominal propagation delays.
-	DelayLibrary = timing.Library
-	// FusionObservation pairs one die's per-channel scores.
-	FusionObservation = fusion.Observation
-	// FusionCalibration is the learned fused operating point.
-	FusionCalibration = fusion.Calibration
-)
-
-// Measurement channels.
-const (
-	ChannelPower = core.ChannelPower
-	ChannelDelay = core.ChannelDelay
-	ChannelFused = core.ChannelFused
-)
-
-// ParseChannel converts a flag value ("power", "delay", "fused") to a
-// Channel.
-func ParseChannel(s string) (Channel, error) { return core.ParseChannel(s) }
-
-// StandardDelayLibrary returns the SAED-90nm-like cell delay library.
-func StandardDelayLibrary() *DelayLibrary { return timing.SAED90LikeDelays() }
-
-// ManufactureDelay creates one die's timing realization of the physical
-// netlist; its process draw is decorrelated from the power draw of the
-// same seed.
-func ManufactureDelay(physical *Netlist, lib *DelayLibrary, v Variation, seed uint64) *DelayChip {
-	return delay.Manufacture(physical, lib, v, seed)
-}
-
-// TrainFusion learns the fused operating point from clean-control
-// observations; margin <= 0 uses the default.
-func TrainFusion(clean []FusionObservation, margin float64) FusionCalibration {
-	return fusion.Train(clean, margin)
-}
-
 // CertifyLot manufactures and certifies a lot of dies of the physical
 // netlist against the golden reference.
 func CertifyLot(golden *Netlist, lib *CellLibrary, physical *Netlist, cfg Config, lot LotOptions) (*LotReport, error) {
@@ -411,10 +363,6 @@ type (
 	RobustnessRow = core.RobustnessRow
 	// SigmaSweepRow is one variation magnitude of the measured σ-sweep.
 	SigmaSweepRow = core.SigmaSweepRow
-	// FusionRow is one tester-preset row of the fusion ROC table.
-	FusionRow = core.FusionRow
-	// ROCPoint is one operating point of a ROC curve.
-	ROCPoint = core.ROCPoint
 )
 
 // RunTableI reproduces Table I (all five benchmark cases).
@@ -473,25 +421,6 @@ func RunSigmaSweepContext(ctx context.Context, c Case, cfg ExperimentConfig, var
 	return core.RunSigmaSweepContext(ctx, c, cfg, varsigmas, dies)
 }
 
-// RunFusionTable sweeps tester fault presets over the power, delay and
-// fused channels, training a fresh calibration per preset and reporting
-// per-channel ROC curves.
-func RunFusionTable(cfg ExperimentConfig) ([]FusionRow, error) { return core.RunFusionTable(cfg) }
-
-// RunFusionTableContext is RunFusionTable under a cancellation context.
-func RunFusionTableContext(ctx context.Context, cfg ExperimentConfig) ([]FusionRow, error) {
-	return core.RunFusionTableContext(ctx, cfg)
-}
-
-// ROCFromScores builds a ROC curve from infected and clean score
-// populations; NaN (unstable) scores stay in the denominators.
-func ROCFromScores(infected, clean []float64) []ROCPoint {
-	return core.ROCFromScores(infected, clean)
-}
-
-// AUC integrates a ROC curve by the trapezoid rule.
-func AUC(points []ROCPoint) float64 { return core.AUC(points) }
-
 // Pattern persistence.
 
 // WritePatterns serializes patterns in the STIL-like format.
@@ -516,10 +445,3 @@ func WriteLotReport(w io.Writer, lr *LotReport) error { return netio.EncodeLotRe
 
 // ReadLotReport parses a JSON lot report.
 func ReadLotReport(r io.Reader) (*LotReport, error) { return netio.DecodeLotReport(r) }
-
-// WriteROC serializes fusion-table rows (with their ROC curves) as
-// indented JSON.
-func WriteROC(w io.Writer, rows []FusionRow) error { return netio.EncodeROC(w, rows) }
-
-// ReadROC parses a JSON fusion-table document.
-func ReadROC(r io.Reader) ([]FusionRow, error) { return netio.DecodeROC(r) }
