@@ -454,6 +454,47 @@ func BenchmarkPPSFP(b *testing.B) {
 	})
 }
 
+// BenchmarkStrategicModify times one §IV-D strategic round — every
+// joint flip of a pair one critical bit apart, measured and decomposed
+// on the two-base sweep — on s38417-T100 at scale 0.2 and on the
+// 10⁵-gate synthetic design of the capacity tier.
+func BenchmarkStrategicModify(b *testing.B) {
+	run := func(b *testing.B, golden, physical *superpose.Netlist) {
+		lib := superpose.StandardCellLibrary()
+		chip := superpose.Manufacture(physical, lib, superpose.ThreeSigmaIntra(benchVarsigma), 42)
+		dev := superpose.NewDevice(chip, 4, superpose.LOS)
+		defer dev.Close()
+		ev := superpose.NewEvaluator(golden, lib, dev, 4, superpose.LOS)
+		defer ev.Close()
+		pa := ev.Chains().RandomPattern(stats.NewRNG(7))
+		critical := core.CellRef{Chain: 0, Index: len(pa.Scan[0]) / 2}
+		pb := pa.Clone()
+		pb.Scan[critical.Chain][critical.Index] = !pb.Scan[critical.Chain][critical.Index]
+		opt := core.StrategicOptions{MaxRounds: 1}
+		var mods int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mods = len(ev.StrategicModify(pa, pb, critical, opt).Applied)
+		}
+		b.ReportMetric(float64(mods), "mods")
+	}
+	b.Run("s38417-T100", func(b *testing.B) {
+		inst, err := trust.Build(trust.Case{Benchmark: "s38417", Trojan: "T100"}, 0.2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, inst.Host, inst.Infected)
+	})
+	b.Run("synthetic-1e5", func(b *testing.B) {
+		n, err := trust.GenerateLarge(trust.SizedLargeParams(100_000, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, n, n)
+	})
+}
+
 // BenchmarkATPG measures seed-pattern generation throughput.
 func BenchmarkATPG(b *testing.B) {
 	c := trust.Cases()[0]

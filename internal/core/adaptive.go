@@ -235,7 +235,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	sweep := ev.adaptiveSweep
 	if sweep == nil || len(sweep.Candidates()) != len(cands) {
 		var err error
-		sweep, err = ev.NewSweep(cands)
+		sweep, err = ev.NewSweep(cands, 1)
 		if err != nil {
 			// cands are generated from the pattern shape; a mismatch with
 			// the scan configuration is an internal invariant violation.

@@ -94,7 +94,7 @@ func TestMeasureSweepCancelledContext(t *testing.T) {
 	dev, pats := buildAcqBench(t, 6, 1)
 	base := pats[0]
 	flips := []scan.Flip{{Chain: 0, Index: 0}, {Chain: 0, Index: 1}, {Chain: 1, Index: 0}}
-	sw, err := dev.NewSweeper(flips)
+	sw, err := dev.NewSweeper(flips, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMeasureSweepCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dev.SetContext(ctx)
-	got := dev.MeasureSweep(base, chunkFlips, ids, masks)
+	got := dev.MeasureSweep([]*scan.Pattern{base}, chunkFlips, ids, masks)
 	for i, v := range got {
 		if !math.IsNaN(v) {
 			t.Errorf("sweep lane %d = %v after cancellation, want NaN", i, v)

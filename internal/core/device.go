@@ -58,7 +58,7 @@ type Device struct {
 // readingKey identifies the stimulus behind one raw reading for the
 // stuck-latch guard. Batch measurements are identified by the pattern
 // pointer (repeat applications of the same *Pattern are legitimate
-// identical readings); sweep lanes are identified by the base pattern
+// identical readings); sweep lanes are identified by their base pattern
 // plus the flipped bit, so two lanes of a sweep — or a sweep lane and a
 // batch pattern — always count as different stimuli, exactly as the
 // materialized clones of the reference path do.
@@ -369,29 +369,33 @@ func (d *Device) Measure(p *scan.Pattern) float64 {
 }
 
 // NewSweeper builds a single-flip sweep engine over the device's scan
-// configuration and physical netlist, for use with MeasureSweep.
-func (d *Device) NewSweeper(flips []scan.Flip) (*scan.Sweeper, error) {
-	return scan.NewSweeper(d.eng.Chains(), d.mode, flips)
+// configuration and physical netlist, interleaving the given number of
+// base patterns (1 or 2; see scan.NewSweeper), for use with MeasureSweep.
+func (d *Device) NewSweeper(flips []scan.Flip, bases int) (*scan.Sweeper, error) {
+	return scan.NewSweeper(d.eng.Chains(), d.mode, flips, bases)
 }
 
-// MeasureSweep acquires readings for one sweep chunk: lane i is the base
-// pattern with flips[i] applied, and (ids, masks) is the chunk's sparse
-// toggle encoding of the physical netlist (from a Sweeper built with
-// NewSweeper). Acquisition semantics — repeats, tester faults, outlier
-// rejection, the stuck-latch guard, retries — are bit-identical to
-// MeasureBatch over the materialized patterns, including the run-context
-// contract: a cancelled context yields NaN lanes and a non-nil Err,
-// never partially-aggregated readings. The returned slice may share the
+// MeasureSweep acquires readings for one sweep chunk: lane l is base
+// pattern bases[l%len(bases)] with flips[l/len(bases)] applied, and
+// (ids, masks) is the chunk's sparse toggle encoding of the physical
+// netlist (from a Sweeper built with NewSweeper over as many bases).
+// Acquisition semantics — repeats, tester faults, outlier rejection, the
+// stuck-latch guard, retries — are bit-identical to MeasureBatch over
+// the materialized patterns, including the run-context contract: a
+// cancelled context yields NaN lanes and a non-nil Err, never
+// partially-aggregated readings. The returned slice may share the
 // device's scratch storage; it is valid until the next measurement.
-func (d *Device) MeasureSweep(base *scan.Pattern, flips []scan.Flip, ids []int, masks []logic.Word) []float64 {
-	n := len(flips)
+func (d *Device) MeasureSweep(bases []*scan.Pattern, flips []scan.Flip, ids []int, masks []logic.Word) []float64 {
+	nb := len(bases)
+	n := len(flips) * nb
 	price := func() []float64 {
 		d.sweepRaw = d.chip.MeasureLanesSparse(ids, masks, n, d.sweepRaw)
 		return d.sweepRaw
 	}
 	return d.acquire(n, price,
-		func(i int) readingKey {
-			return readingKey{pat: base, chain: flips[i].Chain, index: flips[i].Index, sweep: true}
+		func(l int) readingKey {
+			f := flips[l/nb]
+			return readingKey{pat: bases[l%nb], chain: f.Chain, index: f.Index, sweep: true}
 		})
 }
 

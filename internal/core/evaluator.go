@@ -38,15 +38,16 @@ type Evaluator struct {
 
 	masks []logic.Word // scratch for batch pricing
 
-	// tsetBuf and splitBuf back the pair-analysis toggle decomposition
-	// (AnalyzePair/AnalyzePairs). The strategic climb analyses pairs once
-	// per candidate modification; at 10⁵–10⁶ gates each analysis would
-	// otherwise allocate megabytes of toggle sets whose floating garbage —
-	// not live data — dominates certify-time peak RSS. The decomposition
-	// never escapes the analysis (only counts and nominal sums are kept),
-	// so one grown-to-high-water buffer per Evaluator serves every call.
-	tsetBuf  []int
-	splitBuf []int
+	// uids/umasks and nomU/sqU back the mask-level pair decomposition
+	// (analyzeLanes): the compacted unique-activity encoding of a chunk
+	// and its per-lane nominal and squared-energy sums. The strategic
+	// search decomposes one 32-pair chunk after another; only counts and
+	// sums escape, so one grown-to-high-water buffer per Evaluator serves
+	// every call without per-chunk garbage.
+	uids   []int
+	umasks []logic.Word
+	nomU   []float64
+	sqU    []float64
 
 	// adaptiveSweep caches the all-stimulus-bits sweep session across
 	// Adaptive calls: the flip list depends only on the scan shape, which
@@ -302,26 +303,5 @@ func (pa *PairAnalysis) Significance() float64 {
 
 // AnalyzePair applies superposition to a pattern pair.
 func (ev *Evaluator) AnalyzePair(a, b *scan.Pattern) PairAnalysis {
-	// MeasureBatch's nominal pricing launched the pair on the golden
-	// engine and nothing since touched it, so its frames still hold
-	// the pair's toggle activity — no relaunch needed.
-	readings := ev.MeasureBatch([]*scan.Pattern{a, b})
-	sets, tbuf := ev.eng.TogglesAllBuf(2, ev.tsetBuf)
-	ev.tsetBuf = tbuf
-	common, aU, bU, sbuf := splitTogglesInto(sets[0], sets[1], ev.splitBuf)
-	ev.splitBuf = sbuf
-
-	pa := PairAnalysis{
-		A: a, B: b,
-		ObservedA: readings[0].Observed, ObservedB: readings[1].Observed,
-		NominalA: readings[0].Nominal, NominalB: readings[1].Nominal,
-		CommonCount:  len(common),
-		AUniqueCount: len(aU), BUniqueCount: len(bU),
-		NominalAUnique: ev.model.Nominal(aU),
-		NominalBUnique: ev.model.Nominal(bU),
-		UniqueEnergySq: ev.model.NominalSumSquares(aU) + ev.model.NominalSumSquares(bU),
-	}
-	pa.SRPD = SRPD(pa.ObservedA, pa.ObservedB, pa.NominalA, pa.NominalB,
-		pa.NominalAUnique, pa.NominalBUnique)
-	return pa
+	return ev.AnalyzePairs([][2]*scan.Pattern{{a, b}})[0]
 }

@@ -29,45 +29,16 @@ func RPD(observed, nominal float64) float64 {
 // unique parts (Gcmn, Gaunq, Gbunq of §V-A). Inputs need not be sorted;
 // outputs are sorted.
 func SplitToggles(a, b []int) (common, aUnique, bUnique []int) {
-	common, aUnique, bUnique, _ = splitTogglesInto(a, b, nil)
-	return common, aUnique, bUnique
-}
-
-// splitTogglesInto is SplitToggles with a caller-owned backing array,
-// grown only when too small. The pair-analysis paths thread an
-// Evaluator-owned buffer through it: the strategic climb splits one
-// toggle pair per candidate modification, and at 10⁵–10⁶ gates the
-// per-call garbage of the exported variant dominates certify-time RSS.
-// The outputs alias buf and are valid only until the next call with it.
-func splitTogglesInto(a, b, buf []int) (common, aUnique, bUnique, scratch []int) {
-	// The hot callers hand toggle sets straight from the simulator, which
-	// emits gate IDs in ascending order — only copy-and-sort an input
-	// that actually needs it.
+	// Toggle sets from the simulator are already ascending — only
+	// copy-and-sort an input that actually needs it.
 	if !sort.IntsAreSorted(a) {
-		as := append([]int(nil), a...)
-		sort.Ints(as)
-		a = as
+		a = append([]int(nil), a...)
+		sort.Ints(a)
 	}
 	if !sort.IntsAreSorted(b) {
-		bs := append([]int(nil), b...)
-		sort.Ints(bs)
-		b = bs
+		b = append([]int(nil), b...)
+		sort.Ints(b)
 	}
-	// One backing array carved into the three outputs; the three-index
-	// slices cap each region so a caller's append cannot clobber its
-	// neighbour.
-	maxC := len(a)
-	if len(b) < maxC {
-		maxC = len(b)
-	}
-	need := maxC + len(a) + len(b)
-	if cap(buf) < need {
-		buf = make([]int, need)
-	}
-	buf = buf[:need]
-	common = buf[0:0:maxC]
-	aUnique = buf[maxC : maxC : maxC+len(a)]
-	bUnique = buf[maxC+len(a) : maxC+len(a) : len(buf)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -85,7 +56,7 @@ func splitTogglesInto(a, b, buf []int) (common, aUnique, bUnique, scratch []int)
 	}
 	aUnique = append(aUnique, a[i:]...)
 	bUnique = append(bUnique, b[j:]...)
-	return common, aUnique, bUnique, buf
+	return common, aUnique, bUnique
 }
 
 // SRPD computes the Super-RPD of Eq. 2 for a pattern pair: the observed

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"superpose/internal/logic"
 	"superpose/internal/scan"
 )
 
@@ -81,47 +83,147 @@ func ClassifyFlip(p *scan.Pattern, chain, idx int) ModKind {
 }
 
 // AnalyzePairs evaluates many pattern pairs through superposition,
-// batching 32 pairs (64 lanes) per simulator launch.
+// batching 32 pairs (64 lanes, pair i on lanes 2i and 2i+1) per
+// simulator launch.
 func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 	out := make([]PairAnalysis, len(pairs))
+	flat := make([]*scan.Pattern, 0, 64)
 	for start := 0; start < len(pairs); start += 32 {
-		end := start + 32
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		group := pairs[start:end]
-		flat := make([]*scan.Pattern, 0, 2*len(group))
+		group := pairs[start:min(start+32, len(pairs))]
+		flat = flat[:0]
 		for _, pr := range group {
 			flat = append(flat, pr[0], pr[1])
 		}
-		// MeasureBatch's nominal pricing already launched exactly this
-		// ≤64-lane batch on the golden engine, and nothing since touched
-		// it (drift tracking re-measures on the device engine only), so
-		// the frames behind TogglesAllBuf are still the flat batch's.
-		readings := ev.MeasureBatch(flat)
-		sets, tbuf := ev.eng.TogglesAllBuf(len(flat), ev.tsetBuf)
-		ev.tsetBuf = tbuf
+		// measureChunk prices the batch from the golden engine's dense
+		// toggle masks and leaves them in ev.masks for the decomposition.
+		readings := ev.measureChunk(flat)
+		ev.analyzeLanes(readings, nil, ev.masks, out[start:start+len(group)])
 		for i, pr := range group {
-			ta := sets[2*i]
-			tb := sets[2*i+1]
-			common, aU, bU, sbuf := splitTogglesInto(ta, tb, ev.splitBuf)
-			ev.splitBuf = sbuf
-			pa := PairAnalysis{
-				A: pr[0], B: pr[1],
-				ObservedA: readings[2*i].Observed, ObservedB: readings[2*i+1].Observed,
-				NominalA: readings[2*i].Nominal, NominalB: readings[2*i+1].Nominal,
-				CommonCount:  len(common),
-				AUniqueCount: len(aU), BUniqueCount: len(bU),
-				NominalAUnique: ev.model.Nominal(aU),
-				NominalBUnique: ev.model.Nominal(bU),
-				UniqueEnergySq: ev.model.NominalSumSquares(aU) + ev.model.NominalSumSquares(bU),
-			}
-			pa.SRPD = SRPD(pa.ObservedA, pa.ObservedB, pa.NominalA, pa.NominalB,
-				pa.NominalAUnique, pa.NominalBUnique)
-			out[start+i] = pa
+			out[start+i].A, out[start+i].B = pr[0], pr[1]
 		}
 	}
 	return out
+}
+
+// analyzeLanes fills out[i] with the superposition analysis of the pair
+// on lanes 2i (A) and 2i+1 (B) of one chunk: its readings and the golden
+// toggle encoding (ids, masks) that priced their nominals — ids ascending
+// gate IDs of masks, or nil when masks is dense and indexed by gate ID.
+//
+// The §V-A decomposition is read off the lane masks directly: with
+// u = m &^ swapAdjacentLanes(m), lane 2i of u marks the gates only A
+// toggles and lane 2i+1 those only B toggles. The unique sets' nominal
+// and squared-energy sums are lane sums of u priced by the sparse lane
+// kernel, which adds in ascending gate-ID order exactly as Model.Nominal
+// and Model.NominalSumSquares do over the split toggle lists — so the
+// sums are bit-identical, and no per-lane toggle list is ever built.
+// Counts come from vertical lane counters: |A \ B| from u, and the
+// common part as |A| − |A \ B|.
+func (ev *Evaluator) analyzeLanes(readings []Reading, ids []int, masks []logic.Word, out []PairAnalysis) {
+	numLanes := len(readings)
+	laneMask := ^logic.Word(0)
+	if numLanes < 64 {
+		laneMask = logic.Word(1)<<uint(numLanes) - 1
+	}
+	uids, umasks := ev.uids[:0], ev.umasks[:0]
+	for k, m := range masks {
+		if u := (m &^ swapAdjacentLanes(m)) & laneMask; u != 0 {
+			id := k
+			if ids != nil {
+				id = ids[k]
+			}
+			uids = append(uids, id)
+			umasks = append(umasks, u)
+		}
+	}
+	ev.uids, ev.umasks = uids, umasks
+	ev.nomU = ev.model.NominalLanesSparse(uids, umasks, numLanes, ev.nomU)
+	ev.sqU = ev.model.SumSquaresLanesSparse(uids, umasks, numLanes, ev.sqU)
+	toggled, unique := laneCounts(masks, laneMask), laneCounts(umasks, laneMask)
+	for i := range out {
+		ra, rb := readings[2*i], readings[2*i+1]
+		a, b := 2*i, 2*i+1
+		pa := PairAnalysis{
+			ObservedA: ra.Observed, ObservedB: rb.Observed,
+			NominalA: ra.Nominal, NominalB: rb.Nominal,
+			CommonCount:  toggled[a] - unique[a],
+			AUniqueCount: unique[a], BUniqueCount: unique[b],
+			NominalAUnique: ev.nomU[a],
+			NominalBUnique: ev.nomU[b],
+			UniqueEnergySq: ev.sqU[a] + ev.sqU[b],
+		}
+		pa.SRPD = SRPD(pa.ObservedA, pa.ObservedB, pa.NominalA, pa.NominalB,
+			pa.NominalAUnique, pa.NominalBUnique)
+		out[i] = pa
+	}
+}
+
+// swapAdjacentLanes exchanges lanes 2i and 2i+1 of a mask word.
+func swapAdjacentLanes(m logic.Word) logic.Word {
+	const even = 0x5555555555555555
+	return (m&even)<<1 | (m>>1)&even
+}
+
+// laneCounts returns, per lane, how many words of ws have that lane's
+// bit set (after ANDing mask). It counts vertically — bitwise across
+// whole words — with a carry-save adder tree (Harley–Seal): each block
+// of 16 words folds into running ones/twos/fours/eights words with no
+// data-dependent branch, and only the block's carry into the sixteens
+// ripples into the bit-sliced total, where plane b holds bit b of every
+// lane's count of sixteens.
+func laneCounts(ws []logic.Word, mask logic.Word) [64]int {
+	var ones, twos, fours, eights logic.Word
+	var planes [40]logic.Word
+	i := 0
+	for ; i+16 <= len(ws); i += 16 {
+		w := ws[i : i+16 : i+16]
+		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens logic.Word
+		twosA, ones = csa(ones, w[0]&mask, w[1]&mask)
+		twosB, ones = csa(ones, w[2]&mask, w[3]&mask)
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, w[4]&mask, w[5]&mask)
+		twosB, ones = csa(ones, w[6]&mask, w[7]&mask)
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, w[8]&mask, w[9]&mask)
+		twosB, ones = csa(ones, w[10]&mask, w[11]&mask)
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, w[12]&mask, w[13]&mask)
+		twosB, ones = csa(ones, w[14]&mask, w[15]&mask)
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		sixteens, eights = csa(eights, eightsA, eightsB)
+		for b := 0; sixteens != 0; b++ {
+			carry := planes[b] & sixteens
+			planes[b] ^= sixteens
+			sixteens = carry
+		}
+	}
+	var n [64]int
+	addBits := func(w logic.Word, weight int) {
+		for w != 0 {
+			n[bits.TrailingZeros64(uint64(w))] += weight
+			w &= w - 1
+		}
+	}
+	for b, p := range planes {
+		addBits(p, 16<<b)
+	}
+	addBits(eights, 8)
+	addBits(fours, 4)
+	addBits(twos, 2)
+	addBits(ones, 1)
+	for _, w := range ws[i:] {
+		addBits(w&mask, 1)
+	}
+	return n
+}
+
+// csa is a bitwise full adder over three words: per bit, lo is the sum
+// bit and hi the carry.
+func csa(a, b, c logic.Word) (hi, lo logic.Word) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
 }
 
 // AppliedMod records one accepted strategic modification.
@@ -178,40 +280,35 @@ type StrategicResult struct {
 // mechanically as the denominator falls — and states where an alignment
 // move accidentally blocks the Trojan's activation path are simply not
 // the maximum.
+//
+// Each round evaluates every candidate on a two-base sweep (Sweep with
+// the current pair as lanes A and B): a chunk is the 32 jointly flipped
+// pairs AnalyzePairs would launch, measured and decomposed without
+// materializing them, and the accepted flip advances the sweep
+// incrementally. Only the accepted pair of each round is cloned.
 func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt StrategicOptions) StrategicResult {
 	opt = opt.withDefaults()
 	res := StrategicResult{Initial: ev.AnalyzePair(a, b)}
-	curA, curB := a.Clone(), b.Clone()
 	cur := res.Initial
 	best := res.Initial
+	cells := strategicCells(a, critical)
+	if len(cells) == 0 || opt.MaxRounds <= 0 {
+		res.Final = best
+		return res
+	}
+	sweep, err := ev.NewSweep(cells, 2)
+	if err != nil {
+		// cells are generated from the pattern shape; a mismatch with the
+		// scan configuration is an internal invariant violation.
+		panic("core: strategic sweep construction: " + err.Error())
+	}
+	defer sweep.Close()
+	curA, curB := a, b
+	if err := sweep.Rebase(curA, curB); err != nil {
+		panic("core: strategic sweep rebase: " + err.Error())
+	}
 
 	for round := 0; round < opt.MaxRounds; round++ {
-		var cells []CellRef
-		for c := range curA.Scan {
-			for j := range curA.Scan[c] {
-				if c == critical.Chain && j == critical.Index {
-					continue
-				}
-				cells = append(cells, CellRef{c, j})
-			}
-		}
-		for i := range curA.PI {
-			if critical.IsPI() && i == critical.Index {
-				continue
-			}
-			cells = append(cells, CellRef{PIChain, i})
-		}
-		cands := make([][2]*scan.Pattern, len(cells))
-		for i, cell := range cells {
-			qa, qb := curA.Clone(), curB.Clone()
-			applyFlip(qa, cell)
-			applyFlip(qb, cell)
-			cands[i] = [2]*scan.Pattern{qa, qb}
-		}
-		if len(cands) == 0 {
-			break
-		}
-		analyses := ev.AnalyzePairs(cands)
 		curDen := cur.NominalAUnique + cur.NominalBUnique
 		// Acceptance set: candidates that strictly improve alignment
 		// (smaller unique nominal power). Among them, follow the one whose
@@ -220,13 +317,17 @@ func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt S
 		// collapsed residual and is steered around.
 		bestIdx := -1
 		bestMag := -1.0
-		for i, pa := range analyses {
-			den := pa.NominalAUnique + pa.NominalBUnique
-			if den == 0 || den >= curDen-1e-9 {
-				continue
-			}
-			if mag := abs(pa.SRPD); mag > bestMag {
-				bestIdx, bestMag = i, mag
+		var next PairAnalysis
+		idx := 0
+		for c := 0; c < sweep.NumChunks(); c++ {
+			for _, pa := range sweep.AnalyzeChunk(c) {
+				den := pa.NominalAUnique + pa.NominalBUnique
+				if den != 0 && den < curDen-1e-9 {
+					if mag := abs(pa.SRPD); mag > bestMag {
+						bestIdx, bestMag, next = idx, mag, pa
+					}
+				}
+				idx++
 			}
 		}
 		if bestIdx < 0 {
@@ -237,10 +338,16 @@ func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt S
 			Cell:       cell,
 			Kind:       ClassifyFlip(curA, cell.Chain, cell.Index),
 			SRPDBefore: cur.SRPD,
-			SRPDAfter:  analyses[bestIdx].SRPD,
+			SRPDAfter:  next.SRPD,
 		})
-		curA, curB = cands[bestIdx][0], cands[bestIdx][1]
-		cur = analyses[bestIdx]
+		curA, curB = curA.Clone(), curB.Clone()
+		applyFlip(curA, cell)
+		applyFlip(curB, cell)
+		if err := sweep.Advance(cell, curA, curB); err != nil {
+			panic("core: strategic sweep advance: " + err.Error())
+		}
+		next.A, next.B = curA, curB
+		cur = next
 		// NaN-aware max: an unstable Initial (NaN SRPD) must not pin
 		// `best` forever — any stable state along the walk replaces it.
 		if math.IsNaN(best.SRPD) || abs(cur.SRPD) > abs(best.SRPD) {
@@ -249,4 +356,26 @@ func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt S
 	}
 	res.Final = best
 	return res
+}
+
+// strategicCells lists the strategic search's joint-flip candidates of a
+// pattern shape: every scan cell in chain-major order, then every
+// primary input, minus the critical bit.
+func strategicCells(p *scan.Pattern, critical CellRef) []CellRef {
+	var cells []CellRef
+	for c := range p.Scan {
+		for j := range p.Scan[c] {
+			if c == critical.Chain && j == critical.Index {
+				continue
+			}
+			cells = append(cells, CellRef{c, j})
+		}
+	}
+	for i := range p.PI {
+		if critical.IsPI() && i == critical.Index {
+			continue
+		}
+		cells = append(cells, CellRef{PIChain, i})
+	}
+	return cells
 }

@@ -1,15 +1,24 @@
 package core
 
-import "superpose/internal/scan"
+import (
+	"superpose/internal/logic"
+	"superpose/internal/scan"
+)
 
 // Sweep is the evaluator-level single-flip sweep session behind the
-// adaptive flow's candidate loop: one scan.Sweeper over the golden
-// netlist (nominal prediction) and one over the physical device
-// (observed power), sharing a flip list. Per step the base pattern is
-// simulated once on each side (Rebase); per chunk only the deviations
-// of the 64 flipped bits are propagated and priced sparsely — instead
-// of a per-candidate clone, re-pack and full-netlist launch, with
-// bit-identical Readings.
+// adaptive flow's candidate loop and the strategic pair search: one
+// scan.Sweeper over the golden netlist (nominal prediction) and one over
+// the physical device (observed power), sharing a flip list and 1 or 2
+// interleaved base patterns. Per base change both sides are simulated
+// once (Rebase) or advanced by the accepted flip (Advance); per chunk
+// only the deviations of the flipped bits are propagated and priced
+// sparsely — instead of a per-candidate clone, re-pack and full-netlist
+// launch, with bit-identical Readings.
+//
+// With one base, chunk lane i is the base with flip i applied (the
+// adaptive climb). With two bases A and B, lanes 2i and 2i+1 are A and B
+// with flip i applied jointly — the 32 candidate pairs of a strategic
+// round, in the lane order Evaluator.AnalyzePairs launches them.
 //
 // A Sweep is bound to its Evaluator's calibration, drift-compensation
 // and acquisition state: MeasureChunk advances the device's reading
@@ -20,24 +29,32 @@ type Sweep struct {
 	cands  []CellRef
 	golden *scan.Sweeper
 	phys   *scan.Sweeper
-	base   *scan.Pattern
+	bases  []*scan.Pattern
 	noms   []float64
 	out    []Reading
+	pairs  []PairAnalysis
+
+	// The golden chunk encoding of the last MeasureChunk, which
+	// AnalyzeChunk decomposes into pair activity.
+	gids   []int
+	gmasks []logic.Word
 }
 
-// NewSweep builds a sweep session over the candidate flips (shared by
-// every step of an adaptive run — the stimulus shape is invariant).
-func (ev *Evaluator) NewSweep(cands []CellRef) (*Sweep, error) {
+// NewSweep builds a sweep session over the candidate flips and the
+// given number of interleaved bases (1 or 2). The flip list is shared by
+// every base the session is rebased or advanced to.
+func (ev *Evaluator) NewSweep(cands []CellRef, bases int) (*Sweep, error) {
 	flips := make([]scan.Flip, len(cands))
 	for i, cr := range cands {
 		flips[i] = scan.Flip{Chain: cr.Chain, Index: cr.Index}
 	}
-	golden, err := scan.NewSweeper(ev.chains, ev.mode, flips)
+	golden, err := scan.NewSweeper(ev.chains, ev.mode, flips, bases)
 	if err != nil {
 		return nil, err
 	}
-	phys, err := ev.dev.NewSweeper(flips)
+	phys, err := ev.dev.NewSweeper(flips, bases)
 	if err != nil {
+		golden.Close()
 		return nil, err
 	}
 	return &Sweep{ev: ev, cands: cands, golden: golden, phys: phys}, nil
@@ -54,28 +71,32 @@ func (s *Sweep) Close() {
 // Sweep).
 func (s *Sweep) Candidates() []CellRef { return s.cands }
 
-// NumChunks returns the number of 64-candidate chunks.
+// NumChunks returns the number of 64-lane chunks.
 func (s *Sweep) NumChunks() int { return s.golden.NumChunks() }
 
-// Rebase re-simulates both sides' base frames for a new base pattern.
-// The pattern is captured by reference; callers must Rebase again after
-// mutating it.
-func (s *Sweep) Rebase(base *scan.Pattern) error {
-	if err := s.golden.Rebase(base); err != nil {
+// Rebase re-simulates both sides' base frames for new base patterns, as
+// many as the session was built for. The patterns are captured by
+// reference; callers must Rebase again after mutating one.
+func (s *Sweep) Rebase(bases ...*scan.Pattern) error {
+	if err := s.golden.Rebase(bases...); err != nil {
 		return err
 	}
-	if err := s.phys.Rebase(base); err != nil {
+	if err := s.phys.Rebase(bases...); err != nil {
 		return err
 	}
-	s.base = base
+	s.bases = append(s.bases[:0], bases...)
 	return nil
 }
 
-// Advance incrementally rebases both sides onto newBase, which must
-// differ from the current base in exactly the accepted flip — the cheap
-// per-step transition of the adaptive climb (only the flip's deviation
-// is propagated instead of launching the full netlist twice).
-func (s *Sweep) Advance(flipped CellRef, newBase *scan.Pattern) error {
+// Advance incrementally rebases both sides onto newBases, each of which
+// must differ from the current base in its lane slot in exactly the
+// accepted flip — the cheap per-step transition of the adaptive climb
+// and the strategic search (only the flip's deviation is propagated
+// instead of launching the full netlist twice).
+func (s *Sweep) Advance(flipped CellRef, newBases ...*scan.Pattern) error {
+	if len(newBases) != len(s.bases) {
+		panic("core: Sweep.Advance with a different number of bases")
+	}
 	f := scan.Flip{Chain: flipped.Chain, Index: flipped.Index}
 	if err := s.golden.Advance(f); err != nil {
 		return err
@@ -83,34 +104,35 @@ func (s *Sweep) Advance(flipped CellRef, newBase *scan.Pattern) error {
 	if err := s.phys.Advance(f); err != nil {
 		return err
 	}
-	s.base = newBase
+	s.bases = append(s.bases[:0], newBases...)
 	return nil
 }
 
-// MeasureChunk evaluates chunk c's candidates — base with one bit
-// flipped per lane — and returns their Readings, bit-identical to
-// Evaluator.MeasureBatch over clones of the base carrying those flips.
-// The returned slice is owned by the Sweep and valid until the next
-// MeasureChunk.
+// MeasureChunk evaluates chunk c's candidates — lane l is base l%bases
+// with flip l/bases of the chunk applied — and returns their Readings,
+// bit-identical to Evaluator.MeasureBatch over clones of the bases
+// carrying those flips. The returned slice is owned by the Sweep and
+// valid until the next MeasureChunk.
 func (s *Sweep) MeasureChunk(c int) []Reading {
-	if s.base == nil {
+	if s.bases == nil {
 		panic("core: Sweep.MeasureChunk before Rebase")
 	}
 	ev := s.ev
 	ev.maybeTrackDrift()
 	flips := s.phys.ChunkFlips(c)
+	lanes := len(flips) * len(s.bases)
 	ids, masks := s.phys.Run(c)
-	observed := ev.dev.MeasureSweep(s.base, flips, ids, masks)
-	ev.sinceRef += len(flips)
+	observed := ev.dev.MeasureSweep(s.bases, flips, ids, masks)
+	ev.sinceRef += lanes
 
-	gids, gmasks := s.golden.Run(c)
-	s.noms = ev.model.NominalLanesSparse(gids, gmasks, len(flips), s.noms)
+	s.gids, s.gmasks = s.golden.Run(c)
+	s.noms = ev.model.NominalLanesSparse(s.gids, s.gmasks, lanes, s.noms)
 
-	if cap(s.out) < len(flips) {
-		s.out = make([]Reading, len(flips))
+	if cap(s.out) < lanes {
+		s.out = make([]Reading, lanes)
 	}
-	out := s.out[:len(flips)]
-	for i := range flips {
+	out := s.out[:lanes]
+	for i := range out {
 		obs := observed[i] / (ev.scale * ev.driftScale)
 		out[i] = Reading{
 			Observed: obs,
@@ -119,4 +141,24 @@ func (s *Sweep) MeasureChunk(c int) []Reading {
 		}
 	}
 	return out
+}
+
+// AnalyzeChunk measures chunk c of a two-base session and returns the
+// superposition analysis of its candidate pairs — pair i is (A⊕f, B⊕f)
+// for the chunk's flip i — bit-identical to Evaluator.AnalyzePairs over
+// the materialized pairs, except that A and B stay nil: the caller
+// materializes only the pair it keeps. The returned slice is owned by
+// the Sweep and valid until the next AnalyzeChunk.
+func (s *Sweep) AnalyzeChunk(c int) []PairAnalysis {
+	if len(s.bases) != 2 {
+		panic("core: Sweep.AnalyzeChunk needs a sweep rebased onto a pair")
+	}
+	readings := s.MeasureChunk(c)
+	n := len(readings) / 2
+	if cap(s.pairs) < n {
+		s.pairs = make([]PairAnalysis, n)
+	}
+	pairs := s.pairs[:n]
+	s.ev.analyzeLanes(readings, s.gids, s.gmasks, pairs)
+	return pairs
 }

@@ -104,9 +104,9 @@ func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Patt
 // From each base it measures every chunk, takes the best-RPD candidate
 // as Adaptive does, confirms it with Measure on both stacks and Advances
 // the sweep — steps times — requiring bit-identical Readings throughout.
-// A follow-up Measure on both stacks and the devices' AcquisitionStats
-// and tester.Stats then show that drift tracking and the noise, fault
-// and stuck-guard streams advanced identically.
+// The devices' AcquisitionStats and tester.Stats and a follow-up Measure
+// on both stacks then show that drift tracking and the noise, fault and
+// stuck-guard streams advanced identically.
 func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan.Pattern, steps int) {
 	t.Helper()
 	var cands []CellRef
@@ -118,7 +118,7 @@ func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan
 	for i := range bases[0].PI {
 		cands = append(cands, CellRef{PIChain, i})
 	}
-	sw, err := ev.NewSweep(cands)
+	sw, err := ev.NewSweep(cands, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,16 @@ func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan
 		}
 	}
 
-	probe := bases[len(bases)/2]
-	if got, want := ev.Measure(probe.Clone()), ref.Measure(probe.Clone()); !sameReading(got, want) {
-		t.Fatalf("%s: follow-up Measure %+v, reference %+v", label, got, want)
-	}
+	assertSameStream(t, label, ev, ref, bases[len(bases)/2])
+}
+
+// assertSameStream requires two identically seeded stacks to have
+// advanced their measurement streams identically: equal acquisition and
+// tester-fault accounting, and a bit-identical next reading.
+func assertSameStream(t *testing.T, label string, ev, ref *Evaluator, probe *scan.Pattern) {
+	t.Helper()
 	if got, want := ev.Device().AcquisitionStats(), ref.Device().AcquisitionStats(); got != want {
-		t.Fatalf("%s: acquisition accounting deviates:\n  clones %+v\n  sweep  %+v", label, want, got)
+		t.Fatalf("%s: acquisition accounting deviates:\n  reference %+v\n  sweep     %+v", label, want, got)
 	}
 	var gotTS, wantTS tester.Stats
 	if fm := ev.Device().FaultModel(); fm != nil {
@@ -178,7 +182,10 @@ func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan
 		wantTS = ref.Device().FaultModel().Stats()
 	}
 	if gotTS != wantTS {
-		t.Fatalf("%s: tester fault accounting deviates:\n  clones %+v\n  sweep  %+v", label, wantTS, gotTS)
+		t.Fatalf("%s: tester fault accounting deviates:\n  reference %+v\n  sweep     %+v", label, wantTS, gotTS)
+	}
+	if got, want := ev.Measure(probe.Clone()), ref.Measure(probe.Clone()); !sameReading(got, want) {
+		t.Fatalf("%s: next reading %+v, reference %+v", label, got, want)
 	}
 }
 

@@ -98,13 +98,20 @@ func (l *Library) Energy(typ netlist.GateType, fanin int) float64 {
 type Model struct {
 	n       *netlist.Netlist
 	nominal []float64
+	squares []float64 // float64(e*e) per gate, for SumSquaresLanesSparse
 }
 
 // NewModel builds the nominal model of n under lib.
 func NewModel(n *netlist.Netlist, lib *Library) *Model {
-	m := &Model{n: n, nominal: make([]float64, n.NumGates())}
+	m := &Model{
+		n:       n,
+		nominal: make([]float64, n.NumGates()),
+		squares: make([]float64, n.NumGates()),
+	}
 	for id, g := range n.Gates {
-		m.nominal[id] = lib.Energy(g.Type, len(g.Fanin))
+		e := lib.Energy(g.Type, len(g.Fanin))
+		m.nominal[id] = e
+		m.squares[id] = float64(e * e)
 	}
 	return m
 }
@@ -149,12 +156,24 @@ func (m *Model) NominalLanesSparse(ids []int, masks []logic.Word, numLanes int, 
 // toggle set. Under independent per-gate variation of relative magnitude
 // σ, the standard deviation of the set's observed power is σ·√(Σe²) —
 // the scale against which a differential residual is judged significant.
+// The explicit conversion rounds each square before it is added, which
+// forbids fusing the two into one FMA: the sum is the same on every
+// GOARCH, and equals SumSquaresLanesSparse's lane sums.
 func (m *Model) NominalSumSquares(toggles []int) float64 {
 	var p float64
 	for _, id := range toggles {
-		p += m.nominal[id] * m.nominal[id]
+		e := m.nominal[id]
+		p += float64(e * e)
 	}
 	return p
+}
+
+// SumSquaresLanesSparse is NominalLanesSparse over the squared nominal
+// energies: out[lane] is NominalSumSquares of that lane's toggle set,
+// bit-identical because both add the same rounded squares in ascending
+// gate-ID order.
+func (m *Model) SumSquaresLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
+	return priceSparse(m.squares, ids, masks, numLanes, dst)
 }
 
 // Variation parameterizes the manufacturing-process noise. Both sigmas are

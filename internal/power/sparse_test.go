@@ -104,3 +104,29 @@ func TestMeasureLanesSparseNoiseParity(t *testing.T) {
 		}
 	}
 }
+
+// TestSumSquaresLanesMatchesPerSet pins the squared-energy lane pricing
+// the pair decomposition uses for UniqueEnergySq: every lane's sum must
+// equal NominalSumSquares over that lane's toggle list bit for bit.
+func TestSumSquaresLanesMatchesPerSet(t *testing.T) {
+	n := buildTiny(t)
+	m := NewModel(n, SAED90Like())
+	rng := stats.NewRNG(0x5c5c)
+	var dst []float64
+	for trial := 0; trial < 50; trial++ {
+		numLanes := 1 + int(rng.Uint64()%64)
+		dense, ids, masks := randomSparse(rng, n.NumGates())
+		dst = m.SumSquaresLanesSparse(ids, masks, numLanes, dst)
+		for lane := 0; lane < numLanes; lane++ {
+			var set []int
+			for id, w := range dense {
+				if w>>uint(lane)&1 != 0 {
+					set = append(set, id)
+				}
+			}
+			if want := m.NominalSumSquares(set); math.Float64bits(dst[lane]) != math.Float64bits(want) {
+				t.Fatalf("trial %d lane %d: lane sum %v != per-set sum %v", trial, lane, dst[lane], want)
+			}
+		}
+	}
+}

@@ -227,7 +227,7 @@ func TestSweeperKindEquivalence(t *testing.T) {
 	}
 
 	for _, mode := range []Mode{LOS, LOC} {
-		s, err := NewSweeper(ch, mode, flips)
+		s, err := NewSweeper(ch, mode, flips, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

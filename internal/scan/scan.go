@@ -448,18 +448,6 @@ func (e *Engine) ToggleMasks(dst []logic.Word) []logic.Word {
 	return sim.ToggleMask(e.f1, e.f2, dst)
 }
 
-// TogglesAllBuf returns the toggle sets of the first numLanes lanes of
-// the most recent Launch in one pass (cheaper than per-lane Toggles when
-// most lanes are needed). The sets are carved out of the caller-owned buf
-// (see sim.ToggleSetsAllBuf) and are valid only until the buffer is
-// passed back in.
-func (e *Engine) TogglesAllBuf(numLanes int, buf []int) ([][]int, []int) {
-	if e.f1 == nil {
-		panic("scan: TogglesAllBuf before Launch")
-	}
-	return sim.ToggleSetsAllBuf(e.f1, e.f2, numLanes, buf)
-}
-
 // Toggles returns the toggle set (gate IDs whose value changed between the
 // frames) of pattern lane `lane` from the most recent Launch.
 func (e *Engine) Toggles(lane uint) []int {

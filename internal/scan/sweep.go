@@ -34,14 +34,15 @@ type capture struct {
 	ff, dpin int
 }
 
-// chunkPlan is the precomputation of one sweep chunk (up to 64 flips,
-// one per simulator lane). The per-lane source perturbations are
-// computed at construction — O(lanes), no netlist walk — and the LOC
-// re-capture list (one frame-1 cone walk) is derived on the chunk's
-// first use. Chunks propagate word deviations directly (sim.DeltaProp),
-// so a sweep over a million-gate netlist never re-evaluates a
-// structural cone. Because the adaptive flow sweeps the same stimulus
-// bits every step, the derived list is reused for the whole run.
+// chunkPlan is the precomputation of one sweep chunk (up to 64/bases
+// flips, each seeding one lane per base). The per-lane source
+// perturbations are computed at construction — O(lanes), no netlist
+// walk — and the LOC re-capture list (one frame-1 cone walk) is derived
+// on the chunk's first use. Chunks propagate word deviations directly
+// (sim.DeltaProp), so a sweep over a million-gate netlist never
+// re-evaluates a structural cone. Because a search sweeps the same
+// stimulus bits every step, the derived list is reused for the whole
+// run.
 type chunkPlan struct {
 	flips    []Flip
 	f1Srcs   []srcFlip // frame-1 source bits to XOR, per lane
@@ -53,11 +54,16 @@ type chunkPlan struct {
 	captures []capture // LOC only: FFs re-captured from the frame-1 cone
 }
 
-// Sweeper is the single-flip sweep engine of the adaptive flow (§IV-B):
-// it evaluates every pattern that differs from a base pattern in exactly
-// one stimulus bit, without materializing those patterns. The base
-// pattern's frames are simulated once per Rebase and broadcast across
-// all 64 lanes; each chunk then seeds its flips as per-lane source
+// Sweeper is the single-flip sweep engine of the adaptive flow (§IV-B)
+// and the strategic pair search (§IV-D): it evaluates every pattern that
+// differs from a base pattern in exactly one stimulus bit, without
+// materializing those patterns. A sweep runs over 1 or 2 bases. The
+// bases' frames are simulated once per Rebase, on lanes 0..bases-1, and
+// interleaved across all 64 lanes: lane l carries base l%bases. A chunk
+// holds 64/bases flips, and flip i of a chunk seeds lanes
+// bases·i .. bases·i+bases-1 — with two bases (A, B) the chunk's lanes
+// are [A⊕f0, B⊕f0, A⊕f1, B⊕f1, …], the 32 jointly flipped pairs of the
+// strategic climb. Each chunk seeds its flips as per-lane source
 // deviations and propagates only the words that actually change
 // (sim.DeltaProp) — the LOS transparency rule (§IV-A) guarantees the
 // perturbation is local, and the full-scan structure keeps it shallow
@@ -65,30 +71,32 @@ type chunkPlan struct {
 //
 // The output of a chunk is a sparse (ids, masks) toggle encoding whose
 // pricing through power.NominalLanesSparse / power.MeasureLanesSparse is
-// bit-identical to launching the 64 cloned patterns through Engine.Launch
-// and pricing the dense toggle masks: gates the deviation never reaches
-// keep the base pattern's toggle state on every lane, gates it reaches
-// carry their exact lane words, and the encoding preserves the
-// ascending-gate-ID addition order of the dense path.
+// bit-identical to launching the materialized clones through
+// Engine.Launch and pricing the dense toggle masks: gates the deviation
+// never reaches keep their base toggle word (the interleaved bases'
+// toggle states), gates it reaches carry their exact lane words, and the
+// encoding preserves the ascending-gate-ID addition order of the dense
+// path.
 //
 // A Sweeper owns its buffers and is not safe for concurrent use.
 type Sweeper struct {
 	ch    *Chains
 	mode  Mode
 	eng   *Engine // base-frame simulation
+	bases int     // base patterns interleaved across the lanes (1 or 2)
 	plans []chunkPlan
 
-	// Per-base state (valid after Rebase).
-	f1b, f2b    []logic.Word // broadcast base frame values
-	baseToggles []int        // ascending gate IDs toggling under the base pattern
+	// Per-base state (valid after Rebase): the interleaved base frame
+	// values, the ascending gate IDs any base toggles, and — parallel to
+	// baseToggles — their toggle words, which unreached gates emit.
+	f1b, f2b    []logic.Word
+	baseToggles []int
+	baseWords   []logic.Word
 	based       bool
 
-	// Sparse output buffers, valid until the next Run, and the all-ones
-	// mask template bulk-copied for unaffected base toggles (restored to
-	// all-ones after a partial-lane chunk).
+	// Sparse output buffers, valid until the next Run.
 	ids   []int
 	masks []logic.Word
-	fill  []logic.Word
 
 	// Delta-propagation state: one propagator per frame, lazily built;
 	// gen is the base generation (bumped by Rebase and Advance) and
@@ -105,11 +113,15 @@ type Sweeper struct {
 }
 
 // NewSweeper builds a sweep engine over the scan configuration for the
-// given flip list, in order: flip i is lane i%64 of chunk i/64. Setup
-// is O(flips) plus pooled per-net buffers — the LOC re-capture list of
-// each chunk is derived lazily on its first use (see chunkPlan) — so
-// per-lot construction cost stays flat as netlists grow.
-func NewSweeper(ch *Chains, mode Mode, flips []Flip) (*Sweeper, error) {
+// given flip list and number of interleaved base patterns (1 or 2), in
+// order: flip i lands in chunk i/(64/bases). Setup is O(flips) plus
+// pooled per-net buffers — the LOC re-capture list of each chunk is
+// derived lazily on its first use (see chunkPlan) — so per-lot
+// construction cost stays flat as netlists grow.
+func NewSweeper(ch *Chains, mode Mode, flips []Flip, bases int) (*Sweeper, error) {
+	if bases != 1 && bases != 2 {
+		return nil, fmt.Errorf("scan: sweep over %d bases (want 1 or 2)", bases)
+	}
 	n := ch.Netlist()
 	for _, f := range flips {
 		if f.IsPI() {
@@ -127,20 +139,18 @@ func NewSweeper(ch *Chains, mode Mode, flips []Flip) (*Sweeper, error) {
 		}
 	}
 	s := &Sweeper{
-		ch:   ch,
-		mode: mode,
-		eng:  NewEngine(ch),
-		f1b:  scratch.Words(n.NumGates()),
-		f2b:  scratch.Words(n.NumGates()),
-		fill: scratch.Words(n.NumGates()),
-		gen:  1,
+		ch:    ch,
+		mode:  mode,
+		eng:   NewEngine(ch),
+		bases: bases,
+		f1b:   scratch.Words(n.NumGates()),
+		f2b:   scratch.Words(n.NumGates()),
+		gen:   1,
 	}
-	for i := range s.fill {
-		s.fill[i] = ^logic.Word(0)
-	}
-	for start := 0; start < len(flips); start += 64 {
-		end := min(start+64, len(flips))
-		s.plans = append(s.plans, buildPlanSources(ch, mode, flips[start:end]))
+	per := 64 / bases
+	for start := 0; start < len(flips); start += per {
+		end := min(start+per, len(flips))
+		s.plans = append(s.plans, buildPlanSources(ch, mode, flips[start:end], bases))
 	}
 	return s, nil
 }
@@ -154,8 +164,7 @@ func (s *Sweeper) Close() {
 	}
 	scratch.PutWords(s.f1b)
 	scratch.PutWords(s.f2b)
-	scratch.PutWords(s.fill)
-	s.f1b, s.f2b, s.fill = nil, nil, nil
+	s.f1b, s.f2b = nil, nil
 	if s.divmap != nil {
 		scratch.PutUint64s(s.divmap)
 		s.divmap = nil
@@ -169,21 +178,27 @@ func (s *Sweeper) Close() {
 	s.based = false
 }
 
+// flipBits returns the lane bits flip i of a chunk seeds: one lane per
+// base, lanes bases·i .. bases·i+bases-1.
+func flipBits(i, bases int) logic.Word {
+	return (logic.Word(1)<<uint(bases) - 1) << uint(i*bases)
+}
+
 // buildPlanSources computes the eager part of one chunk: the per-lane
 // source perturbations and the lane mask. No netlist walk happens here.
-func buildPlanSources(ch *Chains, mode Mode, flips []Flip) chunkPlan {
+func buildPlanSources(ch *Chains, mode Mode, flips []Flip, bases int) chunkPlan {
 	n := ch.Netlist()
 	p := chunkPlan{
 		flips:    append([]Flip(nil), flips...),
 		laneMask: ^logic.Word(0),
 		capsDone: mode == LOS, // LOS has no re-captures, nothing to derive
 	}
-	if len(flips) < 64 {
-		p.laneMask = logic.Word(1)<<uint(len(flips)) - 1
+	if lanes := len(flips) * bases; lanes < 64 {
+		p.laneMask = logic.Word(1)<<uint(lanes) - 1
 	}
 
-	for lane, f := range flips {
-		bit := logic.Word(1) << uint(lane)
+	for i, f := range flips {
+		bit := flipBits(i, bases)
 		if f.IsPI() {
 			// PIs hold across both frames under either mode.
 			id := n.PIs[f.Index]
@@ -250,8 +265,9 @@ func (s *Sweeper) Mode() Mode { return s.mode }
 // NumChunks returns the number of 64-lane chunks.
 func (s *Sweeper) NumChunks() int { return len(s.plans) }
 
-// ChunkFlips returns the flips of chunk c, lane-ordered (owned by the
-// Sweeper; do not modify).
+// ChunkFlips returns the flips of chunk c in lane order — flip i seeds
+// lanes bases·i .. bases·i+bases-1 (owned by the Sweeper; do not
+// modify).
 func (s *Sweeper) ChunkFlips(c int) []Flip { return s.plans[c].flips }
 
 // SetHiddenState pins the frozen value of a NoScan flip-flop during base
@@ -259,53 +275,65 @@ func (s *Sweeper) ChunkFlips(c int) []Flip { return s.plans[c].flips }
 // outside the scan chains, so flips never perturb them).
 func (s *Sweeper) SetHiddenState(ff int, w logic.Word) { s.eng.SetHiddenState(ff, w) }
 
-// Rebase simulates the two frames of a new base pattern and resets the
-// working lane words to its broadcast values. Must be called before Run
-// and after every change to the base pattern.
-func (s *Sweeper) Rebase(base *Pattern) error {
-	f1, f2, err := s.eng.Launch([]*Pattern{base}, s.mode)
+// Rebase simulates the two frames of new base patterns — exactly as
+// many as the sweep was built for — and resets the working lane words to
+// their interleaved values: lane l carries base l%bases. Must be called
+// before Run and after every change to a base pattern.
+func (s *Sweeper) Rebase(bases ...*Pattern) error {
+	if len(bases) != s.bases {
+		return fmt.Errorf("scan: Sweeper.Rebase with %d bases, sweep built for %d", len(bases), s.bases)
+	}
+	f1, f2, err := s.eng.Launch(bases, s.mode)
 	if err != nil {
 		return err
 	}
-	s.baseToggles = s.baseToggles[:0]
+	// Multiplying a word's low `bases` bits by rep copies them into every
+	// block of `bases` lanes (the blocks never overlap, so nothing
+	// carries): 1 base broadcasts lane 0, 2 bases interleave lanes 0/1.
+	low := logic.Word(1)<<uint(s.bases) - 1
+	rep := ^logic.Word(0) / low
 	for id := range f1 {
-		var w1, w2 logic.Word
-		if f1[id]&1 != 0 {
-			w1 = logic.AllOne
-		}
-		if f2[id]&1 != 0 {
-			w2 = logic.AllOne
-		}
-		s.f1b[id], s.f2b[id] = w1, w2
-		if w1 != w2 {
-			s.baseToggles = append(s.baseToggles, id)
-		}
+		s.f1b[id], s.f2b[id] = (f1[id]&low)*rep, (f2[id]&low)*rep
 	}
+	s.collectBaseToggles()
 	s.based = true
 	s.gen++ // cached delta-propagation bases are now stale
 	return nil
 }
 
-// Advance incrementally rebases the sweeper onto the pattern that
-// differs from the current base in exactly the given flip — the accepted
-// step of the adaptive climb. Instead of a full two-frame launch, it
+// collectBaseToggles rebuilds the ascending list of gates any base
+// toggles and their toggle words.
+func (s *Sweeper) collectBaseToggles() {
+	s.baseToggles, s.baseWords = s.baseToggles[:0], s.baseWords[:0]
+	for id := range s.f1b {
+		if w := s.f1b[id] ^ s.f2b[id]; w != 0 {
+			s.baseToggles = append(s.baseToggles, id)
+			s.baseWords = append(s.baseWords, w)
+		}
+	}
+}
+
+// Advance incrementally rebases the sweeper onto the patterns that
+// differ from the current bases in exactly the given flip — the accepted
+// step of the adaptive climb, or the accepted joint flip of both
+// patterns of a strategic pair. Instead of a full two-frame launch, it
 // seeds both frames' propagators with the flip's source deviations on
-// every lane (the new base is broadcast, so each deviation word is
-// all-ones), commits exactly the diverged gates into the broadcast base,
-// and rebuilds the base toggle list. Two-valued logic is exact and gates
-// the deviation never reaches keep their old words, so the resulting
-// state is identical to a Rebase on the materialized pattern. The flip
-// must be one the sweeper was built for.
+// every lane (every base takes the flip, so each deviation word is
+// all-ones), commits exactly the diverged gates into the interleaved
+// base, and rebuilds the base toggle list. Two-valued logic is exact and
+// gates the deviation never reaches keep their old words, so the
+// resulting state is identical to a Rebase on the materialized patterns.
+// The flip must be one the sweeper was built for.
 func (s *Sweeper) Advance(f Flip) error {
 	if !s.based {
 		return fmt.Errorf("scan: Sweeper.Advance before Rebase")
 	}
 	var p *chunkPlan
-	lane := -1
+	slot := -1
 	for i := range s.plans {
-		for l, pf := range s.plans[i].flips {
+		for k, pf := range s.plans[i].flips {
 			if pf == f {
-				p, lane = &s.plans[i], l
+				p, slot = &s.plans[i], k
 				break
 			}
 		}
@@ -318,7 +346,7 @@ func (s *Sweeper) Advance(f Flip) error {
 	}
 	s.ensureCaptures(p)
 	s.ensureDeltaProps()
-	bit := logic.Word(1) << uint(lane)
+	bit := flipBits(slot, s.bases)
 	s.dp1.Begin()
 	for _, sf := range p.f1Srcs {
 		if sf.bit == bit {
@@ -349,12 +377,7 @@ func (s *Sweeper) Advance(f Flip) error {
 	for _, id := range s.div {
 		s.f2b[id] = s.dp2.Value(int(id))
 	}
-	s.baseToggles = s.baseToggles[:0]
-	for id := range s.f1b {
-		if s.f1b[id] != s.f2b[id] {
-			s.baseToggles = append(s.baseToggles, id)
-		}
-	}
+	s.collectBaseToggles()
 	s.gen++ // the committed base invalidates the propagators' gathered words
 	return nil
 }
@@ -375,7 +398,7 @@ func (s *Sweeper) ensureDeltaProps() {
 	}
 }
 
-// Run evaluates chunk c against the current base: it seeds each
+// Run evaluates chunk c against the current bases: it seeds each
 // frame's delta propagator with the chunk's per-lane source XORs,
 // propagates only the words that actually change, and returns the
 // chunk's toggle activity as a sparse (ids, masks) encoding — ids
@@ -425,19 +448,11 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 
 	// Merge the diverged set with the base toggle set, in ascending
 	// gate-ID order: a gate neither frame's propagation reached keeps
-	// its base toggle state on every lane, a diverged gate carries its
-	// propagated lane words. Base toggles far outnumber diverged gates,
-	// so runs of them between consecutive diverged IDs are emitted as
-	// bulk copies from a laneMask-filled template instead of
-	// element-wise appends.
+	// its base toggle word, a diverged gate carries its propagated lane
+	// words. Base toggles far outnumber diverged gates, so runs of them
+	// between consecutive diverged IDs are emitted as bulk copies.
 	ids, masks = s.ids[:0], s.masks[:0]
-	bt := s.baseToggles
-	fill := s.fill[:len(bt)]
-	if p.laneMask != ^logic.Word(0) {
-		for k := range fill {
-			fill[k] = p.laneMask
-		}
-	}
+	bt, bw := s.baseToggles, s.baseWords
 	j := 0
 	for w, dw := range s.divmap {
 		if dw == 0 {
@@ -453,12 +468,12 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 			}
 			if k > j {
 				ids = append(ids, bt[j:k]...)
-				masks = append(masks, fill[:k-j]...)
+				masks = append(masks, bw[j:k]...)
 				j = k
 			}
 			var btw logic.Word
 			if j < len(bt) && bt[j] == id {
-				btw = ^logic.Word(0)
+				btw = bw[j]
 				j++
 			}
 			c := s.dp1.Compact(id)
@@ -470,11 +485,14 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 	}
 	if j < len(bt) {
 		ids = append(ids, bt[j:]...)
-		masks = append(masks, fill[:len(bt)-j]...)
+		masks = append(masks, bw[j:]...)
 	}
 	if p.laneMask != ^logic.Word(0) {
-		for k := range fill {
-			fill[k] = ^logic.Word(0)
+		// A partial last chunk: the copied base words still carry the
+		// unused lanes. Lanes 0..bases-1 are always in use, so a nonzero
+		// base word stays nonzero.
+		for k := range masks {
+			masks[k] &= p.laneMask
 		}
 	}
 	s.ids, s.masks = ids, masks

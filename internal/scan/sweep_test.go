@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 				flips = append(flips, flips[int(rng.Uint64()%uint64(len(flips)))])
 			}
 
-			s, err := NewSweeper(ch, mode, flips)
+			s, err := NewSweeper(ch, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 			flips = append(flips, Flip{PIFlip, i})
 		}
 		for _, mode := range []Mode{LOS, LOC} {
-			s, err := NewSweeper(ch, mode, flips)
+			s, err := NewSweeper(ch, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,6 +185,184 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 			s.Close()
 		}
 		eng.Close()
+	}
+}
+
+// hiddenStateCircuit builds a random full-scan circuit that also carries
+// NoScan flip-flops (hidden sequential state, as a sequential Trojan's
+// counter cells are): every gate reads earlier nets, every flip-flop's
+// D pin is a random gate, so flip cones reach hidden cells' D pins.
+func hiddenStateCircuit(t *testing.T, rng *stats.RNG) *netlist.Netlist {
+	t.Helper()
+	b := netlist.NewBuilder("hidden")
+	var nets []string
+	nPI := 1 + int(rng.Uint64()%4)
+	nFF := 3 + int(rng.Uint64()%10)
+	nHidden := 1 + int(rng.Uint64()%3)
+	nGates := 20 + int(rng.Uint64()%60)
+	pick := func() string { return nets[int(rng.Uint64()%uint64(len(nets)))] }
+	gate := func() string { return fmt.Sprintf("g%d", rng.Uint64()%uint64(nGates)) }
+	for i := 0; i < nPI; i++ {
+		name := fmt.Sprintf("pi%d", i)
+		if _, err := b.AddInput(name); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, name)
+	}
+	for i := 0; i < nFF+nHidden; i++ {
+		name := fmt.Sprintf("ff%d", i)
+		add := b.AddDFF
+		if i >= nFF {
+			add = b.AddNonScanDFF
+		}
+		if _, err := add(name, gate()); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, name)
+	}
+	types := []netlist.GateType{netlist.And, netlist.Or, netlist.Nand, netlist.Nor, netlist.Xor, netlist.Not}
+	for i := 0; i < nGates; i++ {
+		typ := types[int(rng.Uint64()%uint64(len(types)))]
+		fanin := []string{pick()}
+		if typ != netlist.Not {
+			fanin = append(fanin, pick())
+		}
+		name := fmt.Sprintf("g%d", i)
+		if _, err := b.AddGate(name, typ, fanin...); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, name)
+	}
+	b.MarkOutput(fmt.Sprintf("g%d", nGates-1))
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// twoBaseReference launches the materialized joint-flip clones of the
+// base pair — lane 2i is a⊕flips[i], lane 2i+1 is b⊕flips[i] — through
+// the engine and returns the dense toggle masks of the batch's lanes.
+func twoBaseReference(t *testing.T, eng *Engine, a, b *Pattern, flips []Flip, mode Mode) []logic.Word {
+	t.Helper()
+	ca, cb := flipClones(a, flips), flipClones(b, flips)
+	pats := make([]*Pattern, 0, 2*len(flips))
+	for i := range flips {
+		pats = append(pats, ca[i], cb[i])
+	}
+	if _, _, err := eng.Launch(pats, mode); err != nil {
+		t.Fatal(err)
+	}
+	masks := eng.ToggleMasks(nil)
+	for id := range masks {
+		masks[id] &= laneMaskOf(len(pats))
+	}
+	return masks
+}
+
+// TestSweeperTwoBaseMatchesLaunch is the structural guard of the
+// two-base sweep the strategic pair search runs on: for random circuits
+// (half of them with hidden NoScan cells pinned to random states),
+// both modes, a flip list spanning a ragged last chunk, and after each
+// of several joint-flip Advances, every chunk's (ids, masks) must
+// densify to exactly the engine's toggle masks over the materialized
+// pair clones, and price bit-identically to them.
+func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
+	rng := stats.NewRNG(0x2ba5e)
+	lib := power.SAED90Like()
+	for trial := 0; trial < 10; trial++ {
+		var n *netlist.Netlist
+		if trial%2 == 0 {
+			var err error
+			n, err = trust.Generate(trust.Params{
+				Name:   "twobase",
+				PIs:    1 + int(rng.Uint64()%6),
+				POs:    3,
+				FFs:    4 + int(rng.Uint64()%40),
+				Comb:   30 + int(rng.Uint64()%120),
+				Levels: 3 + int(rng.Uint64()%4),
+				Seed:   rng.Uint64(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			n = hiddenStateCircuit(t, rng)
+		}
+		ch := Configure(n, 1+int(rng.Uint64()%3))
+		model := power.NewModel(n, lib)
+		for _, mode := range []Mode{LOS, LOC} {
+			var flips []Flip
+			for c := 0; c < ch.NumChains(); c++ {
+				for j := range ch.Chain(c) {
+					flips = append(flips, Flip{c, j})
+				}
+			}
+			for i := range n.PIs {
+				flips = append(flips, Flip{PIFlip, i})
+			}
+			eng := NewEngine(ch)
+			s, err := NewSweeper(ch, mode, flips, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (len(flips) + 31) / 32; s.NumChunks() != want {
+				t.Fatalf("trial %d: %d chunks for %d flips, want %d", trial, s.NumChunks(), len(flips), want)
+			}
+			for _, ff := range n.FFs {
+				if n.IsNoScan(ff) {
+					w := logic.Word(0)
+					if rng.Bool() {
+						w = logic.AllOne
+					}
+					eng.SetHiddenState(ff, w)
+					s.SetHiddenState(ff, w)
+				}
+			}
+			a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
+			if err := s.Rebase(a, b); err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; ; step++ {
+				for c := 0; c < s.NumChunks(); c++ {
+					chunk := s.ChunkFlips(c)
+					ids, masks := s.Run(c)
+					got := densify(n.NumGates(), ids, masks)
+					want := twoBaseReference(t, eng, a, b, chunk, mode)
+					for id := range want {
+						if got[id] != want[id] {
+							t.Fatalf("trial %d %v step %d chunk %d: gate %s toggles %064b, want %064b",
+								trial, mode, step, c, n.NameOf(id), got[id], want[id])
+						}
+					}
+					for k := range masks {
+						if masks[k] == 0 {
+							t.Fatalf("trial %d %v step %d chunk %d: empty mask for gate %s",
+								trial, mode, step, c, n.NameOf(ids[k]))
+						}
+					}
+					dense := model.NominalLanes(want, 2*len(chunk))
+					sparse := model.NominalLanesSparse(ids, masks, 2*len(chunk), nil)
+					for lane := range dense {
+						if math.Float64bits(dense[lane]) != math.Float64bits(sparse[lane]) {
+							t.Fatalf("trial %d %v step %d chunk %d lane %d: sparse price %v != dense %v",
+								trial, mode, step, c, lane, sparse[lane], dense[lane])
+						}
+					}
+				}
+				if step == 3 {
+					break
+				}
+				f := flips[int(rng.Uint64()%uint64(len(flips)))]
+				if err := s.Advance(f); err != nil {
+					t.Fatal(err)
+				}
+				a, b = flipClones(a, []Flip{f})[0], flipClones(b, []Flip{f})[0]
+			}
+			s.Close()
+			eng.Close()
+		}
 	}
 }
 
@@ -217,11 +396,11 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 			for i := range n.PIs {
 				flips = append(flips, Flip{PIFlip, i})
 			}
-			inc, err := NewSweeper(ch, mode, flips)
+			inc, err := NewSweeper(ch, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewSweeper(ch, mode, flips)
+			ref, err := NewSweeper(ch, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +443,7 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := Configure(n, 1)
-	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}})
+	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +488,7 @@ func TestSweeperHiddenState(t *testing.T) {
 		for _, hidden := range []logic.Word{0, logic.AllOne} {
 			eng := NewEngine(ch)
 			eng.SetHiddenState(h, hidden)
-			s, err := NewSweeper(ch, mode, flips)
+			s, err := NewSweeper(ch, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,16 +529,28 @@ func TestNewSweeperValidation(t *testing.T) {
 		{{Chain: PIFlip, Index: -1}},
 	}
 	for _, fl := range cases {
-		if _, err := NewSweeper(ch, LOS, fl); err == nil {
+		if _, err := NewSweeper(ch, LOS, fl, 1); err == nil {
 			t.Errorf("flips %v accepted", fl)
 		}
 	}
-	s, err := NewSweeper(ch, LOS, nil)
+	s, err := NewSweeper(ch, LOS, nil, 1)
 	if err != nil {
 		t.Fatalf("empty flip list must be valid: %v", err)
 	}
 	if s.NumChunks() != 0 {
 		t.Errorf("empty sweep has %d chunks", s.NumChunks())
+	}
+	for _, bases := range []int{0, 3, 64} {
+		if _, err := NewSweeper(ch, LOS, nil, bases); err == nil {
+			t.Errorf("sweep over %d bases accepted", bases)
+		}
+	}
+	two, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := two.Rebase(ch.NewPattern()); err == nil {
+		t.Error("two-base sweep rebased onto one pattern")
 	}
 }
 
@@ -370,7 +561,7 @@ func TestSweeperRunBeforeRebasePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := Configure(n, 1)
-	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}})
+	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,22 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) (int, Status) {
 	return resp.StatusCode, st
 }
 
+// waitBudget bounds waitState's polling. Natively every test job ends
+// well inside 10 s; under the race detector a 2-die lot alone takes
+// ~20 s on 2 vCPUs, and longer while another package's race suite
+// shares the CPUs, so the budget scales with the detector.
+func waitBudget() time.Duration {
+	budget := 10 * time.Second
+	if raceEnabled {
+		budget *= 10
+	}
+	return budget
+}
+
 // waitState polls until the job reaches a terminal state.
 func waitState(t *testing.T, ts *httptest.Server, id string, want State) Status {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(waitBudget())
 	for time.Now().Before(deadline) {
 		code, st := getStatus(t, ts, id)
 		if code != http.StatusOK {

@@ -7,13 +7,14 @@ import (
 )
 
 // DeltaProp is multi-seed event-driven divergence propagation over the
-// SoA netlist core: given one frame's fault-free base words (all 64
-// lanes of a broadcast base pattern), it computes how a set of source
-// perturbations — e.g. a sweep chunk's one-flip-per-lane XOR seeds —
-// deviates the frame, by propagating only actual word changes through
-// the fanout structure. It is the generalization of FaultProp from one
-// forced site to many seeded sources, keeping the full deviated state
-// queryable instead of reducing to an observation mask.
+// SoA netlist core: given one frame's fault-free base words (the 64
+// lanes of one broadcast or two interleaved base patterns), it computes
+// how a set of source perturbations — e.g. a sweep chunk's per-flip lane
+// XOR seeds — deviates the frame, by propagating only actual word
+// changes through the fanout structure. It is the generalization of
+// FaultProp from one forced site to many seeded sources, keeping the
+// full deviated state queryable instead of reducing to an observation
+// mask.
 //
 // The payoff is the same as fault propagation's: logic masking kills
 // most divergence within a few levels, so the touched set is typically

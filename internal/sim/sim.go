@@ -307,62 +307,6 @@ func ToggleMask(a, b []logic.Word, dst []logic.Word) []logic.Word {
 	return dst
 }
 
-// ToggleSetsAllBuf extracts the toggle sets of the first numLanes lanes
-// in a single pass over the nets (O(nets + total toggles), against
-// O(nets × lanes) for per-lane ToggleSet calls). The per-lane sets are
-// carved out of the caller-owned buf (grown only when too small; nil
-// allocates),
-// so a steady caller — the strategic climb analyses pairs once per
-// candidate modification — churns no per-call garbage. The returned
-// buffer must be threaded back into the next call; the sets alias it
-// and are valid only until then.
-func ToggleSetsAllBuf(a, b []logic.Word, numLanes int, buf []int) ([][]int, []int) {
-	out := make([][]int, numLanes)
-	laneMask := logic.Word(1)<<uint(numLanes) - 1
-	if numLanes >= 64 {
-		laneMask = ^logic.Word(0)
-	}
-	// Count first, then carve one exactly-sized backing array into the
-	// per-lane sets: two passes over the nets instead of dozens of
-	// append-grown reallocations across the lanes. The three-index
-	// slices cap each lane's region so a caller's append cannot clobber
-	// its neighbour.
-	var counts [64]int
-	total := 0
-	for id := range a {
-		m := (a[id] ^ b[id]) & laneMask
-		for m != 0 {
-			lane := bits.TrailingZeros64(uint64(m))
-			counts[lane]++
-			total++
-			m &= m - 1
-		}
-	}
-	if cap(buf) < total {
-		buf = make([]int, total)
-	}
-	buf = buf[:total]
-	off := 0
-	nl := numLanes
-	if nl > 64 {
-		nl = 64
-	}
-	for lane := 0; lane < nl; lane++ {
-		end := off + counts[lane]
-		out[lane] = buf[off:off:end]
-		off = end
-	}
-	for id := range a {
-		m := (a[id] ^ b[id]) & laneMask
-		for m != 0 {
-			lane := bits.TrailingZeros64(uint64(m))
-			out[lane] = append(out[lane], id)
-			m &= m - 1
-		}
-	}
-	return out, buf
-}
-
 // CountToggles returns the number of toggling nets at pattern lane bit.
 func CountToggles(a, b []logic.Word, bit uint) int {
 	mask := logic.Word(1) << bit

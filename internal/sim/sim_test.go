@@ -314,34 +314,3 @@ func TestRunForcedPropagates(t *testing.T) {
 		t.Error("fault effect must propagate downstream of the forced net")
 	}
 }
-
-func TestToggleSetsAllMatchesPerLane(t *testing.T) {
-	n := buildGateZoo(t)
-	s := New(n)
-	src := s.SourceWords()
-	a, _ := n.GateID("a")
-	b, _ := n.GateID("b")
-	src[a] = 0x5a5a5a5a5a5a5a5a
-	src[b] = 0x00ff00ff00ff00ff
-	f1 := append([]logic.Word(nil), s.Run(src)...)
-	src[a] = ^src[a]
-	f2 := append([]logic.Word(nil), s.Run(src)...)
-
-	for _, lanes := range []int{1, 7, 64} {
-		sets, _ := ToggleSetsAllBuf(f1, f2, lanes, nil)
-		if len(sets) != lanes {
-			t.Fatalf("lanes = %d", len(sets))
-		}
-		for lane := 0; lane < lanes; lane++ {
-			want := ToggleSet(f1, f2, uint(lane))
-			if len(sets[lane]) != len(want) {
-				t.Fatalf("lane %d: %v != %v", lane, sets[lane], want)
-			}
-			for i := range want {
-				if sets[lane][i] != want[i] {
-					t.Fatalf("lane %d: %v != %v", lane, sets[lane], want)
-				}
-			}
-		}
-	}
-}
