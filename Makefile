@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-parallel bench-ppsfp bench-scale test-race cover experiments experiments-full serve smoke smoke-cluster clean
+.PHONY: all build test vet bench bench-parallel bench-scale test-race cover experiments experiments-full serve smoke smoke-cluster clean
 
 all: vet test build
 
@@ -29,14 +29,6 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkCertifyLotParallel -benchtime 3x . \
 		| $(GO) run ./cmd/benchjson > BENCH_parallel.json
 	cat BENCH_parallel.json
-
-# PPSFP engine timings (published circuit size, workers=1): the
-# adaptive climb and batch fault simulation, archived as a machine-
-# readable artifact.
-bench-ppsfp:
-	$(GO) test -run '^$$' -bench BenchmarkPPSFP -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson > BENCH_ppsfp.json
-	cat BENCH_ppsfp.json
 
 # Capacity-tier scale curve (10⁴/10⁵/10⁶ gates certified, 10⁷
 # parse-and-levelize only): per-point wall-clock phase timings and peak

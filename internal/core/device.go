@@ -36,8 +36,12 @@ type Device struct {
 	policy   AcquisitionPolicy
 	faults   *tester.FaultModel
 	acq      AcquisitionStats
-	masks    []logic.Word // scratch
-	sweepRaw []float64    // scratch for sparse sweep pricing
+
+	// Scratch: the sparse toggle encoding of the last batch launch and
+	// the raw lane readings of the last tester pass.
+	ids   []int
+	masks []logic.Word
+	raw   []float64
 
 	// Run context (see SetContext): a cancelled context makes every
 	// subsequent acquisition deliver NaN readings instead of partial
@@ -199,10 +203,19 @@ func (d *Device) measureChunk(pats []*scan.Pattern) []float64 {
 		// MeasureBatch chunks into 1..64-pattern batches by construction.
 		panic(err.Error())
 	}
-	d.masks = d.eng.ToggleMasks(d.masks)
-	return d.acquire(len(pats),
-		func() []float64 { return d.chip.MeasureLanes(d.masks, len(pats)) },
+	d.ids, d.masks = d.eng.Toggled(d.ids, d.masks)
+	return d.acquire(len(pats), d.pricer(d.ids, d.masks, len(pats)),
 		func(i int) readingKey { return readingKey{pat: pats[i]} })
+}
+
+// pricer returns acquire's tester pass over the sparse toggle encoding
+// (ids, masks) of n lanes: each call prices the chip once, with fresh
+// measurement noise, into the device's scratch readings.
+func (d *Device) pricer(ids []int, masks []logic.Word, n int) func() []float64 {
+	return func() []float64 {
+		d.raw = d.chip.MeasureLanesSparse(ids, masks, n, d.raw)
+		return d.raw
+	}
 }
 
 // acquire runs the measurement-acquisition policy over one chunk of n
@@ -210,10 +223,10 @@ func (d *Device) measureChunk(pats []*scan.Pattern) []float64 {
 // gate, retry budget and aggregation. price performs one tester pass —
 // it must return n raw lane readings and draw any chip measurement noise
 // afresh per call — and key identifies lane i's stimulus for the
-// stuck-latch guard. Both the batch path (dense toggle masks of
-// materialized patterns) and the single-flip sweep path (sparse masks of
-// virtual flip lanes) funnel through here, so the two acquire readings
-// with bit-identical policy behavior. A cancelled run context yields NaN
+// stuck-latch guard. Both the batch path (materialized patterns) and
+// the single-flip sweep path (virtual flip lanes) price through pricer
+// and funnel through here, so the two acquire readings with
+// bit-identical policy behavior. A cancelled run context yields NaN
 // lanes and a sticky Err, never partially-aggregated readings.
 func (d *Device) acquire(n int, price func() []float64, key func(lane int) readingKey) []float64 {
 	// A cancelled run context aborts the acquisition before the first
@@ -372,7 +385,7 @@ func (d *Device) Measure(p *scan.Pattern) float64 {
 // configuration and physical netlist, interleaving the given number of
 // base patterns (1 or 2; see scan.NewSweeper), for use with MeasureSweep.
 func (d *Device) NewSweeper(flips []scan.Flip, bases int) (*scan.Sweeper, error) {
-	return scan.NewSweeper(d.eng.Chains(), d.mode, flips, bases)
+	return scan.NewSweeper(d.eng, d.mode, flips, bases)
 }
 
 // MeasureSweep acquires readings for one sweep chunk: lane l is base
@@ -387,12 +400,7 @@ func (d *Device) NewSweeper(flips []scan.Flip, bases int) (*scan.Sweeper, error)
 // device's scratch storage; it is valid until the next measurement.
 func (d *Device) MeasureSweep(bases []*scan.Pattern, flips []scan.Flip, ids []int, masks []logic.Word) []float64 {
 	nb := len(bases)
-	n := len(flips) * nb
-	price := func() []float64 {
-		d.sweepRaw = d.chip.MeasureLanesSparse(ids, masks, n, d.sweepRaw)
-		return d.sweepRaw
-	}
-	return d.acquire(n, price,
+	return d.acquire(len(flips)*nb, d.pricer(ids, masks, len(flips)*nb),
 		func(l int) readingKey {
 			f := flips[l/nb]
 			return readingKey{pat: bases[l%nb], chain: f.Chain, index: f.Index, sweep: true}

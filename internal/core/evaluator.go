@@ -36,7 +36,12 @@ type Evaluator struct {
 	driftWindow int
 	sinceRef    int
 
-	masks []logic.Word // scratch for batch pricing
+	// ids/masks hold the sparse golden toggle encoding of the last batch
+	// launch (see nominals), which AnalyzePairs decomposes; noms is its
+	// per-lane nominal pricing.
+	ids   []int
+	masks []logic.Word
+	noms  []float64
 
 	// uids/umasks and nomU/sqU back the mask-level pair decomposition
 	// (analyzeLanes): the compacted unique-activity encoding of a chunk
@@ -84,7 +89,13 @@ func NewEvaluatorFromChains(golden *netlist.Netlist, lib *power.Library, dev *De
 // The device is owned by the caller and stays open. The Evaluator must
 // not be used afterwards; Close is idempotent.
 func (ev *Evaluator) Close() {
+	ev.releaseAdaptiveSweep()
 	ev.eng.Close()
+}
+
+// releaseAdaptiveSweep closes the cached adaptive sweep session, if any;
+// a later Adaptive call builds a fresh one.
+func (ev *Evaluator) releaseAdaptiveSweep() {
 	if ev.adaptiveSweep != nil {
 		ev.adaptiveSweep.Close()
 		ev.adaptiveSweep = nil
@@ -98,6 +109,16 @@ func (ev *Evaluator) launch(pats []*scan.Pattern) {
 	if _, _, err := ev.eng.Launch(pats, ev.mode); err != nil {
 		panic(err.Error())
 	}
+}
+
+// nominals launches 1..64 patterns on the golden model and prices the
+// predicted activity of each lane, leaving the sparse toggle encoding in
+// ev.ids/ev.masks. The result is scratch, valid until the next call.
+func (ev *Evaluator) nominals(pats []*scan.Pattern) []float64 {
+	ev.launch(pats)
+	ev.ids, ev.masks = ev.eng.Toggled(ev.ids, ev.masks)
+	ev.noms = ev.model.NominalLanesSparse(ev.ids, ev.masks, len(pats), ev.noms)
+	return ev.noms
 }
 
 // Calibrate estimates this die's global power scale — the inter-die
@@ -118,9 +139,8 @@ func (ev *Evaluator) Calibrate(pats []*scan.Pattern) float64 {
 		}
 		batch := pats[start:end]
 		observed := ev.dev.MeasureBatch(batch)
-		ev.launch(batch)
-		for i := range batch {
-			nom := ev.model.Nominal(ev.eng.Toggles(uint(i)))
+		noms := ev.nominals(batch)
+		for i, nom := range noms {
 			// Readings the acquisition layer could not stabilize (NaN)
 			// carry no calibration information; the median over the
 			// survivors stays robust to losing a few.
@@ -225,9 +245,7 @@ func (ev *Evaluator) measureChunk(pats []*scan.Pattern) []Reading {
 	ev.maybeTrackDrift()
 	observed := ev.dev.MeasureBatch(pats)
 	ev.sinceRef += len(pats)
-	ev.launch(pats)
-	ev.masks = ev.eng.ToggleMasks(ev.masks)
-	nominals := ev.model.NominalLanes(ev.masks, len(pats))
+	nominals := ev.nominals(pats)
 	out := make([]Reading, len(pats))
 	for i := range pats {
 		obs := observed[i] / (ev.scale * ev.driftScale)

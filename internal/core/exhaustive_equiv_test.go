@@ -161,10 +161,10 @@ func referenceFrames(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) (f1,
 	return f1, f2, src
 }
 
-// referenceToggleMasks returns the oracle's per-net toggle lane masks.
-func referenceToggleMasks(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) []logic.Word {
+// referenceToggled returns the oracle's sparse toggle encoding.
+func referenceToggled(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) ([]int, []logic.Word) {
 	f1, f2, _ := referenceFrames(ch, pats, mode)
-	return sim.ToggleMask(f1, f2, nil)
+	return sim.AppendToggled(f1, f2, nil, nil)
 }
 
 // referenceMeasureBatch is Evaluator.MeasureBatch with both launches —
@@ -179,12 +179,13 @@ func referenceMeasureBatch(ev *Evaluator, pats []*scan.Pattern) []Reading {
 	for start := 0; start < len(pats); start += 64 {
 		chunk := pats[start:min(start+64, len(pats))]
 		ev.maybeTrackDrift()
-		phys := referenceToggleMasks(d.eng.Chains(), chunk, d.mode)
+		pids, pmasks := referenceToggled(d.eng.Chains(), chunk, d.mode)
 		observed := d.acquire(len(chunk),
-			func() []float64 { return d.chip.MeasureLanes(phys, len(chunk)) },
+			func() []float64 { return d.chip.MeasureLanesSparse(pids, pmasks, len(chunk), nil) },
 			func(i int) readingKey { return readingKey{pat: chunk[i]} })
 		ev.sinceRef += len(chunk)
-		noms := ev.model.NominalLanes(referenceToggleMasks(ev.chains, chunk, ev.mode), len(chunk))
+		gids, gmasks := referenceToggled(ev.chains, chunk, ev.mode)
+		noms := ev.model.NominalLanesSparse(gids, gmasks, len(chunk), nil)
 		for i := range chunk {
 			obs := observed[i] / (ev.scale * ev.driftScale)
 			out = append(out, Reading{Observed: obs, Nominal: noms[i], RPD: RPD(obs, noms[i])})
@@ -338,10 +339,11 @@ func TestExhaustiveSweepEquivalence(t *testing.T) {
 }
 
 // TestExhaustiveNominalPricingEquivalence prices every pattern of the
-// space from the production engine's toggle masks and from the
-// oracle's, and compares the IEEE-754 bit patterns — the FP addition
-// order of the pricing loops is part of the engine contract, so even a
-// benign reassociation would fail here.
+// space through the production path — the engine's sparse toggle
+// encoding and the sparse lane kernel — and as a sum over the oracle's
+// per-pattern toggle list, and compares the IEEE-754 bit patterns — the
+// FP addition order of the pricing loops is part of the engine contract,
+// so even a benign reassociation would fail here.
 func TestExhaustiveNominalPricingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full input-space enumeration")
@@ -358,6 +360,7 @@ func TestExhaustiveNominalPricingEquivalence(t *testing.T) {
 
 		for _, mode := range []scan.Mode{scan.LOS, scan.LOC} {
 			eng := scan.NewEngine(ch)
+			var ids []int
 			var masks []logic.Word
 			for start := 0; start < len(pats); start += 64 {
 				end := min(start+64, len(pats))
@@ -365,13 +368,14 @@ func TestExhaustiveNominalPricingEquivalence(t *testing.T) {
 				if _, _, err := eng.Launch(batch, mode); err != nil {
 					t.Fatal(err)
 				}
-				masks = eng.ToggleMasks(masks)
-				want := model.NominalLanes(referenceToggleMasks(ch, batch, mode), len(batch))
-				got := model.NominalLanes(masks, len(batch))
-				for i := range want {
-					if !sameBits(got[i], want[i]) {
+				ids, masks = eng.Toggled(ids, masks)
+				got := model.NominalLanesSparse(ids, masks, len(batch), nil)
+				f1, f2, _ := referenceFrames(ch, batch, mode)
+				for i := range batch {
+					want := nominalSum(model, sim.ToggleSet(f1, f2, uint(i)))
+					if !sameBits(got[i], want) {
 						t.Fatalf("%s %v pattern %d: nominal %x, reference %x",
-							n.Name, mode, start+i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							n.Name, mode, start+i, math.Float64bits(got[i]), math.Float64bits(want))
 					}
 				}
 			}

@@ -94,10 +94,11 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 		for _, pr := range group {
 			flat = append(flat, pr[0], pr[1])
 		}
-		// measureChunk prices the batch from the golden engine's dense
-		// toggle masks and leaves them in ev.masks for the decomposition.
+		// measureChunk prices the batch from the golden engine's sparse
+		// toggle encoding and leaves it in ev.ids/ev.masks for the
+		// decomposition.
 		readings := ev.measureChunk(flat)
-		ev.analyzeLanes(readings, nil, ev.masks, out[start:start+len(group)])
+		ev.analyzeLanes(readings, ev.ids, ev.masks, out[start:start+len(group)])
 		for i, pr := range group {
 			out[start+i].A, out[start+i].B = pr[0], pr[1]
 		}
@@ -107,16 +108,16 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 
 // analyzeLanes fills out[i] with the superposition analysis of the pair
 // on lanes 2i (A) and 2i+1 (B) of one chunk: its readings and the golden
-// toggle encoding (ids, masks) that priced their nominals — ids ascending
-// gate IDs of masks, or nil when masks is dense and indexed by gate ID.
+// toggle encoding (ids, masks) that priced their nominals — ids the
+// ascending gate IDs of masks.
 //
 // The §V-A decomposition is read off the lane masks directly: with
 // u = m &^ swapAdjacentLanes(m), lane 2i of u marks the gates only A
 // toggles and lane 2i+1 those only B toggles. The unique sets' nominal
 // and squared-energy sums are lane sums of u priced by the sparse lane
-// kernel, which adds in ascending gate-ID order exactly as Model.Nominal
-// and Model.NominalSumSquares do over the split toggle lists — so the
-// sums are bit-identical, and no per-lane toggle list is ever built.
+// kernel, which adds in ascending gate-ID order exactly as a sum over
+// the split toggle lists does — so the sums are bit-identical, and no
+// per-lane toggle list is ever built.
 // Counts come from vertical lane counters: |A \ B| from u, and the
 // common part as |A| − |A \ B|.
 func (ev *Evaluator) analyzeLanes(readings []Reading, ids []int, masks []logic.Word, out []PairAnalysis) {
@@ -128,11 +129,7 @@ func (ev *Evaluator) analyzeLanes(readings []Reading, ids []int, masks []logic.W
 	uids, umasks := ev.uids[:0], ev.umasks[:0]
 	for k, m := range masks {
 		if u := (m &^ swapAdjacentLanes(m)) & laneMask; u != 0 {
-			id := k
-			if ids != nil {
-				id = ids[k]
-			}
-			uids = append(uids, id)
+			uids = append(uids, ids[k])
 			umasks = append(umasks, u)
 		}
 	}

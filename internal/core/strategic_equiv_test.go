@@ -22,10 +22,32 @@ import (
 // loop survives here as referenceStrategicModify, on top of the
 // toggle-list decomposition referenceAnalyzePairs.
 
+// nominalSum is the toggle-list oracle of nominal pricing: the sum of
+// the set's nominal gate energies, added in list order.
+func nominalSum(m *power.Model, toggles []int) float64 {
+	var p float64
+	for _, id := range toggles {
+		p += m.NominalOf(id)
+	}
+	return p
+}
+
+// nominalSumSquares is nominalSum over squared energies, each square
+// rounded to float64 before it is added (no FMA), as the model's
+// squared-energy table is.
+func nominalSumSquares(m *power.Model, toggles []int) float64 {
+	var p float64
+	for _, id := range toggles {
+		e := m.NominalOf(id)
+		p += float64(e * e)
+	}
+	return p
+}
+
 // referenceAnalyzePairs is the toggle-list pair analysis: measure 32
 // pairs (64 lanes) at a time, extract every lane's toggle set from the
 // golden engine's frames, split each pair into common and unique lists
-// and price the unique lists with Model.Nominal / NominalSumSquares.
+// and price the unique lists with nominalSum / nominalSumSquares.
 func referenceAnalyzePairs(ev *Evaluator, pairs [][2]*scan.Pattern) []PairAnalysis {
 	out := make([]PairAnalysis, len(pairs))
 	for start := 0; start < len(pairs); start += 32 {
@@ -45,9 +67,9 @@ func referenceAnalyzePairs(ev *Evaluator, pairs [][2]*scan.Pattern) []PairAnalys
 				NominalA: readings[2*i].Nominal, NominalB: readings[2*i+1].Nominal,
 				CommonCount:  len(common),
 				AUniqueCount: len(aU), BUniqueCount: len(bU),
-				NominalAUnique: ev.model.Nominal(aU),
-				NominalBUnique: ev.model.Nominal(bU),
-				UniqueEnergySq: ev.model.NominalSumSquares(aU) + ev.model.NominalSumSquares(bU),
+				NominalAUnique: nominalSum(ev.model, aU),
+				NominalBUnique: nominalSum(ev.model, bU),
+				UniqueEnergySq: nominalSumSquares(ev.model, aU) + nominalSumSquares(ev.model, bU),
 			}
 			pa.SRPD = SRPD(pa.ObservedA, pa.ObservedB, pa.NominalA, pa.NominalB,
 				pa.NominalAUnique, pa.NominalBUnique)

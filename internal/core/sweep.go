@@ -48,7 +48,7 @@ func (ev *Evaluator) NewSweep(cands []CellRef, bases int) (*Sweep, error) {
 	for i, cr := range cands {
 		flips[i] = scan.Flip{Chain: cr.Chain, Index: cr.Index}
 	}
-	golden, err := scan.NewSweeper(ev.chains, ev.mode, flips, bases)
+	golden, err := scan.NewSweeper(ev.eng, ev.mode, flips, bases)
 	if err != nil {
 		return nil, err
 	}

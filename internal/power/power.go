@@ -122,56 +122,26 @@ func (m *Model) Netlist() *netlist.Netlist { return m.n }
 // NominalOf returns the nominal switching energy of gate id.
 func (m *Model) NominalOf(id int) float64 { return m.nominal[id] }
 
-// Nominal returns the total nominal switching energy of a toggle set —
-// the PN term of Eq. 1.
-func (m *Model) Nominal(toggles []int) float64 {
-	var p float64
-	for _, id := range toggles {
-		p += m.nominal[id]
-	}
-	return p
-}
-
-// NominalLanes prices per-lane toggle masks in a single pass over the
-// gates: out[lane] = Σ energies of gates whose mask has the lane bit set.
-// masks is indexed by gate ID (typically frame1 XOR frame2 words). The
-// result slice has numLanes entries.
-func (m *Model) NominalLanes(masks []logic.Word, numLanes int) []float64 {
-	return priceLanes(m.nominal, masks, numLanes)
-}
-
-// NominalLanesSparse prices a sparse per-lane toggle representation:
-// ids lists, in ascending gate-ID order, every gate whose lane mask may
-// be nonzero; masks[k] is the lane mask of ids[k]. Because the additions
-// happen in the same ascending-ID order as NominalLanes performs them
-// over a dense mask array, the result is bit-identical to dense pricing
-// of the same toggles — the floating-point contract the single-flip
-// sweep engine relies on. dst is reused when large enough (zeroed
-// first); pass nil to allocate.
+// NominalLanesSparse prices a sparse per-lane toggle representation —
+// the PN term of Eq. 1 for up to 64 lanes at once: ids lists, in
+// ascending gate-ID order, every gate whose lane mask may be nonzero;
+// masks[k] is the lane mask of ids[k] (lanes at or above numLanes are
+// ignored). Each lane's sum adds its gates' energies in ascending gate-ID
+// order, so it is bit-identical to summing that lane's toggle list — the
+// floating-point contract every reading relies on, whether the encoding
+// came from a full launch or from the single-flip sweep engine. dst is
+// reused when large enough (zeroed first); pass nil to allocate.
 func (m *Model) NominalLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	return priceSparse(m.nominal, ids, masks, numLanes, dst)
 }
 
-// NominalSumSquares returns the sum of squared nominal energies of a
-// toggle set. Under independent per-gate variation of relative magnitude
-// σ, the standard deviation of the set's observed power is σ·√(Σe²) —
-// the scale against which a differential residual is judged significant.
-// The explicit conversion rounds each square before it is added, which
-// forbids fusing the two into one FMA: the sum is the same on every
-// GOARCH, and equals SumSquaresLanesSparse's lane sums.
-func (m *Model) NominalSumSquares(toggles []int) float64 {
-	var p float64
-	for _, id := range toggles {
-		e := m.nominal[id]
-		p += float64(e * e)
-	}
-	return p
-}
-
 // SumSquaresLanesSparse is NominalLanesSparse over the squared nominal
-// energies: out[lane] is NominalSumSquares of that lane's toggle set,
-// bit-identical because both add the same rounded squares in ascending
-// gate-ID order.
+// energies: out[lane] is Σe² over that lane's toggle set. Under
+// independent per-gate variation of relative magnitude σ, the standard
+// deviation of the set's observed power is σ·√(Σe²) — the scale against
+// which a differential residual is judged significant. Each square is
+// rounded to float64 before it is added (see NewModel), so no FMA fuses
+// them and the sums are the same on every GOARCH.
 func (m *Model) SumSquaresLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	return priceSparse(m.squares, ids, masks, numLanes, dst)
 }
@@ -229,7 +199,7 @@ func Manufacture(n *netlist.Netlist, lib *Library, v Variation, seed uint64) *Ch
 	return c
 }
 
-// SetMeasurementNoise enables additive Gaussian noise on every Measure
+// SetMeasurementNoise enables additive Gaussian noise on every lane
 // reading, with standard deviation sigma·reading. Zero (the default)
 // disables it.
 func (c *Chip) SetMeasurementNoise(sigma float64) {
@@ -254,38 +224,11 @@ func (c *Chip) InterScale() float64 { return c.interScale }
 // EffectiveOf returns the post-variation energy of gate id (diagnostics).
 func (c *Chip) EffectiveOf(id int) float64 { return c.effective[id] }
 
-// Measure returns the observed switching power of a toggle set on this
-// die — the PO term of Eq. 1. The toggle set must use this chip's
-// netlist's gate IDs.
-func (c *Chip) Measure(toggles []int) float64 {
-	var p float64
-	for _, id := range toggles {
-		p += c.effective[id]
-	}
-	if c.noiseSigma > 0 {
-		p += p * c.noiseSigma * c.noiseRNG.Norm()
-	}
-	return p
-}
-
-// MeasureLanes prices per-lane toggle masks in a single pass over the
-// gates (see Model.NominalLanes); each lane's reading gets its own
-// measurement-noise draw when noise is enabled.
-func (c *Chip) MeasureLanes(masks []logic.Word, numLanes int) []float64 {
-	out := priceLanes(c.effective, masks, numLanes)
-	if c.noiseSigma > 0 {
-		for i := range out {
-			out[i] += out[i] * c.noiseSigma * c.noiseRNG.Norm()
-		}
-	}
-	return out
-}
-
 // MeasureLanesSparse prices a sparse toggle representation on this die
-// (see Model.NominalLanesSparse for the encoding and the bit-identity
-// contract). Exactly numLanes measurement-noise draws are taken, in lane
-// order, just as MeasureLanes does — so a sweep-path reading consumes
-// the chip's noise stream identically to the dense path.
+// — the PO term of Eq. 1 (see Model.NominalLanesSparse for the encoding
+// and the bit-identity contract). Exactly numLanes measurement-noise
+// draws are taken, in lane order, so every reading of a lane set
+// consumes the chip's noise stream identically.
 func (c *Chip) MeasureLanesSparse(ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	out := priceSparse(c.effective, ids, masks, numLanes, dst)
 	if c.noiseSigma > 0 {
@@ -296,43 +239,9 @@ func (c *Chip) MeasureLanesSparse(ids []int, masks []logic.Word, numLanes int, d
 	return out
 }
 
-// priceLanes accumulates per-lane energy sums by iterating only the set
-// bits of each gate's lane mask.
-func priceLanes(energy []float64, masks []logic.Word, numLanes int) []float64 {
-	out := make([]float64, numLanes)
-	var laneMask logic.Word = ^logic.Word(0)
-	if numLanes < 64 {
-		laneMask = logic.Word(1)<<uint(numLanes) - 1
-	}
-	for id, m := range masks {
-		m &= laneMask
-		if m == 0 {
-			continue
-		}
-		e := energy[id]
-		if m == laneMask {
-			// Toggles on every lane — common for activity the whole batch
-			// shares. Each lane is an independent accumulator, so adding e
-			// to all of them in index order carries the same rounding as
-			// the bit-iteration below.
-			for i := range out {
-				out[i] += e
-			}
-			continue
-		}
-		for m != 0 {
-			lane := bits.TrailingZeros64(uint64(m))
-			out[lane] += e
-			m &= m - 1
-		}
-	}
-	return out
-}
-
-// priceLanesSparse is priceLanes over a sparse (ids, masks) toggle
-// encoding: it touches only the listed gates instead of scanning the
-// whole netlist, but performs the per-lane additions in the identical
-// ascending-gate-ID order, so the sums carry the same rounding.
+// priceLanesSparse accumulates per-lane energy sums over a sparse (ids,
+// masks) toggle encoding, iterating only the set bits of each listed
+// gate's lane mask, in ascending gate-ID order per lane.
 func priceLanesSparse(energy []float64, ids []int, masks []logic.Word, numLanes int, dst []float64) []float64 {
 	if cap(dst) < numLanes {
 		dst = make([]float64, numLanes)

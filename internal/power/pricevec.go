@@ -1,7 +1,7 @@
 package power
 
 // Vectorized sparse pricing: the kernel behind NominalLanesSparse and
-// MeasureLanesSparse on the sweep hot path. On amd64 with AVX-512F the
+// MeasureLanesSparse, which price every reading. On amd64 with AVX-512F the
 // (ids, masks) encoding is priced by priceSparseZMM, which keeps all 64
 // lane accumulators in eight ZMM registers and applies each entry's
 // energy with a per-lane write mask. Every lane is an independent

@@ -144,7 +144,7 @@ func referenceLaunch(ch *Chains, pats []*Pattern, mode Mode, hidden map[int]logi
 }
 
 // requireLaunchMatches launches pats through eng and compares frames
-// and toggle masks against referenceLaunch.
+// and the sparse toggle encoding against referenceLaunch.
 func requireLaunchMatches(t *testing.T, eng *Engine, pats []*Pattern, mode Mode, hidden map[int]logic.Word, label string) {
 	t.Helper()
 	n := eng.Chains().Netlist()
@@ -159,12 +159,23 @@ func requireLaunchMatches(t *testing.T, eng *Engine, pats []*Pattern, mode Mode,
 				label, mode, n.NameOf(id), got1[id], got2[id], want1[id], want2[id])
 		}
 	}
-	masks := eng.ToggleMasks(nil)
-	for id := range masks {
-		if want := want1[id] ^ want2[id]; masks[id] != want {
-			t.Fatalf("%s %v: net %s toggle mask %016x, reference %016x",
-				label, mode, n.NameOf(id), masks[id], want)
+	// The sparse encoding must list exactly the nets whose reference frame
+	// XOR is nonzero, ascending, each with that XOR as its lane mask.
+	ids, masks := eng.Toggled(nil, nil)
+	k := 0
+	for id := range want1 {
+		want := want1[id] ^ want2[id]
+		if want == 0 {
+			continue
 		}
+		if k >= len(ids) || ids[k] != id || masks[k] != want {
+			t.Fatalf("%s %v: toggled entry %d does not list net %s with reference mask %016x",
+				label, mode, k, n.NameOf(id), want)
+		}
+		k++
+	}
+	if k != len(ids) {
+		t.Fatalf("%s %v: Toggled lists %d nets, reference toggles %d", label, mode, len(ids), k)
 	}
 }
 
@@ -226,8 +237,10 @@ func TestSweeperKindEquivalence(t *testing.T) {
 		flips = append(flips, flips[0])
 	}
 
+	eng := NewEngine(ch)
+	defer eng.Close()
 	for _, mode := range []Mode{LOS, LOC} {
-		s, err := NewSweeper(ch, mode, flips, 1)
+		s, err := NewSweeper(eng, mode, flips, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

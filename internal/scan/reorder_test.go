@@ -87,7 +87,7 @@ func TestReorderDegenerateInputs(t *testing.T) {
 	p := c.NewPattern()
 	p.Scan[0][1] = true
 	e.Launch([]*Pattern{p}, LOS)
-	if e.ToggleCount(0) == 0 {
+	if len(e.Toggles(0)) == 0 {
 		t.Error("launch produced no activity")
 	}
 }

@@ -439,13 +439,15 @@ func (e *Engine) Launch(pats []*Pattern, mode Mode) (f1, f2 []logic.Word, err er
 	return e.f1, e.f2, nil
 }
 
-// ToggleMasks writes the per-net toggle lane masks (frame1 XOR frame2) of
-// the most recent Launch into dst (allocated if nil) and returns it.
-func (e *Engine) ToggleMasks(dst []logic.Word) []logic.Word {
+// Toggled returns the sparse toggle encoding of the most recent Launch —
+// every net that toggles in any lane, in ascending gate-ID order, with
+// its lane mask (frame1 XOR frame2) — reusing the storage of ids and
+// masks.
+func (e *Engine) Toggled(ids []int, masks []logic.Word) ([]int, []logic.Word) {
 	if !e.valid {
-		panic("scan: ToggleMasks before Launch")
+		panic("scan: Toggled before Launch")
 	}
-	return sim.ToggleMask(e.f1, e.f2, dst)
+	return sim.AppendToggled(e.f1, e.f2, ids[:0], masks[:0])
 }
 
 // Toggles returns the toggle set (gate IDs whose value changed between the
@@ -455,13 +457,4 @@ func (e *Engine) Toggles(lane uint) []int {
 		panic("scan: Toggles before Launch")
 	}
 	return sim.ToggleSet(e.f1, e.f2, lane)
-}
-
-// ToggleCount returns the number of toggling nets at lane `lane` from the
-// most recent Launch.
-func (e *Engine) ToggleCount(lane uint) int {
-	if !e.valid {
-		panic("scan: ToggleCount before Launch")
-	}
-	return sim.CountToggles(e.f1, e.f2, lane)
 }

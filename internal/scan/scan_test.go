@@ -200,9 +200,6 @@ func TestLOSObserverGatesFollowCells(t *testing.T) {
 	if !toggled["d_b0"] || !toggled["d_c0"] {
 		t.Error("XOR D-gates must follow observers")
 	}
-	if got := e.ToggleCount(0); got != len(e.Toggles(0)) {
-		t.Errorf("ToggleCount = %d", got)
-	}
 }
 
 func TestLOCCaptureSemantics(t *testing.T) {
@@ -228,7 +225,7 @@ func TestLOCCaptureSemantics(t *testing.T) {
 
 	p.PI[0] = false
 	e.Launch([]*Pattern{p}, LOC)
-	if got := e.ToggleCount(0); got != 0 {
+	if got := len(e.Toggles(0)); got != 0 {
 		t.Errorf("LOC with pi=0: %d toggles, want 0", got)
 	}
 }
@@ -246,13 +243,13 @@ func TestBatchLanesMatchSingle(t *testing.T) {
 	e.Launch(pats, LOS)
 	batchCounts := make([]int, 64)
 	for i := range pats {
-		batchCounts[i] = e.ToggleCount(uint(i))
+		batchCounts[i] = len(e.Toggles(uint(i)))
 	}
 
 	single := NewEngine(c)
 	for i, p := range pats {
 		single.Launch([]*Pattern{p}, LOS)
-		if got := single.ToggleCount(0); got != batchCounts[i] {
+		if got := len(single.Toggles(0)); got != batchCounts[i] {
 			t.Fatalf("lane %d: batch %d != single %d", i, batchCounts[i], got)
 		}
 	}
@@ -275,7 +272,7 @@ func TestLaunchErrorsAndStatePanics(t *testing.T) {
 		t.Error("Launch(nil) should return an error")
 	}
 	mustPanic(func() { e.Toggles(0) })
-	mustPanic(func() { e.ToggleCount(0) })
+	mustPanic(func() { e.Toggled(nil, nil) })
 	pats := make([]*Pattern, 65)
 	for i := range pats {
 		pats[i] = c.NewPattern()

@@ -72,17 +72,18 @@ type chunkPlan struct {
 // The output of a chunk is a sparse (ids, masks) toggle encoding whose
 // pricing through power.NominalLanesSparse / power.MeasureLanesSparse is
 // bit-identical to launching the materialized clones through
-// Engine.Launch and pricing the dense toggle masks: gates the deviation
-// never reaches keep their base toggle word (the interleaved bases'
-// toggle states), gates it reaches carry their exact lane words, and the
-// encoding preserves the ascending-gate-ID addition order of the dense
-// path.
+// Engine.Launch and pricing Engine.Toggled: gates the deviation never
+// reaches keep their base toggle word (the interleaved bases' toggle
+// states), gates it reaches carry their exact lane words, and both
+// encodings list gates in ascending ID order.
 //
-// A Sweeper owns its buffers and is not safe for concurrent use.
+// A Sweeper launches its bases through the caller's Engine, whose
+// hidden NoScan state they see, and must not outlive it. It owns its
+// other buffers and is not safe for concurrent use.
 type Sweeper struct {
 	ch    *Chains
 	mode  Mode
-	eng   *Engine // base-frame simulation
+	eng   *Engine // borrowed: base-frame simulation
 	bases int     // base patterns interleaved across the lanes (1 or 2)
 	plans []chunkPlan
 
@@ -112,16 +113,19 @@ type Sweeper struct {
 	roots []int // scratch for lazy cone-walk root lists
 }
 
-// NewSweeper builds a sweep engine over the scan configuration for the
+// NewSweeper builds a sweep engine over eng's scan configuration for the
 // given flip list and number of interleaved base patterns (1 or 2), in
-// order: flip i lands in chunk i/(64/bases). Setup is O(flips) plus
+// order: flip i lands in chunk i/(64/bases). Rebase launches the bases
+// through eng, so the sweep sees eng's hidden NoScan state; eng may
+// launch other patterns between sweeper calls. Setup is O(flips) plus
 // pooled per-net buffers — the LOC re-capture list of each chunk is
 // derived lazily on its first use (see chunkPlan) — so per-lot
 // construction cost stays flat as netlists grow.
-func NewSweeper(ch *Chains, mode Mode, flips []Flip, bases int) (*Sweeper, error) {
+func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, error) {
 	if bases != 1 && bases != 2 {
 		return nil, fmt.Errorf("scan: sweep over %d bases (want 1 or 2)", bases)
 	}
+	ch := eng.Chains()
 	n := ch.Netlist()
 	for _, f := range flips {
 		if f.IsPI() {
@@ -141,7 +145,7 @@ func NewSweeper(ch *Chains, mode Mode, flips []Flip, bases int) (*Sweeper, error
 	s := &Sweeper{
 		ch:    ch,
 		mode:  mode,
-		eng:   NewEngine(ch),
+		eng:   eng,
 		bases: bases,
 		f1b:   scratch.Words(n.NumGates()),
 		f2b:   scratch.Words(n.NumGates()),
@@ -156,8 +160,8 @@ func NewSweeper(ch *Chains, mode Mode, flips []Flip, bases int) (*Sweeper, error
 }
 
 // Close returns the sweeper's pooled buffers (per-net working arrays,
-// delta propagators, the base-launch engine) to the shared pools. The
-// Sweeper must not be used afterwards; Close is idempotent.
+// delta propagators) to the shared pools; the borrowed Engine stays
+// open. The Sweeper must not be used afterwards; Close is idempotent.
 func (s *Sweeper) Close() {
 	if s.f1b == nil {
 		return
@@ -174,7 +178,6 @@ func (s *Sweeper) Close() {
 		s.dp2.Release()
 		s.dp1, s.dp2 = nil, nil
 	}
-	s.eng.Close()
 	s.based = false
 }
 
@@ -270,11 +273,6 @@ func (s *Sweeper) NumChunks() int { return len(s.plans) }
 // modify).
 func (s *Sweeper) ChunkFlips(c int) []Flip { return s.plans[c].flips }
 
-// SetHiddenState pins the frozen value of a NoScan flip-flop during base
-// pattern application (mirrors Engine.SetHiddenState; hidden cells are
-// outside the scan chains, so flips never perturb them).
-func (s *Sweeper) SetHiddenState(ff int, w logic.Word) { s.eng.SetHiddenState(ff, w) }
-
 // Rebase simulates the two frames of new base patterns — exactly as
 // many as the sweep was built for — and resets the working lane words to
 // their interleaved values: lane l carries base l%bases. Must be called
@@ -304,13 +302,7 @@ func (s *Sweeper) Rebase(bases ...*Pattern) error {
 // collectBaseToggles rebuilds the ascending list of gates any base
 // toggles and their toggle words.
 func (s *Sweeper) collectBaseToggles() {
-	s.baseToggles, s.baseWords = s.baseToggles[:0], s.baseWords[:0]
-	for id := range s.f1b {
-		if w := s.f1b[id] ^ s.f2b[id]; w != 0 {
-			s.baseToggles = append(s.baseToggles, id)
-			s.baseWords = append(s.baseWords, w)
-		}
-	}
+	s.baseToggles, s.baseWords = sim.AppendToggled(s.f1b, s.f2b, s.baseToggles[:0], s.baseWords[:0])
 }
 
 // Advance incrementally rebases the sweeper onto the patterns that
@@ -344,28 +336,7 @@ func (s *Sweeper) Advance(f Flip) error {
 	if p == nil {
 		return fmt.Errorf("scan: Sweeper.Advance: flip %v not in sweep", f)
 	}
-	s.ensureCaptures(p)
-	s.ensureDeltaProps()
-	bit := flipBits(slot, s.bases)
-	s.dp1.Begin()
-	for _, sf := range p.f1Srcs {
-		if sf.bit == bit {
-			s.dp1.SeedXOR(sf.gate, ^logic.Word(0))
-		}
-	}
-	s.dp1.Run()
-	s.dp2.Begin()
-	for _, sf := range p.f2Srcs {
-		if sf.bit == bit {
-			s.dp2.SeedXOR(sf.gate, ^logic.Word(0))
-		}
-	}
-	for _, cp := range p.captures {
-		// LOC re-capture: the cell's frame-2 deviation is however far
-		// its D pin's frame-1 value moved from the base capture.
-		s.dp2.SeedXOR(cp.ff, s.dp1.Value(cp.dpin)^s.f2b[cp.ff])
-	}
-	s.dp2.Run()
+	s.propagate(p, flipBits(slot, s.bases))
 
 	// Commit: diverged gates take their propagated words; everything
 	// else never left the old base.
@@ -398,6 +369,42 @@ func (s *Sweeper) ensureDeltaProps() {
 	}
 }
 
+// propagate runs both frames' delta propagators over chunk p's source
+// deviations from the current bases. With only == 0 every lane takes
+// its own flip (a Run); otherwise only the flip seeding lanes `only` is
+// applied, on every lane (an Advance: every base takes the flip).
+func (s *Sweeper) propagate(p *chunkPlan, only logic.Word) {
+	s.ensureCaptures(p)
+	s.ensureDeltaProps()
+	s.dp1.Begin()
+	seedFlips(s.dp1, p.f1Srcs, only)
+	s.dp1.Run()
+	s.dp2.Begin()
+	seedFlips(s.dp2, p.f2Srcs, only)
+	for _, cp := range p.captures {
+		// LOC re-capture: the cell's frame-2 deviation is however far its
+		// D pin's frame-1 value moved from the base capture (zero when the
+		// frame-1 deviation never reached the pin — the base frames of a
+		// real launch already satisfy f2b[ff] == frame1(dpin)).
+		s.dp2.SeedXOR(cp.ff, s.dp1.Value(cp.dpin)^s.f2b[cp.ff])
+	}
+	s.dp2.Run()
+}
+
+// seedFlips seeds dp with a chunk's source XORs: each on its own lanes
+// when only == 0, else just those of the flip on lanes `only`, on all
+// lanes.
+func seedFlips(dp *sim.DeltaProp, srcs []srcFlip, only logic.Word) {
+	for _, sf := range srcs {
+		switch {
+		case only == 0:
+			dp.SeedXOR(sf.gate, sf.bit)
+		case sf.bit == only:
+			dp.SeedXOR(sf.gate, ^logic.Word(0))
+		}
+	}
+}
+
 // Run evaluates chunk c against the current bases: it seeds each
 // frame's delta propagator with the chunk's per-lane source XORs,
 // propagates only the words that actually change, and returns the
@@ -410,25 +417,7 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 		panic("scan: Sweeper.Run before Rebase")
 	}
 	p := &s.plans[c]
-	s.ensureCaptures(p)
-	s.ensureDeltaProps()
-	s.dp1.Begin()
-	for _, sf := range p.f1Srcs {
-		s.dp1.SeedXOR(sf.gate, sf.bit)
-	}
-	s.dp1.Run()
-	s.dp2.Begin()
-	for _, sf := range p.f2Srcs {
-		s.dp2.SeedXOR(sf.gate, sf.bit)
-	}
-	for _, cp := range p.captures {
-		// LOC re-capture: the cell's frame-2 deviation is however far its
-		// D pin's frame-1 value moved from the base capture (zero when the
-		// frame-1 deviation never reached the pin — the base frames of a
-		// real launch already satisfy f2b[ff] == frame1(dpin)).
-		s.dp2.SeedXOR(cp.ff, s.dp1.Value(cp.dpin)^s.f2b[cp.ff])
-	}
-	s.dp2.Run()
+	s.propagate(p, 0)
 
 	// Diverged-gate set of either frame, deduplicated and enumerated in
 	// ascending ID order through a bitmap over original gate IDs — word

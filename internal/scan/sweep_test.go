@@ -35,19 +35,42 @@ func laneMaskOf(numLanes int) logic.Word {
 	return logic.Word(1)<<uint(numLanes) - 1
 }
 
-// referenceToggles launches the materialized single-flip clones of base
-// through the engine — the path the Sweeper replaces — and returns the
-// dense toggle-mask array, truncated to the batch's lanes.
-func referenceToggles(t *testing.T, eng *Engine, base *Pattern, flips []Flip, mode Mode) []logic.Word {
+// launchToggles launches pats through eng and returns the launch's
+// per-gate toggle masks, truncated to the batch's lanes.
+func launchToggles(t *testing.T, eng *Engine, pats []*Pattern, mode Mode) []logic.Word {
 	t.Helper()
-	if _, _, err := eng.Launch(flipClones(base, flips), mode); err != nil {
+	if _, _, err := eng.Launch(pats, mode); err != nil {
 		t.Fatal(err)
 	}
-	masks := eng.ToggleMasks(nil)
-	for id := range masks {
-		masks[id] &= laneMaskOf(len(flips))
+	ids, masks := eng.Toggled(nil, nil)
+	dense := densify(eng.Chains().Netlist().NumGates(), ids, masks)
+	for id := range dense {
+		dense[id] &= laneMaskOf(len(pats))
 	}
-	return masks
+	return dense
+}
+
+// referenceToggles launches the materialized single-flip clones of base
+// through the engine — the path the Sweeper replaces — and returns the
+// per-gate toggle masks of the batch's lanes.
+func referenceToggles(t *testing.T, eng *Engine, base *Pattern, flips []Flip, mode Mode) []logic.Word {
+	t.Helper()
+	return launchToggles(t, eng, flipClones(base, flips), mode)
+}
+
+// listPrices is the toggle-list oracle of sparse pricing: lane l's
+// nominal power is the sum of NominalOf over the gates whose mask in
+// dense has bit l set, added in ascending gate-ID order.
+func listPrices(model *power.Model, dense []logic.Word, numLanes int) []float64 {
+	out := make([]float64, numLanes)
+	for lane := range out {
+		for id, m := range dense {
+			if m>>uint(lane)&1 != 0 {
+				out[lane] += model.NominalOf(id)
+			}
+		}
+	}
+	return out
 }
 
 // densify expands a sparse (ids, masks) encoding into a per-gate array.
@@ -63,7 +86,8 @@ func densify(numGates int, ids []int, masks []logic.Word) []logic.Word {
 // circuits, chain counts, modes and bases — every chunk's sparse toggle
 // encoding must densify to exactly the engine's toggle masks over the
 // materialized clones, and its sparse pricing must be bit-identical to
-// dense pricing of those masks. It then repeats the check exhaustively
+// the per-lane toggle-list sums of those masks. The sweeper borrows the
+// engine the references launch on. It then repeats the check exhaustively
 // on the zoo: every pattern of each circuit's input space as the base,
 // every single-bit flip of it as a lane.
 func TestSweeperMatchesLaunch(t *testing.T) {
@@ -101,7 +125,7 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 				flips = append(flips, flips[int(rng.Uint64()%uint64(len(flips)))])
 			}
 
-			s, err := NewSweeper(ch, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,12 +145,12 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 								trial, mode, c, n.NameOf(id), got[id], want[id])
 						}
 					}
-					dense := model.NominalLanes(want, len(chunk))
+					list := listPrices(model, want, len(chunk))
 					sparse := model.NominalLanesSparse(ids, masks, len(chunk), nil)
-					for lane := range dense {
-						if math.Float64bits(dense[lane]) != math.Float64bits(sparse[lane]) {
-							t.Fatalf("trial %d %v chunk %d lane %d: sparse price %v != dense %v",
-								trial, mode, c, lane, sparse[lane], dense[lane])
+					for lane := range list {
+						if math.Float64bits(list[lane]) != math.Float64bits(sparse[lane]) {
+							t.Fatalf("trial %d %v chunk %d lane %d: sparse price %v != list %v",
+								trial, mode, c, lane, sparse[lane], list[lane])
 						}
 					}
 				}
@@ -162,7 +186,7 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 			flips = append(flips, Flip{PIFlip, i})
 		}
 		for _, mode := range []Mode{LOS, LOC} {
-			s, err := NewSweeper(ch, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +267,7 @@ func hiddenStateCircuit(t *testing.T, rng *stats.RNG) *netlist.Netlist {
 
 // twoBaseReference launches the materialized joint-flip clones of the
 // base pair — lane 2i is a⊕flips[i], lane 2i+1 is b⊕flips[i] — through
-// the engine and returns the dense toggle masks of the batch's lanes.
+// the engine and returns the per-gate toggle masks of the batch's lanes.
 func twoBaseReference(t *testing.T, eng *Engine, a, b *Pattern, flips []Flip, mode Mode) []logic.Word {
 	t.Helper()
 	ca, cb := flipClones(a, flips), flipClones(b, flips)
@@ -251,14 +275,7 @@ func twoBaseReference(t *testing.T, eng *Engine, a, b *Pattern, flips []Flip, mo
 	for i := range flips {
 		pats = append(pats, ca[i], cb[i])
 	}
-	if _, _, err := eng.Launch(pats, mode); err != nil {
-		t.Fatal(err)
-	}
-	masks := eng.ToggleMasks(nil)
-	for id := range masks {
-		masks[id] &= laneMaskOf(len(pats))
-	}
-	return masks
+	return launchToggles(t, eng, pats, mode)
 }
 
 // TestSweeperTwoBaseMatchesLaunch is the structural guard of the
@@ -267,7 +284,7 @@ func twoBaseReference(t *testing.T, eng *Engine, a, b *Pattern, flips []Flip, mo
 // both modes, a flip list spanning a ragged last chunk, and after each
 // of several joint-flip Advances, every chunk's (ids, masks) must
 // densify to exactly the engine's toggle masks over the materialized
-// pair clones, and price bit-identically to them.
+// pair clones, and price bit-identically to their toggle lists.
 func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 	rng := stats.NewRNG(0x2ba5e)
 	lib := power.SAED90Like()
@@ -303,7 +320,7 @@ func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 				flips = append(flips, Flip{PIFlip, i})
 			}
 			eng := NewEngine(ch)
-			s, err := NewSweeper(ch, mode, flips, 2)
+			s, err := NewSweeper(eng, mode, flips, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +334,6 @@ func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 						w = logic.AllOne
 					}
 					eng.SetHiddenState(ff, w)
-					s.SetHiddenState(ff, w)
 				}
 			}
 			a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
@@ -342,12 +358,12 @@ func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 								trial, mode, step, c, n.NameOf(ids[k]))
 						}
 					}
-					dense := model.NominalLanes(want, 2*len(chunk))
+					list := listPrices(model, want, 2*len(chunk))
 					sparse := model.NominalLanesSparse(ids, masks, 2*len(chunk), nil)
-					for lane := range dense {
-						if math.Float64bits(dense[lane]) != math.Float64bits(sparse[lane]) {
-							t.Fatalf("trial %d %v step %d chunk %d lane %d: sparse price %v != dense %v",
-								trial, mode, step, c, lane, sparse[lane], dense[lane])
+					for lane := range list {
+						if math.Float64bits(list[lane]) != math.Float64bits(sparse[lane]) {
+							t.Fatalf("trial %d %v step %d chunk %d lane %d: sparse price %v != list %v",
+								trial, mode, step, c, lane, sparse[lane], list[lane])
 						}
 					}
 				}
@@ -396,11 +412,13 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 			for i := range n.PIs {
 				flips = append(flips, Flip{PIFlip, i})
 			}
-			inc, err := NewSweeper(ch, mode, flips, 1)
+			// Both sweepers borrow one engine.
+			eng := NewEngine(ch)
+			inc, err := NewSweeper(eng, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewSweeper(ch, mode, flips, 1)
+			ref, err := NewSweeper(eng, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +461,7 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := Configure(n, 1)
-	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 1)
+	s, err := NewSweeper(NewEngine(ch), LOS, []Flip{{0, 0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,11 +506,10 @@ func TestSweeperHiddenState(t *testing.T) {
 		for _, hidden := range []logic.Word{0, logic.AllOne} {
 			eng := NewEngine(ch)
 			eng.SetHiddenState(h, hidden)
-			s, err := NewSweeper(ch, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetHiddenState(h, hidden)
 			base := ch.RandomPattern(stats.NewRNG(3))
 			if err := s.Rebase(base); err != nil {
 				t.Fatal(err)
@@ -519,7 +536,9 @@ func TestNewSweeperValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := Configure(n, 2)
+	eng := NewEngine(Configure(n, 2))
+	defer eng.Close()
+	ch := eng.Chains()
 	cases := [][]Flip{
 		{{Chain: 9, Index: 0}},
 		{{Chain: -3, Index: 0}},
@@ -529,11 +548,11 @@ func TestNewSweeperValidation(t *testing.T) {
 		{{Chain: PIFlip, Index: -1}},
 	}
 	for _, fl := range cases {
-		if _, err := NewSweeper(ch, LOS, fl, 1); err == nil {
+		if _, err := NewSweeper(eng, LOS, fl, 1); err == nil {
 			t.Errorf("flips %v accepted", fl)
 		}
 	}
-	s, err := NewSweeper(ch, LOS, nil, 1)
+	s, err := NewSweeper(eng, LOS, nil, 1)
 	if err != nil {
 		t.Fatalf("empty flip list must be valid: %v", err)
 	}
@@ -541,11 +560,11 @@ func TestNewSweeperValidation(t *testing.T) {
 		t.Errorf("empty sweep has %d chunks", s.NumChunks())
 	}
 	for _, bases := range []int{0, 3, 64} {
-		if _, err := NewSweeper(ch, LOS, nil, bases); err == nil {
+		if _, err := NewSweeper(eng, LOS, nil, bases); err == nil {
 			t.Errorf("sweep over %d bases accepted", bases)
 		}
 	}
-	two, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 2)
+	two, err := NewSweeper(eng, LOS, []Flip{{0, 0}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,8 +579,7 @@ func TestSweeperRunBeforeRebasePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := Configure(n, 1)
-	s, err := NewSweeper(ch, LOS, []Flip{{0, 0}}, 1)
+	s, err := NewSweeper(NewEngine(Configure(n, 1)), LOS, []Flip{{0, 0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,4 +589,105 @@ func TestSweeperRunBeforeRebasePanics(t *testing.T) {
 		}
 	}()
 	s.Run(0)
+}
+
+// TestSweeperBorrowedEngine pins the borrowed-Engine contract: a sweeper
+// launches its bases through the caller's Engine, which may launch
+// unrelated patterns between sweeper calls. After Rebase, an unrelated
+// Launch on the same Engine, every chunk's Run and each Advance must be
+// bit-identical to a sweeper over a private Engine — in both modes, over
+// one and two bases, with hidden NoScan cells pinned on both engines.
+func TestSweeperBorrowedEngine(t *testing.T) {
+	rng := stats.NewRNG(0xb0220)
+	for trial := 0; trial < 6; trial++ {
+		n := hiddenStateCircuit(t, rng)
+		ch := Configure(n, 1+int(rng.Uint64()%3))
+		var flips []Flip
+		for c := 0; c < ch.NumChains(); c++ {
+			for j := range ch.Chain(c) {
+				flips = append(flips, Flip{c, j})
+			}
+		}
+		for i := range n.PIs {
+			flips = append(flips, Flip{PIFlip, i})
+		}
+		for _, mode := range []Mode{LOS, LOC} {
+			for _, bases := range []int{1, 2} {
+				shared, private := NewEngine(ch), NewEngine(ch)
+				for _, ff := range n.FFs {
+					if n.IsNoScan(ff) {
+						w := logic.Word(rng.Uint64())
+						shared.SetHiddenState(ff, w)
+						private.SetHiddenState(ff, w)
+					}
+				}
+				got, err := NewSweeper(shared, mode, flips, bases)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewSweeper(private, mode, flips, bases)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// interfere launches unrelated patterns on the shared engine,
+				// in the other mode too, clobbering its frames.
+				interfere := func() {
+					t.Helper()
+					pats := make([]*Pattern, 1+int(rng.Uint64()%64))
+					for i := range pats {
+						pats[i] = ch.RandomPattern(rng)
+					}
+					for _, m := range []Mode{LOS, LOC} {
+						if _, _, err := shared.Launch(pats, m); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				compare := func(step int) {
+					t.Helper()
+					for c := 0; c < want.NumChunks(); c++ {
+						interfere()
+						gids, gmasks := got.Run(c)
+						wids, wmasks := want.Run(c)
+						if len(gids) != len(wids) {
+							t.Fatalf("trial %d %v bases %d step %d chunk %d: %d toggled gates, private engine %d",
+								trial, mode, bases, step, c, len(gids), len(wids))
+						}
+						for k := range wids {
+							if gids[k] != wids[k] || gmasks[k] != wmasks[k] {
+								t.Fatalf("trial %d %v bases %d step %d chunk %d entry %d: (%d, %016x), private engine (%d, %016x)",
+									trial, mode, bases, step, c, k, gids[k], gmasks[k], wids[k], wmasks[k])
+							}
+						}
+					}
+				}
+				pats := make([]*Pattern, bases)
+				for i := range pats {
+					pats[i] = ch.RandomPattern(rng)
+				}
+				if err := got.Rebase(pats...); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.Rebase(pats...); err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 3; step++ {
+					compare(step)
+					interfere()
+					f := flips[int(rng.Uint64()%uint64(len(flips)))]
+					if err := got.Advance(f); err != nil {
+						t.Fatal(err)
+					}
+					if err := want.Advance(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				compare(3)
+				got.Close()
+				want.Close()
+				shared.Close()
+				private.Close()
+			}
+		}
+	}
 }

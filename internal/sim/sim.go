@@ -295,28 +295,18 @@ func ToggleSet(a, b []logic.Word, bit uint) []int {
 	return out
 }
 
-// ToggleMask returns, per net, the lanes in which the two evaluations
-// differ.
-func ToggleMask(a, b []logic.Word, dst []logic.Word) []logic.Word {
-	if dst == nil {
-		dst = make([]logic.Word, len(a))
-	}
+// AppendToggled appends the sparse toggle encoding of two evaluations a
+// and b to ids and masks: every net whose value differs between them in
+// any lane, in ascending ID order, with its lane mask a[id] XOR b[id].
+// This is the (ids, masks) encoding the power package prices.
+func AppendToggled(a, b []logic.Word, ids []int, masks []logic.Word) ([]int, []logic.Word) {
 	for id := range a {
-		dst[id] = a[id] ^ b[id]
-	}
-	return dst
-}
-
-// CountToggles returns the number of toggling nets at pattern lane bit.
-func CountToggles(a, b []logic.Word, bit uint) int {
-	mask := logic.Word(1) << bit
-	c := 0
-	for id := range a {
-		if (a[id]^b[id])&mask != 0 {
-			c++
+		if m := a[id] ^ b[id]; m != 0 {
+			ids = append(ids, id)
+			masks = append(masks, m)
 		}
 	}
-	return c
+	return ids, masks
 }
 
 // SignalProbabilities estimates, for every net, the probability that the

@@ -177,15 +177,18 @@ func TestToggleSetAndCount(t *testing.T) {
 			t.Errorf("unexpected toggle on %s", name)
 		}
 	}
-	if c := CountToggles(frame1, frame2, 0); c != len(toggles) {
-		t.Errorf("CountToggles = %d, want %d", c, len(toggles))
-	}
 	_ = b
 
-	mask := ToggleMask(frame1, frame2, nil)
-	for _, id := range toggles {
-		if mask[id]&1 == 0 {
-			t.Errorf("ToggleMask missing toggle for %s", n.NameOf(id))
+	// The sparse encoding lists exactly the toggled nets, ascending, with
+	// their frame XOR as the lane mask.
+	ids, masks := AppendToggled(frame1, frame2, nil, nil)
+	if len(ids) != len(toggles) {
+		t.Fatalf("AppendToggled lists %d nets, want %d", len(ids), len(toggles))
+	}
+	for k, id := range ids {
+		if id != toggles[k] || masks[k] != frame1[id]^frame2[id] {
+			t.Errorf("AppendToggled entry %d = (%d, %#x), want (%d, %#x)",
+				k, id, masks[k], toggles[k], frame1[toggles[k]]^frame2[toggles[k]])
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestGenerateLaunchActivity(t *testing.T) {
 	rng := stats.NewRNG(13)
 	p := ch.RandomPattern(rng)
 	e.Launch([]*scan.Pattern{p}, scan.LOS)
-	total := e.ToggleCount(0)
+	total := len(e.Toggles(0))
 	cells := 0
 	for _, id := range e.Toggles(0) {
 		if n.Gates[id].Type == netlist.DFF {
