@@ -28,7 +28,7 @@ type FaultSimulator struct {
 	eng     *scan.Engine
 	obs     []int
 	workers int
-	props   []*sim.FaultProp // one cone propagator per worker
+	props   []*sim.DeltaProp // one cone propagator per worker
 }
 
 // NewFaultSimulator returns a simulator over the scan configuration.
@@ -49,9 +49,11 @@ func (fs *FaultSimulator) SetWorkers(w int) { fs.workers = w }
 
 // propagators returns at least w per-worker cone propagators, each
 // loaded with the shared good-machine capture frame.
-func (fs *FaultSimulator) propagators(w int, good2 []logic.Word) []*sim.FaultProp {
+func (fs *FaultSimulator) propagators(w int, good2 []logic.Word) []*sim.DeltaProp {
 	for len(fs.props) < w {
-		fs.props = append(fs.props, sim.NewFaultProp(fs.n, fs.obs))
+		dp := sim.NewDeltaProp(fs.n)
+		dp.Observe(fs.obs)
+		fs.props = append(fs.props, dp)
 	}
 	props := fs.props[:w]
 	for _, fp := range props {
@@ -64,14 +66,14 @@ func (fs *FaultSimulator) propagators(w int, good2 []logic.Word) []*sim.FaultPro
 // `faults`, the lanes on which the fault is detected (launched at the site
 // and observed at a PO or scan-cell D pin).
 func (fs *FaultSimulator) DetectBatch(pats []*scan.Pattern, faults []Fault) []logic.Word {
-	f1, f2, err := fs.eng.Launch(pats, scan.LOS)
+	// The launch frames stay valid until the engine's next Launch, which
+	// only the next DetectBatch makes.
+	good1, good2, err := fs.eng.Launch(pats, scan.LOS)
 	if err != nil {
 		// Callers chunk into 1..64-pattern batches by construction; an
 		// oversized batch here is an internal invariant violation.
 		panic(err.Error())
 	}
-	good1 := append([]logic.Word(nil), f1...)
-	good2 := append([]logic.Word(nil), f2...)
 
 	laneMask := logic.AllOne
 	if len(pats) < 64 {
@@ -115,7 +117,7 @@ func (fs *FaultSimulator) DetectBatch(pats []*scan.Pattern, faults []Fault) []lo
 // frame-1 site value equals the fault's initial value launch it, and the
 // cone propagator reports on which of those the faulty capture frame
 // reaches an observation point.
-func detectOneProp(fp *sim.FaultProp, f Fault, good1 []logic.Word, laneMask logic.Word) logic.Word {
+func detectOneProp(fp *sim.DeltaProp, f Fault, good1 []logic.Word, laneMask logic.Word) logic.Word {
 	initial := logic.AllZero
 	if f.Dir.initial() {
 		initial = logic.AllOne

@@ -64,6 +64,15 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// frameHeader builds the header that frames payload on disk and on the
+// wire: its length, then its CRC-32C, both little-endian.
+func frameHeader(payload []byte) [headerSize]byte {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	return hdr
+}
+
 // Journal is an open, appendable record log. Safe for concurrent use.
 type Journal struct {
 	dir  string
@@ -127,9 +136,7 @@ func (j *Journal) Append(payload []byte) error {
 	if err := failpoint.Inject("journal/append"); err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frameHeader(payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -176,10 +183,7 @@ func (j *Journal) Reset(records [][]byte) error {
 	}
 	keepSeq := j.seq
 	for _, rec := range records {
-		var hdr [headerSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(rec, crcTable))
-		if err := j.append(hdr, rec); err != nil {
+		if err := j.append(frameHeader(rec), rec); err != nil {
 			return err
 		}
 	}
@@ -271,9 +275,9 @@ func segments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// replaySegment reads every whole record of one segment. In the last
-// segment a torn or corrupt tail is truncated away; anywhere else it is
-// ErrCorrupt.
+// replaySegment reads every whole record of one segment through
+// ReadFrame. In the last segment a torn or corrupt tail is truncated
+// away; anywhere else it is ErrCorrupt.
 func replaySegment(path string, last bool) ([][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -283,47 +287,34 @@ func replaySegment(path string, last bool) ([][]byte, error) {
 
 	var records [][]byte
 	var good int64 // offset just past the last whole, checksummed record
-	truncate := func(reason string) ([][]byte, error) {
-		if !last {
-			return nil, fmt.Errorf("%w: %s (mid-journal)", ErrCorrupt, reason)
-		}
-		if err := f.Truncate(good); err != nil {
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			return nil, err
-		}
-		return records, nil
-	}
-
 	for {
-		var hdr [headerSize]byte
-		switch _, err := io.ReadFull(f, hdr[:]); err {
-		case nil:
-		case io.EOF:
+		payload, err := ReadFrame(f)
+		switch {
+		case err == nil:
+		case err == io.EOF:
 			return records, nil // clean end of segment
-		case io.ErrUnexpectedEOF:
-			return truncate("torn record header")
+		case err == io.ErrUnexpectedEOF:
+			err = fmt.Errorf("%w: torn record", ErrCorrupt)
+			fallthrough
+		case errors.Is(err, ErrCorrupt):
+			if !last {
+				return nil, fmt.Errorf("%w (mid-journal)", err)
+			}
+			if err := f.Truncate(good); err != nil {
+				return nil, err
+			}
+			if err := f.Sync(); err != nil {
+				return nil, err
+			}
+			return records, nil
 		default:
 			return nil, err
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecord {
-			return truncate(fmt.Sprintf("implausible record length %d", n))
-		}
-		payload := make([]byte, n)
-		switch _, err := io.ReadFull(f, payload); err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return truncate("torn record payload")
-		default:
-			return nil, err
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return truncate("checksum mismatch")
+		if payload == nil {
+			// ReadFrame's heartbeat is an empty record in a segment.
+			payload = []byte{}
 		}
 		records = append(records, payload)
-		good += int64(headerSize) + int64(n)
+		good += int64(headerSize + len(payload))
 	}
 }

@@ -23,9 +23,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxRecord {
 		return fmt.Errorf("journal: frame of %d bytes exceeds the %d limit", len(payload), maxRecord)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frameHeader(payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

@@ -46,11 +46,9 @@ func (p *slices[T]) put(s []T) {
 }
 
 var (
-	wordPool    slices[logic.Word]
-	uint32Pool  slices[uint32]
-	uint64Pool  slices[uint64]
-	float64Pool slices[float64]
-	intPool     slices[int]
+	wordPool   slices[logic.Word]
+	uint32Pool slices[uint32]
+	uint64Pool slices[uint64]
 )
 
 // Words returns a zeroed []logic.Word of length n.
@@ -70,15 +68,3 @@ func Uint64s(n int) []uint64 { return uint64Pool.get(n) }
 
 // PutUint64s returns a slice to the pool.
 func PutUint64s(s []uint64) { uint64Pool.put(s) }
-
-// Float64s returns a zeroed []float64 of length n.
-func Float64s(n int) []float64 { return float64Pool.get(n) }
-
-// PutFloat64s returns a slice to the pool.
-func PutFloat64s(s []float64) { float64Pool.put(s) }
-
-// Ints returns a zeroed []int of length n.
-func Ints(n int) []int { return intPool.get(n) }
-
-// PutInts returns a slice to the pool.
-func PutInts(s []int) { intPool.put(s) }

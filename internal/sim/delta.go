@@ -6,29 +6,31 @@ import (
 	"superpose/internal/scratch"
 )
 
-// DeltaProp is multi-seed event-driven divergence propagation over the
-// SoA netlist core: given one frame's fault-free base words (the 64
-// lanes of one broadcast or two interleaved base patterns), it computes
-// how a set of source perturbations — e.g. a sweep chunk's per-flip lane
-// XOR seeds — deviates the frame, by propagating only actual word
-// changes through the fanout structure. It is the generalization of
-// FaultProp from one forced site to many seeded sources, keeping the
-// full deviated state queryable instead of reducing to an observation
-// mask.
+// DeltaProp is the event-driven divergence propagator over the SoA
+// netlist core: given one frame's fault-free base words (the 64 lanes of
+// a batch launch, a broadcast, or two interleaved base patterns), it
+// computes how a set of source perturbations deviates the frame by
+// propagating only actual word changes through the fanout structure.
+// It serves both event-driven jobs:
 //
-// The payoff is the same as fault propagation's: logic masking kills
-// most divergence within a few levels, so the touched set is typically
-// a small fraction of the union structural cone of 64 spread flips
-// (which can cover half the netlist). Gates the deviation never reaches
-// keep their base words by construction, so the result is bit-identical
-// to re-evaluating the union cone in full — two-valued logic has one
-// answer; only the work changes.
+//   - sweeps seed many sources (a chunk's per-flip lane XOR seeds) via
+//     Begin/SeedXOR/Run and query the full deviated state afterwards;
+//   - fault simulation forces one site via Propagate and reduces the
+//     deviation to the lanes on which it reaches an observation point
+//     (see Observe), stopping after the level whose deviations cover
+//     every launch lane.
 //
-// Unlike FaultProp's epoch-marked overlay, val is a full materialized
-// copy of base: Begin un-does the previous propagation's touched entries
-// (a short list), which keeps the hot eval loop free of per-fanin mark
-// checks — it reads val directly, exactly like a compiled Program over
-// its value array.
+// The payoff is that logic masking kills most divergence within a few
+// levels, so the touched set is typically a small fraction of the
+// structural cone. Gates the deviation never reaches keep their base
+// words by construction, so the result is bit-identical to re-evaluating
+// the netlist in full — two-valued logic has one answer; only the work
+// changes.
+//
+// val is a full materialized copy of base: Begin un-does the previous
+// propagation's touched entries (a short list), which keeps the hot eval
+// loop free of per-fanin mark checks — it reads val directly, exactly
+// like a compiled Program over its value array.
 //
 // A DeltaProp owns its state and is not safe for concurrent use.
 type DeltaProp struct {
@@ -41,6 +43,8 @@ type DeltaProp struct {
 	buckets [][]int32 // per-level worklists, drained low to high
 
 	touched []int32 // compact IDs whose val may deviate this propagation
+
+	isObs []bool // compact-indexed observation points Propagate reduces over
 }
 
 // NewDeltaProp builds a propagator for n. The O(gates) working arrays
@@ -110,10 +114,40 @@ func (dp *DeltaProp) SeedXOR(net int, delta logic.Word) {
 	dp.val[c] ^= delta
 }
 
+// Observe sets the observation nets (original IDs — e.g. primary
+// outputs and scan-cell D pins) a Propagate deviation must reach to
+// count, replacing any earlier set.
+func (dp *DeltaProp) Observe(obs []int) {
+	dp.isObs = make([]bool, dp.soa.NumGates)
+	for _, o := range obs {
+		dp.isObs[dp.soa.Compact[o]] = true
+	}
+}
+
 // Run propagates the seeded deviation to fixpoint: level-bucketed
 // worklists, evaluating a gate only when a fanin's word actually
 // changed, dropping branches the logic masks off.
-func (dp *DeltaProp) Run() {
+func (dp *DeltaProp) Run() { dp.drain(nil, 0) }
+
+// Propagate starts a new propagation that forces net (original ID) to
+// the word forced and returns the lanes — restricted to launch — on
+// which the deviation reaches an observation point set by Observe:
+// exactly the observed diff&launch of a full faulty-machine
+// re-simulation. It stops after the level whose deviations cover every
+// launch lane, so the deviated state it leaves behind is complete only
+// when the result falls short of launch.
+func (dp *DeltaProp) Propagate(net int, forced, launch logic.Word) logic.Word {
+	dp.Begin()
+	dp.SeedXOR(net, dp.base[dp.soa.Compact[net]]^forced)
+	return dp.drain(dp.isObs, launch)
+}
+
+// drain runs the level-bucketed worklist from the seeds in touched.
+// With a non-nil isObs it also ORs in the deviation of every observed
+// net, level by level, and returns that diff restricted to launch,
+// stopping after the first level that covers launch; Run drains to
+// fixpoint with nil.
+func (dp *DeltaProp) drain(isObs []bool, launch logic.Word) logic.Word {
 	s := dp.soa
 	epoch := dp.epoch
 	lo, hi := s.MaxLevel+1, 0
@@ -139,7 +173,28 @@ func (dp *DeltaProp) Run() {
 			schedule(c)
 		}
 	}
-	for l := lo; l <= hi; l++ {
+	var diff logic.Word
+	observed := 0 // touched entries already ORed into diff
+	for l := lo; ; l++ {
+		if isObs != nil {
+			for _, c := range dp.touched[observed:] {
+				if isObs[c] {
+					diff |= dp.val[c] ^ dp.base[c]
+				}
+			}
+			observed = len(dp.touched)
+			if diff&launch == launch {
+				// The buckets above still hold work that must not leak
+				// into the next propagation.
+				for ; l <= hi; l++ {
+					dp.buckets[l] = dp.buckets[l][:0]
+				}
+				return launch
+			}
+		}
+		if l > hi {
+			return diff & launch
+		}
 		// A gate's fanouts sit at strictly higher levels, so the bucket
 		// being drained never grows under its own iteration.
 		for _, g := range dp.buckets[l] {

@@ -118,16 +118,18 @@ func TestPPSFPRunIntoMatchesRun(t *testing.T) {
 	}
 }
 
-// TestFaultPropMatchesRunForced cross-checks the event-driven fault
-// propagator against full faulty-machine re-simulation: for every net
-// and both forced polarities, the observation-point deviation restricted
-// to the launch word must match the scalar diff computation exactly.
+// TestFaultPropMatchesRunForced cross-checks event-driven fault
+// propagation (DeltaProp.Propagate) against full faulty-machine
+// re-simulation: for every net and both forced polarities, the
+// observation-point deviation restricted to the launch word must match
+// the scalar diff computation exactly.
 func TestFaultPropMatchesRunForced(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		n := ppsfpTestNetlist(t, seed)
 		s := sim.New(n)
 		obs := obsNets(n)
-		fp := sim.NewFaultProp(n, obs)
+		fp := sim.NewDeltaProp(n)
+		fp.Observe(obs)
 		rng := stats.NewRNG(7 * seed)
 		src := s.SourceWords()
 
@@ -165,7 +167,8 @@ func TestFaultPropEarlyExitLanes(t *testing.T) {
 	n := ppsfpTestNetlist(t, 5)
 	s := sim.New(n)
 	obs := obsNets(n)
-	fp := sim.NewFaultProp(n, obs)
+	fp := sim.NewDeltaProp(n)
+	fp.Observe(obs)
 	rng := stats.NewRNG(11)
 	src := randomSources(n, rng, s.SourceWords())
 	base := append([]logic.Word(nil), s.Run(src)...)

@@ -319,8 +319,10 @@ func SignalProbabilities(n *netlist.Netlist, numPatterns int, seed uint64) []flo
 	}
 	words := (numPatterns + 63) / 64
 	rng := stats.NewRNG(seed)
-	s := New(n)
-	sources := s.SourceWords()
+	pp := NewPPSFP(n)
+	defer pp.Release()
+	sources := make([]logic.Word, n.NumGates())
+	vals := make([]logic.Word, n.NumGates())
 	ones := make([]int, n.NumGates())
 	for w := 0; w < words; w++ {
 		for _, pi := range n.PIs {
@@ -329,7 +331,7 @@ func SignalProbabilities(n *netlist.Netlist, numPatterns int, seed uint64) []flo
 		for _, ff := range n.FFs {
 			sources[ff] = logic.Word(rng.Uint64())
 		}
-		vals := s.Run(sources)
+		pp.RunInto(sources, vals)
 		for id, v := range vals {
 			ones[id] += popcount(v)
 		}

@@ -75,8 +75,9 @@ func fuzzNetlist(data []byte) (*netlist.Netlist, error) {
 
 // FuzzSoA drives random netlist structures through the SoA compile and
 // the PPSFP engine, holding Simulator.Run as the oracle: every net of
-// every decoded circuit must evaluate bit-identically, and the fault
-// propagator must agree with RunForced on a sampled fault site.
+// every decoded circuit must evaluate bit-identically, and fault
+// propagation through DeltaProp.Propagate must agree with RunForced on
+// a sampled fault site.
 func FuzzSoA(f *testing.F) {
 	f.Add([]byte{3, 10, 0, 1, 2, 4, 1, 0, 7, 3, 2, 2, 1})
 	f.Add([]byte{1, 63, 6, 1, 0, 5, 2, 2, 0, 1, 3, 0, 0, 2, 9, 8})
@@ -91,7 +92,8 @@ func FuzzSoA(f *testing.F) {
 		s := sim.New(n)
 		pp := sim.NewPPSFP(n)
 		obs := obsNets(n)
-		fp := sim.NewFaultProp(n, obs)
+		fp := sim.NewDeltaProp(n)
+		fp.Observe(obs)
 
 		// Seed the stimulus from the structure bytes so every corpus
 		// entry is fully reproducible.
