@@ -207,6 +207,7 @@ func Generate(ch *scan.Chains, opt Options) (*Result, error) {
 	// fresh random fill, which is what makes the extra detections
 	// distinct. Untestable/aborted verdicts close a fault permanently.
 	e := newExpansion(n, ch)
+	var p *podem // one decision engine, retargeted per fault
 	targeted := 0
 	for pass := 0; pass < opt.NDetect && liveCount > 0; pass++ {
 		progress := false
@@ -222,7 +223,11 @@ func Generate(ch *scan.Chains, opt Options) (*Result, error) {
 			}
 			targeted++
 
-			p := newPodem(e, f)
+			if p == nil {
+				p = newPodem(e, f)
+			} else {
+				p.reset(f)
+			}
 			g := p.run(opt.BacktrackLimit)
 			switch {
 			case g.ok:

@@ -34,12 +34,12 @@ type FaultSimulator struct {
 // NewFaultSimulator returns a simulator over the scan configuration.
 func NewFaultSimulator(ch *scan.Chains) *FaultSimulator {
 	n := ch.Netlist()
-	e := newExpansion(n, ch)
+	obs, _ := observationNets(n)
 	return &FaultSimulator{
 		n:   n,
 		ch:  ch,
 		eng: scan.NewEngine(ch),
-		obs: e.obs,
+		obs: obs,
 	}
 }
 

@@ -20,6 +20,39 @@ type expansion struct {
 	obs        []int       // observation nets: POs + FF D-pins (deduplicated)
 	isObs      []bool      // per-net observation flag
 	scoap      *Scoap      // controllability guidance for backtrace
+
+	// drives[v] lists the frame sources variable v drives; frozen lists
+	// those of the NoScan cells, which no variable drives.
+	drives [][]frameSource
+	frozen []frameSource
+}
+
+// frameSource is a primary input or flip-flop in one frame, with the
+// decision variable that drives it (-1 for a NoScan cell, which holds a
+// constant 0: its state is frozen during test application).
+type frameSource struct {
+	net, v int
+	frame  uint8 // 1 or 2
+}
+
+// observationNets returns the nets a fault effect is observed at, the POs
+// and flip-flop D-pins, deduplicated in that order, with a per-net flag.
+func observationNets(n *netlist.Netlist) ([]int, []bool) {
+	var obs []int
+	isObs := make([]bool, n.NumGates())
+	add := func(id int) {
+		if !isObs[id] {
+			isObs[id] = true
+			obs = append(obs, id)
+		}
+	}
+	for _, po := range n.POs {
+		add(po)
+	}
+	for _, ff := range n.FFs {
+		add(n.Gates[ff].Fanin[0])
+	}
+	return obs, isObs
 }
 
 func newExpansion(n *netlist.Netlist, ch *scan.Chains) *expansion {
@@ -31,20 +64,26 @@ func newExpansion(n *netlist.Netlist, ch *scan.Chains) *expansion {
 	for i, pi := range n.PIs {
 		e.piVar[pi] = e.numScan + i
 	}
-	e.isObs = make([]bool, n.NumGates())
-	add := func(id int) {
-		if !e.isObs[id] {
-			e.isObs[id] = true
-			e.obs = append(e.obs, id)
+	e.obs, e.isObs = observationNets(n)
+	e.scoap = ComputeScoap(n)
+
+	e.drives = make([][]frameSource, e.numVars())
+	add := func(s frameSource) {
+		if s.v < 0 {
+			e.frozen = append(e.frozen, s)
+		} else {
+			e.drives[s.v] = append(e.drives[s.v], s)
 		}
 	}
-	for _, po := range n.POs {
-		add(po)
+	for _, pi := range n.PIs {
+		v := e.piVar[pi]
+		add(frameSource{net: pi, v: v, frame: 1})
+		add(frameSource{net: pi, v: v, frame: 2})
 	}
 	for _, ff := range n.FFs {
-		add(n.Gates[ff].Fanin[0])
+		add(frameSource{net: ff, v: e.frameVar(ff, 1), frame: 1})
+		add(frameSource{net: ff, v: e.frameVar(ff, 2), frame: 2})
 	}
-	e.scoap = ComputeScoap(n)
 	return e
 }
 
@@ -69,43 +108,146 @@ func (e *expansion) frameVar(ff int, frame int) int {
 	return e.scanVar(pos.Chain, idx)
 }
 
-// frameValue resolves a flip-flop's five-valued source for a frame:
-// the mapped scan-bit assignment, or constant 0 for frozen NoScan cells.
-func (p *podem) frameValue(ff, frame int) logic.V {
-	v := p.e.frameVar(ff, frame)
-	if v < 0 {
-		return logic.Zero
-	}
-	return p.assign[v]
-}
-
-// podem is the per-fault decision engine. It re-simulates both frames of
-// the expanded circuit after every assignment; for the benchmark sizes in
-// question full resimulation profiles well below the cost of maintaining
-// incremental event queues, and it keeps the checker trivially correct.
+// podem is the per-fault decision engine. Implication is event-driven:
+// every assignment change goes through set, and imply re-evaluates only
+// the fanout of the frame sources those variables drive, level by level,
+// each queued gate once and its fanout only when its value changed.
 type podem struct {
 	e      *expansion
 	fault  Fault
 	assign []logic.V // per variable
 	v1, v2 []logic.V // per net, frames 1 and 2
 
+	dirty   []int   // variables changed since the last imply
+	queued  []bool  // per event key 2·net + frame-1
+	buckets [][]int // per level, the queued event keys
+	top     int     // highest level holding a queued event
+
 	// scratch for the X-path check
 	mark []bool
 }
 
 func newPodem(e *expansion, f Fault) *podem {
+	n := e.n
 	p := &podem{
-		e:      e,
-		fault:  f,
-		assign: make([]logic.V, e.numVars()),
-		v1:     make([]logic.V, e.n.NumGates()),
-		v2:     make([]logic.V, e.n.NumGates()),
-		mark:   make([]bool, e.n.NumGates()),
+		e:       e,
+		assign:  make([]logic.V, e.numVars()),
+		v1:      make([]logic.V, n.NumGates()),
+		v2:      make([]logic.V, n.NumGates()),
+		queued:  make([]bool, 2*n.NumGates()),
+		buckets: make([][]int, n.Depth()+1),
+		mark:    make([]bool, n.NumGates()),
 	}
+	p.reset(f)
+	return p
+}
+
+// reset retargets p at fault f with every variable unassigned, reusing
+// its buffers: both frames start all-X and every source is seeded
+// through the same implication as a decision.
+func (p *podem) reset(f Fault) {
+	p.fault = f
 	for i := range p.assign {
 		p.assign[i] = logic.X
 	}
-	return p
+	for i := range p.v1 {
+		p.v1[i] = logic.X
+		p.v2[i] = logic.X
+	}
+	p.dirty = p.dirty[:0]
+	for _, srcs := range p.e.drives {
+		p.seed(srcs)
+	}
+	p.seed(p.e.frozen)
+	p.drain()
+}
+
+// set assigns variable v, recording a change for the next imply.
+func (p *podem) set(v int, val logic.V) {
+	if p.assign[v] != val {
+		p.assign[v] = val
+		p.dirty = append(p.dirty, v)
+	}
+}
+
+// imply brings both frames up to date with the variables changed since
+// the last call.
+func (p *podem) imply() {
+	for _, v := range p.dirty {
+		p.seed(p.e.drives[v])
+	}
+	p.dirty = p.dirty[:0]
+	p.drain()
+}
+
+// seed recomputes the given frame sources from the assignment and queues
+// the fanout of each one that changed. A flip-flop fault site is injected
+// at its frame-2 source; a primary input never is.
+func (p *podem) seed(srcs []frameSource) {
+	for _, s := range srcs {
+		val := logic.Zero
+		if s.v >= 0 {
+			val = p.assign[s.v]
+		}
+		vals := p.v1
+		if s.frame == 2 {
+			vals = p.v2
+			if s.net == p.fault.Net && p.e.n.Gates[s.net].Type == netlist.DFF {
+				val = p.inject(val)
+			}
+		}
+		if vals[s.net] != val {
+			vals[s.net] = val
+			p.schedule(s.net, s.frame)
+		}
+	}
+}
+
+// schedule queues the combinational fanout of net id in one frame.
+func (p *podem) schedule(id int, frame uint8) {
+	n := p.e.n
+	for _, fo := range n.Fanouts(id) {
+		if n.Gates[fo].Type.IsSource() {
+			continue
+		}
+		k := 2*fo + int(frame-1)
+		if p.queued[k] {
+			continue
+		}
+		p.queued[k] = true
+		lvl := n.Level(fo)
+		p.buckets[lvl] = append(p.buckets[lvl], k)
+		if lvl > p.top {
+			p.top = lvl
+		}
+	}
+}
+
+// drain evaluates the queued gates in level order. A gate's fanout sits
+// at a higher level, so every gate sees settled inputs and runs once; a
+// gate fault site is injected after its frame-2 evaluation.
+func (p *podem) drain() {
+	n := p.e.n
+	for lvl := 1; lvl <= p.top; lvl++ {
+		for _, k := range p.buckets[lvl] {
+			p.queued[k] = false
+			id, frame := k>>1, uint8(k&1)+1
+			vals := p.v1
+			if frame == 2 {
+				vals = p.v2
+			}
+			v := eval5(n, vals, id)
+			if frame == 2 && id == p.fault.Net {
+				v = p.inject(v)
+			}
+			if v != vals[id] {
+				vals[id] = v
+				p.schedule(id, frame)
+			}
+		}
+		p.buckets[lvl] = p.buckets[lvl][:0]
+	}
+	p.top = 0
 }
 
 // eval5 computes the five-valued output of gate id over the value slice.
@@ -165,40 +307,6 @@ func (p *podem) inject(good logic.V) logic.V {
 		return logic.Zero
 	default:
 		return logic.X
-	}
-}
-
-// simulate evaluates both frames under the current assignment.
-func (p *podem) simulate() {
-	n := p.e.n
-	// Frame 1: plain three-valued evaluation, no fault.
-	for _, pi := range n.PIs {
-		p.v1[pi] = p.assign[p.e.piVar[pi]]
-	}
-	for _, ff := range n.FFs {
-		p.v1[ff] = p.frameValue(ff, 1)
-	}
-	for _, id := range n.TopoOrder() {
-		p.v1[id] = eval5(n, p.v1, id)
-	}
-
-	// Frame 2: fault injected at the site.
-	for _, pi := range n.PIs {
-		p.v2[pi] = p.assign[p.e.piVar[pi]]
-	}
-	for _, ff := range n.FFs {
-		v := p.frameValue(ff, 2)
-		if ff == p.fault.Net {
-			v = p.inject(v)
-		}
-		p.v2[ff] = v
-	}
-	for _, id := range n.TopoOrder() {
-		v := eval5(n, p.v2, id)
-		if id == p.fault.Net {
-			v = p.inject(v)
-		}
-		p.v2[id] = v
 	}
 }
 
@@ -449,16 +557,16 @@ func (p *podem) run(backtrackLimit int) genResult {
 				}
 				top.flipped = true
 				top.value = !top.value
-				p.assign[top.variable] = logic.FromBit(top.value)
+				p.set(top.variable, logic.FromBit(top.value))
 				return keepGoing
 			}
-			p.assign[top.variable] = logic.X
+			p.set(top.variable, logic.X)
 			stack = stack[:len(stack)-1]
 		}
 	}
 
 	for {
-		p.simulate()
+		p.imply()
 		st := p.check()
 		if st == statusSuccess {
 			return genResult{ok: true}
@@ -491,6 +599,6 @@ func (p *podem) run(backtrackLimit int) genResult {
 			continue
 		}
 		stack = append(stack, decision{variable: variable, value: value})
-		p.assign[variable] = logic.FromBit(value)
+		p.set(variable, logic.FromBit(value))
 	}
 }

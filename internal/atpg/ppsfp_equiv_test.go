@@ -48,7 +48,7 @@ func referenceDetect(ch *scan.Chains, pats []*scan.Pattern, faults []Fault) []lo
 	if len(pats) < 64 {
 		laneMask = logic.Word(1)<<uint(len(pats)) - 1
 	}
-	obs := newExpansion(n, ch).obs
+	obs, _ := observationNets(n)
 
 	out := make([]logic.Word, len(faults))
 	for i, f := range faults {
