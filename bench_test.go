@@ -333,8 +333,12 @@ func BenchmarkBaselineDelayFingerprint(b *testing.B) {
 // on whole-lot certification at fixed worker counts, reporting each
 // count's wall-clock speedup over the serial path as a custom metric
 // (speedup ≈ 1.0 is expected on a single-core runner; the engine's value
-// there is determinism, not throughput). The serial baseline is timed
-// once, lazily, so any sub-benchmark can run in isolation.
+// there is determinism, not throughput). Every iteration times one
+// serial lot next to one lot of the measured arm, alternating which runs
+// first, and the speedup is the ratio of the two totals: both arms see
+// the same warm caches and the same host load, so the ratio does not
+// carry the noise of a separately timed baseline. ns/op covers the
+// measured arm only.
 func BenchmarkCertifyLotParallel(b *testing.B) {
 	c := trust.Cases()[0]
 	inst, err := trust.Build(c, benchScale)
@@ -349,30 +353,18 @@ func BenchmarkCertifyLotParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	const lotDies = 8
-	runLot := func(workers int) error {
+	runLot := func(b *testing.B, workers int) time.Duration {
+		start := time.Now()
 		_, err := superpose.CertifyLot(inst.Host, lib, inst.Infected, cfg, superpose.LotOptions{
 			Dies:      lotDies,
 			Variation: superpose.ThreeSigmaIntra(benchVarsigma),
 			Seed:      5,
 			Workers:   workers,
 		})
-		return err
-	}
-
-	var baselineOnce sync.Once
-	var baselineNs float64
-	serialNs := func(b *testing.B) float64 {
-		baselineOnce.Do(func() {
-			const reps = 2
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if err := runLot(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			baselineNs = float64(time.Since(start).Nanoseconds()) / reps
-		})
-		return baselineNs
+		if err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
 	}
 
 	counts := []struct {
@@ -386,15 +378,23 @@ func BenchmarkCertifyLotParallel(b *testing.B) {
 	for _, wc := range counts {
 		wc := wc
 		b.Run(wc.name, func(b *testing.B) {
-			base := serialNs(b)
+			var serial, arm time.Duration
+			serialLot := func() {
+				b.StopTimer()
+				serial += runLot(b, 1)
+				b.StartTimer()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := runLot(wc.workers); err != nil {
-					b.Fatal(err)
+				if i%2 == 0 {
+					serialLot()
+				}
+				arm += runLot(b, wc.workers)
+				if i%2 == 1 {
+					serialLot()
 				}
 			}
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(base/perOp, "speedup")
+			b.ReportMetric(float64(serial)/float64(arm), "speedup")
 			b.ReportMetric(float64(wc.workers), "workers")
 		})
 	}

@@ -196,7 +196,6 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	res := &AdaptiveResult{
 		Steps: []AdaptiveStep{{
 			Pattern:     cur,
-			Reading:     ev.Measure(cur),
 			Flipped:     CellRef{-1, -1},
 			Transitions: cur.TransitionCount(),
 		}},
@@ -221,17 +220,22 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		cands = append(cands, CellRef{PIChain, i})
 	}
 	if len(cands) == 0 {
+		res.Steps[0].Reading = ev.Measure(cur)
 		return res, ctx.Err()
 	}
 	residuals := make([]float64, len(cands))
 
-	// Candidate measurement runs through the single-flip sweep engine:
-	// the base is simulated once per step and only flip deviations are
-	// propagated, so no candidate is materialized except the few a step
-	// actually needs (the accepted flip and the screened pairs). The
-	// flip list depends only on the scan shape, so the cached session
-	// (with its per-chunk plans) is reusable across climbs; the length
-	// check guards the invariant.
+	// Every reading of the climb runs through the single-flip sweep
+	// engine: the base is simulated once per climb and only flip
+	// deviations are propagated — for the candidate chunks and for the
+	// lane-addressed screen pairs, confirmation and accepted pair alike.
+	// Only the lanes a step reads outside the chunks (the screen, the
+	// confirmation, the accepted pair) are materialized: the result keeps
+	// some of them, and their pointers key the device's stuck-latch guard
+	// exactly as a batch measurement of them would.
+	// The flip list depends only on the scan shape, so the cached
+	// session (with its per-chunk plans) is reusable across climbs; the
+	// length check guards the invariant.
 	sweep := ev.adaptiveSweep
 	if sweep == nil || len(sweep.Candidates()) != len(cands) {
 		var err error
@@ -250,12 +254,15 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	if err := sweep.Rebase(cur); err != nil {
 		panic("core: Adaptive sweep rebase: " + err.Error())
 	}
+	res.Steps[0].Reading = sweep.MeasureLanes([]*scan.Pattern{cur}, []int{-1})[0]
 	// patternAt materializes candidate idx as a standalone pattern.
 	patternAt := func(idx int) *scan.Pattern {
 		q := cur.Clone()
 		applyFlip(q, cands[idx])
 		return q
 	}
+	var pats []*scan.Pattern // the screen's lane patterns and flips
+	var lanes []int
 	for step := 0; step < opt.MaxSteps; step++ {
 		if ctx.Err() != nil {
 			break
@@ -293,20 +300,23 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		}
 
 		// Focused superposition analysis of the top residual droppers
-		// (NaN residuals — unstabilized readings — are never selected).
+		// (NaN residuals — unstabilized readings — are never selected),
+		// 32 pairs [cur, cur⊕f] per lane run.
 		top := topIndices(residuals, opt.ScreenTop)
-		pairs := make([][2]*scan.Pattern, len(top))
-		topPats := make([]*scan.Pattern, len(top))
-		for i, idx := range top {
-			topPats[i] = patternAt(idx)
-			pairs[i] = [2]*scan.Pattern{cur, topPats[i]}
-		}
-		for i, pa := range ev.AnalyzePairs(pairs) {
-			if abs(pa.SRPD) > opt.DropThreshold {
-				res.Pairs = append(res.Pairs, PairCandidate{
-					A: cur, B: topPats[i], Critical: cands[top[i]],
-					SRPD: pa.SRPD, Significance: pa.Significance(),
-				})
+		for start := 0; start < len(top); start += 32 {
+			group := top[start:min(start+32, len(top))]
+			pats, lanes = pats[:0], lanes[:0]
+			for _, idx := range group {
+				pats = append(pats, cur, patternAt(idx))
+				lanes = append(lanes, -1, idx)
+			}
+			for i, pa := range sweep.AnalyzeLanes(pats, lanes) {
+				if abs(pa.SRPD) > opt.DropThreshold {
+					res.Pairs = append(res.Pairs, PairCandidate{
+						A: cur, B: pa.B, Critical: cands[group[i]],
+						SRPD: pa.SRPD, Significance: pa.Significance(),
+					})
+				}
 			}
 		}
 
@@ -326,7 +336,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		// inflated batch lane would otherwise steer the entire search
 		// toward a phantom maximum. A vetoed (or unstable) confirmation
 		// rejects the step and re-runs the round on fresh measurements.
-		confirm := ev.Measure(next)
+		confirm := sweep.MeasureLanes([]*scan.Pattern{next}, []int{bestIdx})[0]
 		if math.IsNaN(confirm.RPD) || confirm.RPD <= curReading.RPD+opt.MinGain {
 			continue
 		}
@@ -339,7 +349,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		opt.Progress.emit(StageAdaptive, len(res.Steps)-1, opt.MaxSteps, "climb step accepted")
 
 		// Superposition screen of the accepted adjacent pair as well.
-		pa := ev.AnalyzePair(cur, next)
+		pa := sweep.AnalyzeLanes([]*scan.Pattern{cur, next}, []int{-1, bestIdx})[0]
 		if mag := abs(pa.SRPD); mag > opt.DropThreshold {
 			res.Pairs = append(res.Pairs, PairCandidate{
 				A: cur, B: next, Critical: chosen,

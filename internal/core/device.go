@@ -62,10 +62,12 @@ type Device struct {
 // readingKey identifies the stimulus behind one raw reading for the
 // stuck-latch guard. Batch measurements are identified by the pattern
 // pointer (repeat applications of the same *Pattern are legitimate
-// identical readings); sweep lanes are identified by their base pattern
-// plus the flipped bit, so two lanes of a sweep — or a sweep lane and a
-// batch pattern — always count as different stimuli, exactly as the
-// materialized clones of the reference path do.
+// identical readings), whether their activity comes from a launch or
+// from a lane-addressed sweep run (measureToggled). Sweep chunk lanes
+// are identified by their base pattern plus the flipped bit, so two
+// lanes of a chunk — or a chunk lane and a batch pattern — always count
+// as different stimuli, exactly as the materialized clones of the
+// reference path do.
 type readingKey struct {
 	pat          *scan.Pattern
 	chain, index int
@@ -204,7 +206,20 @@ func (d *Device) measureChunk(pats []*scan.Pattern) []float64 {
 		panic(err.Error())
 	}
 	d.ids, d.masks = d.eng.Toggled(d.ids, d.masks)
-	return d.acquire(len(pats), d.pricer(d.ids, d.masks, len(pats)),
+	return d.measureToggled(pats, d.ids, d.masks)
+}
+
+// measureToggled acquires readings for 1..64 patterns whose physical
+// toggle activity the caller already holds as a sparse (ids, masks)
+// encoding — lane i the activity of pats[i] — such as a Sweeper's
+// RunLanes over the patterns' flips. The stuck-latch guard identifies
+// lane i by the pattern pointer pats[i], exactly as MeasureBatch does,
+// so measuring the materialized patterns this way or through
+// MeasureBatch advances the reading stream identically. The returned
+// slice may share the device's scratch storage; it is valid until the
+// next measurement.
+func (d *Device) measureToggled(pats []*scan.Pattern, ids []int, masks []logic.Word) []float64 {
+	return d.acquire(len(pats), d.pricer(ids, masks, len(pats)),
 		func(i int) readingKey { return readingKey{pat: pats[i]} })
 }
 

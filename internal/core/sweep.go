@@ -20,10 +20,15 @@ import (
 // with flip i applied jointly — the 32 candidate pairs of a strategic
 // round, in the lane order Evaluator.AnalyzePairs launches them.
 //
+// Besides whole chunks, a session measures arbitrary lane maps over its
+// flip list (MeasureLanes, AnalyzeLanes): the adaptive climb's screen
+// pairs, confirmation and accepted pair are the base and single flips of
+// it, so they too are priced from flip deviations rather than launched.
+//
 // A Sweep is bound to its Evaluator's calibration, drift-compensation
-// and acquisition state: MeasureChunk advances the device's reading
-// stream exactly as Evaluator.MeasureBatch over the materialized
-// candidate patterns would.
+// and acquisition state: MeasureChunk and MeasureLanes advance the
+// device's reading stream exactly as Evaluator.MeasureBatch over the
+// materialized candidate patterns would.
 type Sweep struct {
 	ev     *Evaluator
 	cands  []CellRef
@@ -34,8 +39,8 @@ type Sweep struct {
 	out    []Reading
 	pairs  []PairAnalysis
 
-	// The golden chunk encoding of the last MeasureChunk, which
-	// AnalyzeChunk decomposes into pair activity.
+	// The golden encoding of the last MeasureChunk or MeasureLanes,
+	// which AnalyzeChunk and AnalyzeLanes decompose into pair activity.
 	gids   []int
 	gmasks []logic.Word
 }
@@ -126,12 +131,49 @@ func (s *Sweep) MeasureChunk(c int) []Reading {
 	ev.sinceRef += lanes
 
 	s.gids, s.gmasks = s.golden.Run(c)
-	s.noms = ev.model.NominalLanesSparse(s.gids, s.gmasks, lanes, s.noms)
+	return s.readings(observed)
+}
 
-	if cap(s.out) < lanes {
-		s.out = make([]Reading, lanes)
+// MeasureLanes evaluates an arbitrary lane map over the session's flip
+// list: lane l is base l%bases with candidate lanes[l] applied (the
+// base itself when lanes[l] is negative), and pats[l] is that lane's
+// materialized pattern. 1..64 lanes. The Readings are bit-identical to
+// Evaluator.MeasureBatch(pats), and the device's reading stream — drift
+// tracking, noise, tester faults and the stuck-latch guard, which keys
+// lane l by the pointer pats[l] — advances exactly as it would; only the
+// two full-netlist launches are replaced by flip-deviation propagation
+// on both sides. The returned slice is owned by the Sweep and valid
+// until the next measurement through it.
+func (s *Sweep) MeasureLanes(pats []*scan.Pattern, lanes []int) []Reading {
+	if s.bases == nil {
+		panic("core: Sweep.MeasureLanes before Rebase")
 	}
-	out := s.out[:lanes]
+	if len(pats) != len(lanes) {
+		panic("core: Sweep.MeasureLanes needs one pattern per lane")
+	}
+	// The order of Evaluator.measureChunk: drift tracking, the device
+	// acquisition, the window count, then the golden nominals.
+	ev := s.ev
+	ev.maybeTrackDrift()
+	ids, masks := s.phys.RunLanes(lanes)
+	observed := ev.dev.measureToggled(pats, ids, masks)
+	ev.sinceRef += len(lanes)
+
+	s.gids, s.gmasks = s.golden.RunLanes(lanes)
+	return s.readings(observed)
+}
+
+// readings prices the golden encoding in s.gids/s.gmasks over
+// len(observed) lanes and pairs each lane's nominal with its calibrated,
+// drift-corrected observation.
+func (s *Sweep) readings(observed []float64) []Reading {
+	ev := s.ev
+	n := len(observed)
+	s.noms = ev.model.NominalLanesSparse(s.gids, s.gmasks, n, s.noms)
+	if cap(s.out) < n {
+		s.out = make([]Reading, n)
+	}
+	out := s.out[:n]
 	for i := range out {
 		obs := observed[i] / (ev.scale * ev.driftScale)
 		out[i] = Reading{
@@ -153,7 +195,29 @@ func (s *Sweep) AnalyzeChunk(c int) []PairAnalysis {
 	if len(s.bases) != 2 {
 		panic("core: Sweep.AnalyzeChunk needs a sweep rebased onto a pair")
 	}
-	readings := s.MeasureChunk(c)
+	return s.analyze(s.MeasureChunk(c))
+}
+
+// AnalyzeLanes measures a lane map through MeasureLanes and returns the
+// superposition analysis of its lane pairs — pair i is (pats[2i],
+// pats[2i+1]) on lanes 2i and 2i+1 — bit-identical to
+// Evaluator.AnalyzePairs over those patterns, A and B included. 2..64
+// lanes, an even number. The returned slice is owned by the Sweep and
+// valid until the next analysis through it.
+func (s *Sweep) AnalyzeLanes(pats []*scan.Pattern, lanes []int) []PairAnalysis {
+	if len(lanes)%2 != 0 {
+		panic("core: Sweep.AnalyzeLanes over an odd number of lanes")
+	}
+	pairs := s.analyze(s.MeasureLanes(pats, lanes))
+	for i := range pairs {
+		pairs[i].A, pairs[i].B = pats[2*i], pats[2*i+1]
+	}
+	return pairs
+}
+
+// analyze decomposes the pairs of adjacent lanes of the last
+// measurement from its golden encoding.
+func (s *Sweep) analyze(readings []Reading) []PairAnalysis {
 	n := len(readings) / 2
 	if cap(s.pairs) < n {
 		s.pairs = make([]PairAnalysis, n)

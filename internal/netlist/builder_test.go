@@ -285,14 +285,6 @@ func TestDeepChain50k(t *testing.T) {
 		t.Fatalf("depth = %d, want %d", got, depth+1)
 	}
 
-	// The full-depth cone walk must be iterative too.
-	w := n.AcquireConeWalker()
-	cone := w.Walk([]int{int(in)})
-	if len(cone) != depth+1 {
-		t.Fatalf("cone size = %d, want %d", len(cone), depth+1)
-	}
-	w.Release()
-
 	// And the SoA compiles and levelizes identically.
 	s := n.SoA()
 	if int(s.MaxLevel) != depth+1 {

@@ -122,10 +122,6 @@ type Netlist struct {
 	level    []int     // logic level per gate (sources are level 0)
 	frozen   bool
 
-	// walkerPool recycles ConeWalkers (whose marks are O(gates)) across
-	// short-lived consumers like per-die Sweeper construction.
-	walkerPool sync.Pool
-
 	// Lazily compiled structure-of-arrays layout (see SoA), shared by
 	// every PPSFP engine over this netlist.
 	soaOnce sync.Once

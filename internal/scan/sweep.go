@@ -3,6 +3,7 @@ package scan
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"superpose/internal/logic"
 	"superpose/internal/scratch"
@@ -34,24 +35,17 @@ type capture struct {
 	ff, dpin int
 }
 
-// chunkPlan is the precomputation of one sweep chunk (up to 64/bases
-// flips, each seeding one lane per base). The per-lane source
-// perturbations are computed at construction — O(lanes), no netlist
-// walk — and the LOC re-capture list (one frame-1 cone walk) is derived
-// on the chunk's first use. Chunks propagate word deviations directly
-// (sim.DeltaProp), so a sweep over a million-gate netlist never
-// re-evaluates a structural cone. Because a search sweeps the same
-// stimulus bits every step, the derived list is reused for the whole
-// run.
+// chunkPlan is the source perturbation of one propagation: the per-lane
+// source XORs of a sweep chunk (up to 64/bases flips, each seeding one
+// lane per base), of a lane-addressed run, or of an Advance. Building
+// one is O(lanes) with no netlist walk, so a transient plan per call
+// costs nothing next to its propagation. LOC re-captures are not part of
+// the plan: they follow from the frame-1 divergence (see propagate).
 type chunkPlan struct {
 	flips    []Flip
 	f1Srcs   []srcFlip // frame-1 source bits to XOR, per lane
 	f2Srcs   []srcFlip // frame-2 source bits to XOR (LOS scan cells, PIs)
 	laneMask logic.Word
-
-	// Lazily derived by ensureCaptures (trivial for LOS).
-	capsDone bool
-	captures []capture // LOC only: FFs re-captured from the frame-1 cone
 }
 
 // Sweeper is the single-flip sweep engine of the adaptive flow (§IV-B)
@@ -77,6 +71,10 @@ type chunkPlan struct {
 // states), gates it reaches carry their exact lane words, and both
 // encodings list gates in ascending ID order.
 //
+// Besides the fixed chunks, RunLanes evaluates an arbitrary lane map
+// over the same flip list — lane l the base, or the base with any one
+// flip applied — through a transient plan, with the same encoding.
+//
 // A Sweeper launches its bases through the caller's Engine, whose
 // hidden NoScan state they see, and must not outlive it. It owns its
 // other buffers and is not safe for concurrent use.
@@ -85,7 +83,17 @@ type Sweeper struct {
 	mode  Mode
 	eng   *Engine // borrowed: base-frame simulation
 	bases int     // base patterns interleaved across the lanes (1 or 2)
+	flips []Flip  // the swept flip list; each plan's flips are a window
 	plans []chunkPlan
+
+	// lanePlan is the transient plan of RunLanes and Advance, rebuilt
+	// per call over reused storage.
+	lanePlan chunkPlan
+
+	// captures lists the LOC re-captures — every scannable flip-flop
+	// with its D pin — sorted by D pin, so the flip-flops a frame-1
+	// divergence re-captures are found by binary search. nil under LOS.
+	captures []capture
 
 	// Per-base state (valid after Rebase): the interleaved base frame
 	// values, the ascending gate IDs any base toggles, and — parallel to
@@ -109,18 +117,16 @@ type Sweeper struct {
 	dp2    *sim.DeltaProp
 	div    []int32
 	divmap []uint64
-
-	roots []int // scratch for lazy cone-walk root lists
 }
 
 // NewSweeper builds a sweep engine over eng's scan configuration for the
 // given flip list and number of interleaved base patterns (1 or 2), in
 // order: flip i lands in chunk i/(64/bases). Rebase launches the bases
 // through eng, so the sweep sees eng's hidden NoScan state; eng may
-// launch other patterns between sweeper calls. Setup is O(flips) plus
-// pooled per-net buffers — the LOC re-capture list of each chunk is
-// derived lazily on its first use (see chunkPlan) — so per-lot
-// construction cost stays flat as netlists grow.
+// launch other patterns between sweeper calls. Setup is O(flips), plus
+// a sort of the scannable flip-flops by D pin under LOC, plus pooled
+// per-net buffers, so per-lot construction cost stays flat as netlists
+// grow.
 func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, error) {
 	if bases != 1 && bases != 2 {
 		return nil, fmt.Errorf("scan: sweep over %d bases (want 1 or 2)", bases)
@@ -128,18 +134,8 @@ func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, erro
 	ch := eng.Chains()
 	n := ch.Netlist()
 	for _, f := range flips {
-		if f.IsPI() {
-			if f.Index < 0 || f.Index >= len(n.PIs) {
-				return nil, fmt.Errorf("scan: sweep flip PI %d out of range (%d PIs)", f.Index, len(n.PIs))
-			}
-			continue
-		}
-		if f.Chain < 0 || f.Chain >= ch.NumChains() {
-			return nil, fmt.Errorf("scan: sweep flip chain %d out of range (%d chains)", f.Chain, ch.NumChains())
-		}
-		if f.Index < 0 || f.Index >= len(ch.Chain(f.Chain)) {
-			return nil, fmt.Errorf("scan: sweep flip cell %d.%d out of range (chain length %d)",
-				f.Chain, f.Index, len(ch.Chain(f.Chain)))
+		if err := checkFlip(ch, f); err != nil {
+			return nil, err
 		}
 	}
 	s := &Sweeper{
@@ -147,6 +143,7 @@ func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, erro
 		mode:  mode,
 		eng:   eng,
 		bases: bases,
+		flips: append([]Flip(nil), flips...),
 		f1b:   scratch.Words(n.NumGates()),
 		f2b:   scratch.Words(n.NumGates()),
 		gen:   1,
@@ -154,9 +151,42 @@ func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, erro
 	per := 64 / bases
 	for start := 0; start < len(flips); start += per {
 		end := min(start+per, len(flips))
-		s.plans = append(s.plans, buildPlanSources(ch, mode, flips[start:end], bases))
+		p := chunkPlan{flips: s.flips[start:end], laneMask: laneMaskOf((end - start) * bases)}
+		for i, f := range p.flips {
+			p.addFlip(ch, mode, f, flipBits(i, bases))
+		}
+		s.plans = append(s.plans, p)
+	}
+	if mode == LOC {
+		for _, ff := range n.FFs {
+			if !n.IsNoScan(ff) {
+				s.captures = append(s.captures, capture{ff, n.Gates[ff].Fanin[0]})
+			}
+		}
+		sort.Slice(s.captures, func(i, j int) bool {
+			a, b := s.captures[i], s.captures[j]
+			return a.dpin < b.dpin || a.dpin == b.dpin && a.ff < b.ff
+		})
 	}
 	return s, nil
+}
+
+// checkFlip reports whether f addresses a stimulus bit of ch.
+func checkFlip(ch *Chains, f Flip) error {
+	if f.IsPI() {
+		if npi := len(ch.Netlist().PIs); f.Index < 0 || f.Index >= npi {
+			return fmt.Errorf("scan: sweep flip PI %d out of range (%d PIs)", f.Index, npi)
+		}
+		return nil
+	}
+	if f.Chain < 0 || f.Chain >= ch.NumChains() {
+		return fmt.Errorf("scan: sweep flip chain %d out of range (%d chains)", f.Chain, ch.NumChains())
+	}
+	if f.Index < 0 || f.Index >= len(ch.Chain(f.Chain)) {
+		return fmt.Errorf("scan: sweep flip cell %d.%d out of range (chain length %d)",
+			f.Chain, f.Index, len(ch.Chain(f.Chain)))
+	}
+	return nil
 }
 
 // Close returns the sweeper's pooled buffers (per-net working arrays,
@@ -187,76 +217,51 @@ func flipBits(i, bases int) logic.Word {
 	return (logic.Word(1)<<uint(bases) - 1) << uint(i*bases)
 }
 
-// buildPlanSources computes the eager part of one chunk: the per-lane
-// source perturbations and the lane mask. No netlist walk happens here.
-func buildPlanSources(ch *Chains, mode Mode, flips []Flip, bases int) chunkPlan {
-	n := ch.Netlist()
-	p := chunkPlan{
-		flips:    append([]Flip(nil), flips...),
-		laneMask: ^logic.Word(0),
-		capsDone: mode == LOS, // LOS has no re-captures, nothing to derive
+// laneMaskOf returns the word with the low n lanes set.
+func laneMaskOf(n int) logic.Word {
+	if n >= 64 {
+		return ^logic.Word(0)
 	}
-	if lanes := len(flips) * bases; lanes < 64 {
-		p.laneMask = logic.Word(1)<<uint(lanes) - 1
-	}
-
-	for i, f := range flips {
-		bit := flipBits(i, bases)
-		if f.IsPI() {
-			// PIs hold across both frames under either mode.
-			id := n.PIs[f.Index]
-			p.f1Srcs = append(p.f1Srcs, srcFlip{id, bit})
-			p.f2Srcs = append(p.f2Srcs, srcFlip{id, bit})
-			continue
-		}
-		chain := ch.Chain(f.Chain)
-		switch mode {
-		case LOS:
-			// Frame 1 holds the one-shift-earlier state: bit j sources
-			// cell j+1, and — pinned — cell 0 sources itself. Frame 2 is
-			// the fully loaded state: bit j sources cell j.
-			if f.Index == 0 {
-				p.f1Srcs = append(p.f1Srcs, srcFlip{chain[0], bit})
-			}
-			if f.Index+1 < len(chain) {
-				p.f1Srcs = append(p.f1Srcs, srcFlip{chain[f.Index+1], bit})
-			}
-			p.f2Srcs = append(p.f2Srcs, srcFlip{chain[f.Index], bit})
-		case LOC:
-			// Frame 1 is the loaded state; frame 2 re-captures from the
-			// frame-1 responses, handled through p.captures (derived
-			// lazily by ensureCaptures).
-			p.f1Srcs = append(p.f1Srcs, srcFlip{chain[f.Index], bit})
-		}
-	}
-	return p
+	return logic.Word(1)<<uint(n) - 1
 }
 
-// ensureCaptures derives the chunk's LOC re-capture list on first use —
-// one frame-1 cone walk through a pooled walker: every scannable
-// flip-flop whose D pin the cone touches re-captures a perturbed value.
-func (s *Sweeper) ensureCaptures(p *chunkPlan) {
-	if p.capsDone {
+// addFlip appends the source perturbation of flip f on lanes bit to
+// the plan. No netlist walk happens here.
+func (p *chunkPlan) addFlip(ch *Chains, mode Mode, f Flip, bit logic.Word) {
+	if f.IsPI() {
+		// PIs hold across both frames under either mode.
+		id := ch.Netlist().PIs[f.Index]
+		p.f1Srcs = append(p.f1Srcs, srcFlip{id, bit})
+		p.f2Srcs = append(p.f2Srcs, srcFlip{id, bit})
 		return
 	}
-	n := s.ch.Netlist()
-	w := n.AcquireConeWalker()
-	s.roots = s.roots[:0]
-	for _, sf := range p.f1Srcs {
-		s.roots = append(s.roots, sf.gate)
-	}
-	w.Walk(s.roots)
-	for _, ff := range n.FFs {
-		if n.IsNoScan(ff) {
-			continue
+	chain := ch.Chain(f.Chain)
+	switch mode {
+	case LOS:
+		// Frame 1 holds the one-shift-earlier state: bit j sources
+		// cell j+1, and — pinned — cell 0 sources itself. Frame 2 is
+		// the fully loaded state: bit j sources cell j.
+		if f.Index == 0 {
+			p.f1Srcs = append(p.f1Srcs, srcFlip{chain[0], bit})
 		}
-		dpin := n.Gates[ff].Fanin[0]
-		if w.Reached(dpin) {
-			p.captures = append(p.captures, capture{ff, dpin})
+		if f.Index+1 < len(chain) {
+			p.f1Srcs = append(p.f1Srcs, srcFlip{chain[f.Index+1], bit})
 		}
+		p.f2Srcs = append(p.f2Srcs, srcFlip{chain[f.Index], bit})
+	case LOC:
+		// Frame 1 is the loaded state; frame 2 re-captures from the
+		// frame-1 responses (see Sweeper.propagate).
+		p.f1Srcs = append(p.f1Srcs, srcFlip{chain[f.Index], bit})
 	}
-	p.capsDone = true
-	w.Release()
+}
+
+// transientPlan resets the sweeper's reusable lane plan for a
+// propagation over n lanes.
+func (s *Sweeper) transientPlan(n int) *chunkPlan {
+	p := &s.lanePlan
+	p.f1Srcs, p.f2Srcs = p.f1Srcs[:0], p.f2Srcs[:0]
+	p.laneMask = laneMaskOf(n)
+	return p
 }
 
 // Chains returns the sweep's scan configuration.
@@ -309,34 +314,23 @@ func (s *Sweeper) collectBaseToggles() {
 // differ from the current bases in exactly the given flip — the accepted
 // step of the adaptive climb, or the accepted joint flip of both
 // patterns of a strategic pair. Instead of a full two-frame launch, it
-// seeds both frames' propagators with the flip's source deviations on
-// every lane (every base takes the flip, so each deviation word is
-// all-ones), commits exactly the diverged gates into the interleaved
-// base, and rebuilds the base toggle list. Two-valued logic is exact and
-// gates the deviation never reaches keep their old words, so the
-// resulting state is identical to a Rebase on the materialized patterns.
-// The flip must be one the sweeper was built for.
+// propagates a transient plan that applies the flip on every lane
+// (every base takes it), commits exactly the diverged gates into the
+// interleaved base, and rebuilds the base toggle list. Two-valued logic
+// is exact and gates the deviation never reaches keep their old words,
+// so the resulting state is identical to a Rebase on the materialized
+// patterns. Any stimulus bit of the scan configuration may be advanced,
+// whether or not it is in the sweep's flip list.
 func (s *Sweeper) Advance(f Flip) error {
 	if !s.based {
 		return fmt.Errorf("scan: Sweeper.Advance before Rebase")
 	}
-	var p *chunkPlan
-	slot := -1
-	for i := range s.plans {
-		for k, pf := range s.plans[i].flips {
-			if pf == f {
-				p, slot = &s.plans[i], k
-				break
-			}
-		}
-		if p != nil {
-			break
-		}
+	if err := checkFlip(s.ch, f); err != nil {
+		return err
 	}
-	if p == nil {
-		return fmt.Errorf("scan: Sweeper.Advance: flip %v not in sweep", f)
-	}
-	s.propagate(p, flipBits(slot, s.bases))
+	p := s.transientPlan(64)
+	p.addFlip(s.ch, s.mode, f, ^logic.Word(0))
+	s.propagate(p)
 
 	// Commit: diverged gates take their propagated words; everything
 	// else never left the old base.
@@ -369,40 +363,36 @@ func (s *Sweeper) ensureDeltaProps() {
 	}
 }
 
-// propagate runs both frames' delta propagators over chunk p's source
-// deviations from the current bases. With only == 0 every lane takes
-// its own flip (a Run); otherwise only the flip seeding lanes `only` is
-// applied, on every lane (an Advance: every base takes the flip).
-func (s *Sweeper) propagate(p *chunkPlan, only logic.Word) {
-	s.ensureCaptures(p)
+// propagate runs both frames' delta propagators over plan p's source
+// deviations from the current bases.
+//
+// Under LOC, frame 2 re-captures every scannable flip-flop from its D
+// pin's frame-1 value. Only flip-flops whose D pin diverged in frame 1
+// are seeded: the base frames of a real launch already satisfy
+// f2b[ff] == frame1(dpin), so an undiverged pin's seed would be zero.
+func (s *Sweeper) propagate(p *chunkPlan) {
 	s.ensureDeltaProps()
 	s.dp1.Begin()
-	seedFlips(s.dp1, p.f1Srcs, only)
+	for _, sf := range p.f1Srcs {
+		s.dp1.SeedXOR(sf.gate, sf.bit)
+	}
 	s.dp1.Run()
 	s.dp2.Begin()
-	seedFlips(s.dp2, p.f2Srcs, only)
-	for _, cp := range p.captures {
-		// LOC re-capture: the cell's frame-2 deviation is however far its
-		// D pin's frame-1 value moved from the base capture (zero when the
-		// frame-1 deviation never reached the pin — the base frames of a
-		// real launch already satisfy f2b[ff] == frame1(dpin)).
-		s.dp2.SeedXOR(cp.ff, s.dp1.Value(cp.dpin)^s.f2b[cp.ff])
+	for _, sf := range p.f2Srcs {
+		s.dp2.SeedXOR(sf.gate, sf.bit)
 	}
-	s.dp2.Run()
-}
-
-// seedFlips seeds dp with a chunk's source XORs: each on its own lanes
-// when only == 0, else just those of the flip on lanes `only`, on all
-// lanes.
-func seedFlips(dp *sim.DeltaProp, srcs []srcFlip, only logic.Word) {
-	for _, sf := range srcs {
-		switch {
-		case only == 0:
-			dp.SeedXOR(sf.gate, sf.bit)
-		case sf.bit == only:
-			dp.SeedXOR(sf.gate, ^logic.Word(0))
+	if s.captures != nil {
+		s.div = s.dp1.AppendDiverged(s.div[:0])
+		for _, id := range s.div {
+			dpin := int(id)
+			k := sort.Search(len(s.captures), func(i int) bool { return s.captures[i].dpin >= dpin })
+			for ; k < len(s.captures) && s.captures[k].dpin == dpin; k++ {
+				ff := s.captures[k].ff
+				s.dp2.SeedXOR(ff, s.dp1.Value(dpin)^s.f2b[ff])
+			}
 		}
 	}
+	s.dp2.Run()
 }
 
 // Run evaluates chunk c against the current bases: it seeds each
@@ -411,14 +401,44 @@ func seedFlips(dp *sim.DeltaProp, srcs []srcFlip, only logic.Word) {
 // chunk's toggle activity as a sparse (ids, masks) encoding — ids
 // ascending, masks[k] the per-lane toggle word of ids[k] — covering
 // every gate any lane toggles. The slices are owned by the Sweeper and
-// valid until the next Run.
+// valid until the next Run or RunLanes.
 func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 	if !s.based {
 		panic("scan: Sweeper.Run before Rebase")
 	}
 	p := &s.plans[c]
-	s.propagate(p, 0)
+	s.propagate(p)
+	return s.emit(p.laneMask)
+}
 
+// RunLanes evaluates an arbitrary lane map against the current bases:
+// lane l carries base l%bases, with flip lanes[l] of the sweep's flip
+// list applied, or unflipped when lanes[l] is negative. 1..64 lanes; a
+// flip may appear on several lanes. The result is the same sparse
+// encoding Run returns — exactly what launching the materialized
+// patterns through Engine.Launch and reading Engine.Toggled gives within
+// those lanes — owned by the Sweeper and valid until the next Run or
+// RunLanes.
+func (s *Sweeper) RunLanes(lanes []int) (ids []int, masks []logic.Word) {
+	if !s.based {
+		panic("scan: Sweeper.RunLanes before Rebase")
+	}
+	if len(lanes) == 0 || len(lanes) > 64 {
+		panic(fmt.Sprintf("scan: Sweeper.RunLanes over %d lanes (want 1..64)", len(lanes)))
+	}
+	p := s.transientPlan(len(lanes))
+	for l, fi := range lanes {
+		if fi >= 0 {
+			p.addFlip(s.ch, s.mode, s.flips[fi], logic.Word(1)<<uint(l))
+		}
+	}
+	s.propagate(p)
+	return s.emit(p.laneMask)
+}
+
+// emit merges the last propagation's diverged gates into the base
+// toggle list and returns the sparse encoding of the lanes in laneMask.
+func (s *Sweeper) emit(laneMask logic.Word) (ids []int, masks []logic.Word) {
 	// Diverged-gate set of either frame, deduplicated and enumerated in
 	// ascending ID order through a bitmap over original gate IDs — word
 	// order plus trailing-zero extraction yields the sorted walk without
@@ -466,7 +486,7 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 				j++
 			}
 			c := s.dp1.Compact(id)
-			if m := (btw ^ s.dp1.DeltaAt(c) ^ s.dp2.DeltaAt(c)) & p.laneMask; m != 0 {
+			if m := (btw ^ s.dp1.DeltaAt(c) ^ s.dp2.DeltaAt(c)) & laneMask; m != 0 {
 				ids = append(ids, id)
 				masks = append(masks, m)
 			}
@@ -476,13 +496,18 @@ func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
 		ids = append(ids, bt[j:]...)
 		masks = append(masks, bw[j:]...)
 	}
-	if p.laneMask != ^logic.Word(0) {
-		// A partial last chunk: the copied base words still carry the
-		// unused lanes. Lanes 0..bases-1 are always in use, so a nonzero
-		// base word stays nonzero.
-		for k := range masks {
-			masks[k] &= p.laneMask
+	if laneMask != ^logic.Word(0) {
+		// Fewer than 64 lanes: the copied base words still carry the
+		// unused lanes. Mask them off, dropping a base toggle no used
+		// lane carries (a word only the absent second base toggles).
+		k := 0
+		for i, m := range masks {
+			if m &= laneMask; m != 0 {
+				ids[k], masks[k] = ids[i], m
+				k++
+			}
 		}
+		ids, masks = ids[:k], masks[:k]
 	}
 	s.ids, s.masks = ids, masks
 	return ids, masks

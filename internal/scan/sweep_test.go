@@ -27,14 +27,6 @@ func flipClones(base *Pattern, flips []Flip) []*Pattern {
 	return clones
 }
 
-// laneMaskOf returns the word with the low numLanes bits set.
-func laneMaskOf(numLanes int) logic.Word {
-	if numLanes >= 64 {
-		return ^logic.Word(0)
-	}
-	return logic.Word(1)<<uint(numLanes) - 1
-}
-
 // launchToggles launches pats through eng and returns the launch's
 // per-gate toggle masks, truncated to the batch's lanes.
 func launchToggles(t *testing.T, eng *Engine, pats []*Pattern, mode Mode) []logic.Word {
@@ -471,8 +463,11 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 	if err := s.Rebase(ch.RandomPattern(stats.NewRNG(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Advance(Flip{0, 3}); err == nil {
-		t.Error("Advance on a flip outside the sweep must error")
+	if err := s.Advance(Flip{0, 99}); err == nil {
+		t.Error("Advance on a cell outside the scan chains must error")
+	}
+	if err := s.Advance(Flip{0, 3}); err != nil {
+		t.Errorf("Advance on a scan cell outside the sweep's flip list: %v", err)
 	}
 }
 
@@ -690,4 +685,244 @@ func TestSweeperBorrowedEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// laneClones materializes a lane map: lane l is bases[l%len(bases)],
+// with flips[lanes[l]] applied when lanes[l] is not negative.
+func laneClones(bases []*Pattern, flips []Flip, lanes []int) []*Pattern {
+	pats := make([]*Pattern, len(lanes))
+	for l, fi := range lanes {
+		base := bases[l%len(bases)]
+		if fi < 0 {
+			pats[l] = base
+			continue
+		}
+		pats[l] = flipClones(base, flips[fi:fi+1])[0]
+	}
+	return pats
+}
+
+// checkRunLanes requires s.RunLanes(lanes) to return exactly the
+// sparse encoding Engine.Launch and Engine.Toggled give for the
+// materialized lane patterns: the same ascending gate IDs with the same
+// masks within the map's lanes, and no empty mask.
+func checkRunLanes(t testing.TB, label string, s *Sweeper, eng *Engine, bases []*Pattern, flips []Flip, lanes []int) {
+	t.Helper()
+	n := s.Chains().Netlist()
+	pats := laneClones(bases, flips, lanes)
+	if _, _, err := eng.Launch(pats, s.Mode()); err != nil {
+		t.Fatal(err)
+	}
+	wids, wmasks := eng.Toggled(nil, nil)
+	mask := laneMaskOf(len(lanes))
+	k := 0
+	for i, m := range wmasks {
+		if m &= mask; m != 0 {
+			wids[k], wmasks[k] = wids[i], m
+			k++
+		}
+	}
+	wids, wmasks = wids[:k], wmasks[:k]
+
+	ids, masks := s.RunLanes(lanes)
+	for i := 0; i < len(ids) || i < len(wids); i++ {
+		switch {
+		case i >= len(ids):
+			t.Fatalf("%s lanes %v: missing gate %s (%016x)", label, lanes, n.NameOf(wids[i]), wmasks[i])
+		case i >= len(wids):
+			t.Fatalf("%s lanes %v: extra gate %s (%016x)", label, lanes, n.NameOf(ids[i]), masks[i])
+		case ids[i] != wids[i] || masks[i] != wmasks[i]:
+			t.Fatalf("%s lanes %v entry %d: gate %s %016x, launch gate %s %016x",
+				label, lanes, i, n.NameOf(ids[i]), masks[i], n.NameOf(wids[i]), wmasks[i])
+		}
+	}
+}
+
+// randomLaneMap draws 1..64 lanes over nflips flips: about a quarter
+// unflipped base lanes and a quarter repeating an earlier lane's flip.
+func randomLaneMap(rng *stats.RNG, nflips int) []int {
+	lanes := make([]int, 1+int(rng.Uint64()%64))
+	for l := range lanes {
+		switch r := rng.Uint64() % 4; {
+		case r == 0:
+			lanes[l] = -1
+		case r == 1 && l > 0:
+			lanes[l] = lanes[int(rng.Uint64()%uint64(l))]
+		default:
+			lanes[l] = int(rng.Uint64() % uint64(nflips))
+		}
+	}
+	return lanes
+}
+
+// TestSweeperRunLanesMatchesLaunch is the structural guard of the
+// lane-addressed run: for random circuits (half with hidden NoScan
+// cells pinned to random states), both modes and one or two bases,
+// random lane maps of 1..64 lanes with base lanes and repeated flips,
+// plus the one-lane base, a full 64-lane map and each chunk's own lane
+// map (which must reproduce Run), must encode exactly the launch of the
+// materialized lane patterns — before and after Advances.
+func TestSweeperRunLanesMatchesLaunch(t *testing.T) {
+	rng := stats.NewRNG(0x1a9e5)
+	for trial := 0; trial < 8; trial++ {
+		var n *netlist.Netlist
+		if trial%2 == 0 {
+			var err error
+			n, err = trust.Generate(trust.Params{
+				Name:   "lanes",
+				PIs:    1 + int(rng.Uint64()%6),
+				POs:    3,
+				FFs:    4 + int(rng.Uint64()%40),
+				Comb:   30 + int(rng.Uint64()%120),
+				Levels: 3 + int(rng.Uint64()%4),
+				Seed:   rng.Uint64(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			n = hiddenStateCircuit(t, rng)
+		}
+		ch := Configure(n, 1+int(rng.Uint64()%3))
+		var flips []Flip
+		for c := 0; c < ch.NumChains(); c++ {
+			for j := range ch.Chain(c) {
+				flips = append(flips, Flip{c, j})
+			}
+		}
+		for i := range n.PIs {
+			flips = append(flips, Flip{PIFlip, i})
+		}
+		for _, mode := range []Mode{LOS, LOC} {
+			for _, nb := range []int{1, 2} {
+				eng := NewEngine(ch)
+				for _, ff := range n.FFs {
+					if n.IsNoScan(ff) {
+						w := logic.Word(0)
+						if rng.Bool() {
+							w = logic.AllOne
+						}
+						eng.SetHiddenState(ff, w)
+					}
+				}
+				s, err := NewSweeper(eng, mode, flips, nb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bases := make([]*Pattern, nb)
+				for i := range bases {
+					bases[i] = ch.RandomPattern(rng)
+				}
+				if err := s.Rebase(bases...); err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 3; step++ {
+					label := fmt.Sprintf("trial %d %v bases %d step %d", trial, mode, nb, step)
+					checkRunLanes(t, label, s, eng, bases, flips, []int{-1})
+					full := make([]int, 64)
+					for l := range full {
+						full[l] = l % len(flips)
+					}
+					checkRunLanes(t, label, s, eng, bases, flips, full)
+					for k := 0; k < 8; k++ {
+						checkRunLanes(t, label, s, eng, bases, flips, randomLaneMap(rng, len(flips)))
+					}
+					for c := 0; c < s.NumChunks(); c++ {
+						var lanes []int
+						for i := range s.ChunkFlips(c) {
+							for b := 0; b < nb; b++ {
+								lanes = append(lanes, c*64/nb+i)
+							}
+						}
+						rids, rmasks := s.Run(c)
+						rids, rmasks = append([]int(nil), rids...), append([]logic.Word(nil), rmasks...)
+						lids, lmasks := s.RunLanes(lanes)
+						if fmt.Sprint(rids, rmasks) != fmt.Sprint(lids, lmasks) {
+							t.Fatalf("%s chunk %d: RunLanes over the chunk's lane map deviates from Run", label, c)
+						}
+					}
+					f := flips[int(rng.Uint64()%uint64(len(flips)))]
+					if err := s.Advance(f); err != nil {
+						t.Fatal(err)
+					}
+					bases = laneClones(bases, []Flip{f}, make([]int, nb))
+				}
+				s.Close()
+				eng.Close()
+			}
+		}
+	}
+}
+
+// FuzzRunLanes is TestSweeperRunLanesMatchesLaunch driven by a fuzzed
+// circuit seed and lane map: the seed picks a hidden-state circuit, its
+// chain count, mode, base count and bases; each byte is one lane
+// (0xff an unflipped base lane, otherwise a flip index modulo the flip
+// list), and a leading byte with its top bit set Advances first.
+func FuzzRunLanes(f *testing.F) {
+	f.Add(uint64(1), []byte{0xff})
+	f.Add(uint64(2), []byte{0x00, 0x01, 0x02, 0xff, 0x00})
+	f.Add(uint64(3), []byte{0x83, 0x05, 0x05, 0xff, 0x07, 0x01})
+	f.Add(uint64(4), []byte("a lane map long enough to fill all sixty-four lanes of the run, and then some more"))
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		rng := stats.NewRNG(seed)
+		n := hiddenStateCircuit(t, rng)
+		ch := Configure(n, 1+int(seed%3))
+		mode := LOS
+		if seed&4 != 0 {
+			mode = LOC
+		}
+		nb := 1 + int(seed>>3&1)
+		var flips []Flip
+		for c := 0; c < ch.NumChains(); c++ {
+			for j := range ch.Chain(c) {
+				flips = append(flips, Flip{c, j})
+			}
+		}
+		for i := range n.PIs {
+			flips = append(flips, Flip{PIFlip, i})
+		}
+		eng := NewEngine(ch)
+		defer eng.Close()
+		for _, ff := range n.FFs {
+			if n.IsNoScan(ff) && rng.Bool() {
+				eng.SetHiddenState(ff, logic.AllOne)
+			}
+		}
+		s, err := NewSweeper(eng, mode, flips, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		bases := make([]*Pattern, nb)
+		for i := range bases {
+			bases[i] = ch.RandomPattern(rng)
+		}
+		if err := s.Rebase(bases...); err != nil {
+			t.Fatal(err)
+		}
+		if data[0]&0x80 != 0 {
+			fl := flips[int(data[0]&0x7f)%len(flips)]
+			if err := s.Advance(fl); err != nil {
+				t.Fatal(err)
+			}
+			bases = laneClones(bases, []Flip{fl}, make([]int, nb))
+			data = data[1:]
+		}
+		lanes := make([]int, 0, 64)
+		for _, b := range data[:min(len(data), 64)] {
+			if b == 0xff {
+				lanes = append(lanes, -1)
+			} else {
+				lanes = append(lanes, int(b)%len(flips))
+			}
+		}
+		if len(lanes) == 0 {
+			return
+		}
+		checkRunLanes(t, fmt.Sprintf("seed %d %v bases %d", seed, mode, nb), s, eng, bases, flips, lanes)
+	})
 }

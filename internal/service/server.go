@@ -647,12 +647,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
 	// A reconnecting client presents the id of the last event it saw;
 	// everything retained after it is replayed before live streaming.
 	var afterSeq uint64
@@ -662,8 +656,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			afterSeq, resume = n, true
 		}
 	}
+	// Subscribe before the headers go out: a client may act on them at
+	// once (start the job, say), and progress published between the
+	// flush and a later subscription would reach no one.
 	replay, sub := j.subscribe(afterSeq, resume)
 	defer j.unsubscribe(sub)
+
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
 	for _, ev := range replay {
 		if err := writeSSE(w, ev); err != nil {
 			return
