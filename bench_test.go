@@ -12,6 +12,7 @@
 package superpose_test
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"superpose"
 	"superpose/internal/atpg"
 	"superpose/internal/baseline"
+	"superpose/internal/bench"
 	"superpose/internal/core"
 	"superpose/internal/scan"
 	"superpose/internal/sim"
@@ -487,7 +489,12 @@ func BenchmarkStrategicModify(b *testing.B) {
 		run(b, inst.Host, inst.Infected)
 	})
 	b.Run("synthetic-1e5", func(b *testing.B) {
-		n, err := trust.GenerateLarge(trust.SizedLargeParams(100_000, 1))
+		p := trust.SizedLargeParams(100_000, 1)
+		var src bytes.Buffer
+		if err := trust.EmitLarge(&src, p); err != nil {
+			b.Fatal(err)
+		}
+		n, err := bench.ParseStreamSized(&src, p.Name, p.TotalGates())
 		if err != nil {
 			b.Fatal(err)
 		}

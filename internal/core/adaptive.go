@@ -204,54 +204,27 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	// The candidate set — every single-bit stimulus flip — is invariant
 	// across steps: scan bits change launch activity, primary-input bits
 	// change sensitization at zero launch cost (PIs hold static across
-	// the LOS launch). Build it, the residual buffer, and the measurement
-	// machinery once; the per-step loop reuses them all.
-	nbits := len(cur.PI)
-	for _, c := range cur.Scan {
-		nbits += len(c)
-	}
-	cands := make([]CellRef, 0, nbits)
-	for c := range cur.Scan {
-		for j := range cur.Scan[c] {
-			cands = append(cands, CellRef{c, j})
-		}
-	}
-	for i := range cur.PI {
-		cands = append(cands, CellRef{PIChain, i})
-	}
+	// the LOS launch). It is the flip list of the Evaluator's sweep
+	// session, which runs every reading of the climb: the base is
+	// simulated once per climb and only flip deviations are propagated —
+	// for the candidate chunks and for the screen pairs, confirmation and
+	// accepted pair alike. Only the lanes a step reads outside the chunks
+	// are materialized: the result keeps some of them, and their pointers
+	// key the device's stuck-latch guard exactly as a batch measurement
+	// of them would.
+	sweep := ev.sweep()
+	cands := sweep.cands
 	if len(cands) == 0 {
 		res.Steps[0].Reading = ev.Measure(cur)
 		return res, ctx.Err()
 	}
 	residuals := make([]float64, len(cands))
 
-	// Every reading of the climb runs through the single-flip sweep
-	// engine: the base is simulated once per climb and only flip
-	// deviations are propagated — for the candidate chunks and for the
-	// lane-addressed screen pairs, confirmation and accepted pair alike.
-	// Only the lanes a step reads outside the chunks (the screen, the
-	// confirmation, the accepted pair) are materialized: the result keeps
-	// some of them, and their pointers key the device's stuck-latch guard
-	// exactly as a batch measurement of them would.
-	// The flip list depends only on the scan shape, so the cached
-	// session (with its per-chunk plans) is reusable across climbs; the
-	// length check guards the invariant.
-	sweep := ev.adaptiveSweep
-	if sweep == nil || len(sweep.Candidates()) != len(cands) {
-		var err error
-		sweep, err = ev.NewSweep(cands, 1)
-		if err != nil {
-			// cands are generated from the pattern shape; a mismatch with
-			// the scan configuration is an internal invariant violation.
-			panic("core: Adaptive sweep construction: " + err.Error())
-		}
-		ev.adaptiveSweep = sweep
-	}
-	// The full two-sided base launch happens once per climb: accepted
-	// steps advance the session incrementally (one flip-deviation
-	// propagation), and a vetoed confirmation leaves cur — and the
-	// session — untouched.
-	if err := sweep.Rebase(cur); err != nil {
+	// The full two-sided base launch happens once per climb, onto the
+	// pair (cur, cur): accepted steps advance the session incrementally
+	// (one flip-deviation propagation), and a vetoed confirmation leaves
+	// cur — and the session — untouched.
+	if err := sweep.Rebase(cur, cur); err != nil {
 		panic("core: Adaptive sweep rebase: " + err.Error())
 	}
 	res.Steps[0].Reading = sweep.MeasureLanes([]*scan.Pattern{cur}, []int{-1})[0]
@@ -263,14 +236,16 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 	}
 	var pats []*scan.Pattern // the screen's lane patterns and flips
 	var lanes []int
+	chunk := make([]int, 0, 64) // a candidate chunk's lane map
 	for step := 0; step < opt.MaxSteps; step++ {
 		if ctx.Err() != nil {
 			break
 		}
-		// Measure all candidates, 64 per chunk. Two results matter: the
-		// candidate with the strongest suspicious signal (the greedy step)
-		// and the candidate whose reading drops hardest below the current
-		// pattern's expectation — the §IV-C indicator that the flip just
+		// Measure all candidates, 64 per chunk — lane i of a chunk is
+		// candidate start+i. Two results matter: the candidate with the
+		// strongest suspicious signal (the greedy step) and the candidate
+		// whose reading drops hardest below the current pattern's
+		// expectation — the §IV-C indicator that the flip just
 		// deactivated something the golden model does not know about.
 		curReading := res.Steps[len(res.Steps)-1].Reading
 		bestIdx, bestRPD := -1, 0.0
@@ -278,7 +253,11 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 			if ctx.Err() != nil {
 				break
 			}
-			for i, rd := range sweep.MeasureChunk(start / 64) {
+			chunk = chunk[:0]
+			for idx := start; idx < min(start+64, len(cands)); idx++ {
+				chunk = append(chunk, idx)
+			}
+			for i, rd := range sweep.MeasureLanes(nil, chunk) {
 				// Readings the acquisition layer could not stabilize
 				// (NaN) are excluded from the climb: a phantom reading
 				// must never steer the search.
@@ -356,7 +335,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 				SRPD: pa.SRPD, Significance: pa.Significance(),
 			})
 		}
-		if err := sweep.Advance(chosen, next); err != nil {
+		if err := sweep.Advance(chosen, next, next); err != nil {
 			panic("core: Adaptive sweep advance: " + err.Error())
 		}
 		cur = next

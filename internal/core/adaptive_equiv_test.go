@@ -27,7 +27,7 @@ import (
 // referenceAdaptive is the launch-based climb: Evaluator.AdaptiveContext
 // as it was before the screen, confirmation and accepted pair moved onto
 // lane runs, without the context and progress plumbing. Its candidate
-// sweep is its own session, closed on return.
+// chunks read the Evaluator's sweep session, rebased onto (cur, cur).
 func referenceAdaptive(ev *Evaluator, seed *scan.Pattern, opt AdaptiveOptions) *AdaptiveResult {
 	opt = opt.withDefaults(seed)
 	cur := seed.Clone()
@@ -39,25 +39,13 @@ func referenceAdaptive(ev *Evaluator, seed *scan.Pattern, opt AdaptiveOptions) *
 			Transitions: cur.TransitionCount(),
 		}},
 	}
-	var cands []CellRef
-	for c := range cur.Scan {
-		for j := range cur.Scan[c] {
-			cands = append(cands, CellRef{c, j})
-		}
-	}
-	for i := range cur.PI {
-		cands = append(cands, CellRef{PIChain, i})
-	}
+	sweep := ev.sweep()
+	cands := sweep.cands
 	if len(cands) == 0 {
 		return res
 	}
 	residuals := make([]float64, len(cands))
-	sweep, err := ev.NewSweep(cands, 1)
-	if err != nil {
-		panic(err)
-	}
-	defer sweep.Close()
-	if err := sweep.Rebase(cur); err != nil {
+	if err := sweep.Rebase(cur, cur); err != nil {
 		panic(err)
 	}
 	patternAt := func(idx int) *scan.Pattern {
@@ -69,7 +57,11 @@ func referenceAdaptive(ev *Evaluator, seed *scan.Pattern, opt AdaptiveOptions) *
 		curReading := res.Steps[len(res.Steps)-1].Reading
 		bestIdx, bestRPD := -1, 0.0
 		for start := 0; start < len(cands); start += 64 {
-			for i, rd := range sweep.MeasureChunk(start / 64) {
+			var chunk []int
+			for idx := start; idx < min(start+64, len(cands)); idx++ {
+				chunk = append(chunk, idx)
+			}
+			for i, rd := range sweep.MeasureLanes(nil, chunk) {
 				if !math.IsNaN(rd.RPD) && (bestIdx < 0 || rd.RPD > bestRPD) {
 					bestIdx, bestRPD = start+i, rd.RPD
 				}
@@ -116,7 +108,7 @@ func referenceAdaptive(ev *Evaluator, seed *scan.Pattern, opt AdaptiveOptions) *
 				SRPD: pa.SRPD, Significance: pa.Significance(),
 			})
 		}
-		if err := sweep.Advance(chosen, next); err != nil {
+		if err := sweep.Advance(chosen, next, next); err != nil {
 			panic(err)
 		}
 		cur = next
@@ -252,14 +244,16 @@ func TestAdaptiveMatchesReference(t *testing.T) {
 }
 
 // TestSweepMeasureLanesMatchesBatch pins the lane-addressed measurement
-// itself: random lane maps over a one-base session — up to 64 lanes,
-// unflipped lanes sharing the base's pointer as the climb's screen does,
-// flips repeated on lanes of their own clones — must read bit-identically
-// to Evaluator.MeasureBatch over the same patterns, and even maps must
-// analyze like AnalyzePairs, across the sweep equivalence matrix, a
-// latching tester, and a noiseless latching tester (where every pair of
-// repeated-flip lanes reads exactly equal, so the stuck guard's verdict
-// rests on the pattern pointers alone) — with Advances in between and
+// itself: random lane maps over the sweep session — up to 64 lanes,
+// unflipped lanes sharing their base's pointer as the climb's screen
+// does, flips repeated on lanes of their own clones — must read
+// bit-identically to Evaluator.MeasureBatch over the same patterns, even
+// maps must analyze like AnalyzePairs, and unmaterialized maps of
+// distinct flips must read like their fresh clones. It runs across the
+// sweep equivalence matrix, a latching tester, and a noiseless latching
+// tester (where every pair of repeated-flip lanes reads exactly equal,
+// so the stuck guard's verdict rests on the lane keys alone), first on
+// the pair (X, X), then on a distinct pair, with Advances in between and
 // identical stream state at the end.
 func TestSweepMeasureLanesMatchesBatch(t *testing.T) {
 	noiseless := sweepEquivConfig{name: "loc-stuck-noiseless", mode: scan.LOC, infected: true,
@@ -271,27 +265,51 @@ func TestSweepMeasureLanesMatchesBatch(t *testing.T) {
 			ref, _ := sweepEquivStack(t, cfg)
 			defer ev.Close()
 			defer ref.Close()
-			var cands []CellRef
-			for c := range cur.Scan {
-				for j := range cur.Scan[c] {
-					cands = append(cands, CellRef{c, j})
-				}
-			}
-			for i := range cur.PI {
-				cands = append(cands, CellRef{PIChain, i})
-			}
-			sw, err := ev.NewSweep(cands, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sw.Close()
-			if err := sw.Rebase(cur); err != nil {
+			sw := ev.sweep()
+			cands := sw.cands
+			a, b := cur, cur
+			if err := sw.Rebase(a, b); err != nil {
 				t.Fatal(err)
 			}
 			rng := stats.NewRNG(0x1a7e5)
-			for k := 0; k < 24; k++ {
+			for k := 0; k < 36; k++ {
+				if k == 18 {
+					b = ev.Chains().RandomPattern(rng)
+					if err := sw.Rebase(a, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// lanePattern materializes lane l with candidate idx applied.
+				lanePattern := func(l, idx int) *scan.Pattern {
+					base := a
+					if l%2 == 1 {
+						base = b
+					}
+					if idx < 0 {
+						return base
+					}
+					q := base.Clone()
+					applyFlip(q, cands[idx])
+					return q
+				}
 				lanes := make([]int, 1+int(rng.Uint64()%64))
 				pats := make([]*scan.Pattern, len(lanes))
+				if k%3 == 1 {
+					// An unmaterialized map: distinct flips, keyed by base
+					// and flip, read against fresh clones.
+					start := int(rng.Uint64() % uint64(len(cands)))
+					for l := range lanes {
+						lanes[l] = (start + l) % len(cands)
+						pats[l] = lanePattern(l, lanes[l])
+					}
+					want := ref.MeasureBatch(pats)
+					for l, rd := range sw.MeasureLanes(nil, lanes) {
+						if !sameReading(rd, want[l]) {
+							t.Fatalf("map %d lanes %v lane %d: %+v, reference %+v", k, lanes, l, rd, want[l])
+						}
+					}
+					continue
+				}
 				for l := range lanes {
 					switch r := rng.Uint64() % 4; {
 					case r == 0:
@@ -301,11 +319,7 @@ func TestSweepMeasureLanesMatchesBatch(t *testing.T) {
 					default:
 						lanes[l] = int(rng.Uint64() % uint64(len(cands)))
 					}
-					pats[l] = cur
-					if lanes[l] >= 0 {
-						pats[l] = cur.Clone()
-						applyFlip(pats[l], cands[lanes[l]])
-					}
+					pats[l] = lanePattern(l, lanes[l])
 				}
 				if k%3 == 2 && len(lanes) > 1 {
 					lanes, pats = lanes[:len(lanes)&^1], pats[:len(pats)&^1]
@@ -328,14 +342,21 @@ func TestSweepMeasureLanesMatchesBatch(t *testing.T) {
 				}
 				if k%4 == 3 {
 					i := int(rng.Uint64() % uint64(len(cands)))
-					next := cur.Clone()
-					applyFlip(next, cands[i])
-					if err := sw.Advance(cands[i], next); err != nil {
+					nextA, nextB := a.Clone(), b
+					applyFlip(nextA, cands[i])
+					if b == a {
+						nextB = nextA
+					} else {
+						nextB = b.Clone()
+						applyFlip(nextB, cands[i])
+					}
+					if err := sw.Advance(cands[i], nextA, nextB); err != nil {
 						t.Fatal(err)
 					}
-					cur = next
+					a, b = nextA, nextB
 				}
 			}
+			cur = a
 			assertSameStream(t, cfg.name, ev, ref, cur)
 		})
 	}

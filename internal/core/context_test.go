@@ -94,20 +94,21 @@ func TestMeasureSweepCancelledContext(t *testing.T) {
 	dev, pats := buildAcqBench(t, 6, 1)
 	base := pats[0]
 	flips := []scan.Flip{{Chain: 0, Index: 0}, {Chain: 0, Index: 1}, {Chain: 1, Index: 0}}
-	sw, err := dev.NewSweeper(flips, 1)
+	sw, err := dev.NewSweeper(flips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Rebase(base); err != nil {
+	if err := sw.Rebase(base, base); err != nil {
 		t.Fatal(err)
 	}
-	chunkFlips := sw.ChunkFlips(0)
-	ids, masks := sw.Run(0)
+	ids, masks := sw.RunLanes([]int{0, 1, 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dev.SetContext(ctx)
-	got := dev.MeasureSweep([]*scan.Pattern{base}, chunkFlips, ids, masks)
+	got := dev.measureToggled(ids, masks, len(flips), func(l int) readingKey {
+		return readingKey{pat: base, chain: flips[l].Chain, index: flips[l].Index, sweep: true}
+	})
 	for i, v := range got {
 		if !math.IsNaN(v) {
 			t.Errorf("sweep lane %d = %v after cancellation, want NaN", i, v)

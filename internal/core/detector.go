@@ -277,9 +277,6 @@ func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Libr
 		}
 		flagged = append(flagged, ar.Pairs...)
 	}
-	// The climbs are over: free the cached adaptive sweep before the
-	// pairs stage builds its own two-base sweeps.
-	ev.releaseAdaptiveSweep()
 	// Rank flagged pairs by significance and give the strongest few the
 	// full strategic treatment; a genuine Trojan residual is magnified as
 	// the alignment walk shrinks the unique activity, while a mined

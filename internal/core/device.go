@@ -60,13 +60,13 @@ type Device struct {
 }
 
 // readingKey identifies the stimulus behind one raw reading for the
-// stuck-latch guard. Batch measurements are identified by the pattern
+// stuck-latch guard. Materialized patterns are identified by the pattern
 // pointer (repeat applications of the same *Pattern are legitimate
 // identical readings), whether their activity comes from a launch or
-// from a lane-addressed sweep run (measureToggled). Sweep chunk lanes
+// from a sweep's lane map. Sweep candidate lanes nobody materializes
 // are identified by their base pattern plus the flipped bit, so two
-// lanes of a chunk — or a chunk lane and a batch pattern — always count
-// as different stimuli, exactly as the materialized clones of the
+// such lanes — or such a lane and a batch pattern — always count as
+// different stimuli, exactly as the materialized clones of the
 // reference path do.
 type readingKey struct {
 	pat          *scan.Pattern
@@ -206,44 +206,33 @@ func (d *Device) measureChunk(pats []*scan.Pattern) []float64 {
 		panic(err.Error())
 	}
 	d.ids, d.masks = d.eng.Toggled(d.ids, d.masks)
-	return d.measureToggled(pats, d.ids, d.masks)
+	return d.measureToggled(d.ids, d.masks, len(pats), patternKeys(pats))
 }
 
-// measureToggled acquires readings for 1..64 patterns whose physical
+// patternKeys keys lane i by the pattern pointer pats[i].
+func patternKeys(pats []*scan.Pattern) func(lane int) readingKey {
+	return func(i int) readingKey { return readingKey{pat: pats[i]} }
+}
+
+// measureToggled acquires readings for n (1..64) lanes whose physical
 // toggle activity the caller already holds as a sparse (ids, masks)
-// encoding — lane i the activity of pats[i] — such as a Sweeper's
-// RunLanes over the patterns' flips. The stuck-latch guard identifies
-// lane i by the pattern pointer pats[i], exactly as MeasureBatch does,
-// so measuring the materialized patterns this way or through
-// MeasureBatch advances the reading stream identically. The returned
-// slice may share the device's scratch storage; it is valid until the
-// next measurement.
-func (d *Device) measureToggled(pats []*scan.Pattern, ids []int, masks []logic.Word) []float64 {
-	return d.acquire(len(pats), d.pricer(ids, masks, len(pats)),
-		func(i int) readingKey { return readingKey{pat: pats[i]} })
-}
-
-// pricer returns acquire's tester pass over the sparse toggle encoding
-// (ids, masks) of n lanes: each call prices the chip once, with fresh
-// measurement noise, into the device's scratch readings.
-func (d *Device) pricer(ids []int, masks []logic.Word, n int) func() []float64 {
-	return func() []float64 {
+// encoding — from a launch of materialized patterns, or from a
+// Sweeper's lane map — under the acquisition policy: repeats, MAD
+// outlier rejection, the stuck-latch guard, spread gate, retry budget
+// and aggregation. key identifies lane i's stimulus for the stuck-latch
+// guard. Launched and swept lanes alike funnel through here, so the two
+// acquire readings with bit-identical policy behavior. A cancelled run
+// context yields NaN lanes and a sticky Err, never partially-aggregated
+// readings. The returned slice may share the device's scratch storage;
+// it is valid until the next measurement.
+func (d *Device) measureToggled(ids []int, masks []logic.Word, n int, key func(lane int) readingKey) []float64 {
+	// price performs one tester pass: it prices the chip once, with
+	// fresh measurement noise, into the device's scratch readings.
+	price := func() []float64 {
 		d.raw = d.chip.MeasureLanesSparse(ids, masks, n, d.raw)
 		return d.raw
 	}
-}
 
-// acquire runs the measurement-acquisition policy over one chunk of n
-// lanes: repeats, MAD outlier rejection, the stuck-latch guard, spread
-// gate, retry budget and aggregation. price performs one tester pass —
-// it must return n raw lane readings and draw any chip measurement noise
-// afresh per call — and key identifies lane i's stimulus for the
-// stuck-latch guard. Both the batch path (materialized patterns) and
-// the single-flip sweep path (virtual flip lanes) price through pricer
-// and funnel through here, so the two acquire readings with
-// bit-identical policy behavior. A cancelled run context yields NaN
-// lanes and a sticky Err, never partially-aggregated readings.
-func (d *Device) acquire(n int, price func() []float64, key func(lane int) readingKey) []float64 {
 	// A cancelled run context aborts the acquisition before the first
 	// tester pass: the caller gets NaN readings and Err() the cause.
 	if d.cancelled() != nil {
@@ -397,29 +386,10 @@ func (d *Device) Measure(p *scan.Pattern) float64 {
 }
 
 // NewSweeper builds a single-flip sweep engine over the device's scan
-// configuration and physical netlist, interleaving the given number of
-// base patterns (1 or 2; see scan.NewSweeper), for use with MeasureSweep.
-func (d *Device) NewSweeper(flips []scan.Flip, bases int) (*scan.Sweeper, error) {
-	return scan.NewSweeper(d.eng, d.mode, flips, bases)
-}
-
-// MeasureSweep acquires readings for one sweep chunk: lane l is base
-// pattern bases[l%len(bases)] with flips[l/len(bases)] applied, and
-// (ids, masks) is the chunk's sparse toggle encoding of the physical
-// netlist (from a Sweeper built with NewSweeper over as many bases).
-// Acquisition semantics — repeats, tester faults, outlier rejection, the
-// stuck-latch guard, retries — are bit-identical to MeasureBatch over
-// the materialized patterns, including the run-context contract: a
-// cancelled context yields NaN lanes and a non-nil Err, never
-// partially-aggregated readings. The returned slice may share the
-// device's scratch storage; it is valid until the next measurement.
-func (d *Device) MeasureSweep(bases []*scan.Pattern, flips []scan.Flip, ids []int, masks []logic.Word) []float64 {
-	nb := len(bases)
-	return d.acquire(len(flips)*nb, d.pricer(ids, masks, len(flips)*nb),
-		func(l int) readingKey {
-			f := flips[l/nb]
-			return readingKey{pat: bases[l%nb], chain: f.Chain, index: f.Index, sweep: true}
-		})
+// configuration and physical netlist (see scan.NewSweeper), whose lane
+// maps measureToggled acquires.
+func (d *Device) NewSweeper(flips []scan.Flip) (*scan.Sweeper, error) {
+	return scan.NewSweeper(d.eng, d.mode, flips)
 }
 
 // GroundTruthToggles returns the physical toggle set of a pattern

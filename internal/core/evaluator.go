@@ -14,8 +14,7 @@ import (
 // with its nominal power model on one side, the physical Device on the
 // other. Everything the detection flow knows is computed here.
 type Evaluator struct {
-	golden *netlist.Netlist
-	chains *scan.Chains
+	chains *scan.Chains // on the golden netlist
 	eng    *scan.Engine // golden-model activity prediction
 	model  *power.Model
 	dev    *Device
@@ -37,11 +36,13 @@ type Evaluator struct {
 	sinceRef    int
 
 	// ids/masks hold the sparse golden toggle encoding of the last batch
-	// launch (see nominals), which AnalyzePairs decomposes; noms is its
-	// per-lane nominal pricing.
+	// launch (see toggled), which AnalyzePairs decomposes; noms and out
+	// are the per-lane nominals and Readings of the last measurement
+	// (see readLanes).
 	ids   []int
 	masks []logic.Word
 	noms  []float64
+	out   []Reading
 
 	// uids/umasks and nomU/sqU back the mask-level pair decomposition
 	// (analyzeLanes): the compacted unique-activity encoding of a chunk
@@ -54,11 +55,10 @@ type Evaluator struct {
 	nomU   []float64
 	sqU    []float64
 
-	// adaptiveSweep caches the all-stimulus-bits sweep session across
-	// Adaptive calls: the flip list depends only on the scan shape, which
-	// is fixed per Evaluator, so the structural cone analysis is paid
-	// once per workbench rather than once per climb.
-	adaptiveSweep *Sweep
+	// sw is the workbench's sweep session (see sweep), built on first
+	// use: its flip list depends only on the scan shape, so one session
+	// serves every climb and every strategic search.
+	sw *Sweep
 }
 
 // NewEvaluator assembles the workbench. The scan configuration is built on
@@ -73,7 +73,6 @@ func NewEvaluator(golden *netlist.Netlist, lib *power.Library, dev *Device, numC
 // NewDeviceFromChains).
 func NewEvaluatorFromChains(golden *netlist.Netlist, lib *power.Library, dev *Device, ch *scan.Chains, mode scan.Mode) *Evaluator {
 	return &Evaluator{
-		golden:     golden,
 		chains:     ch,
 		eng:        scan.NewEngine(ch),
 		model:      power.NewModel(golden, lib),
@@ -85,21 +84,14 @@ func NewEvaluatorFromChains(golden *netlist.Netlist, lib *power.Library, dev *De
 }
 
 // Close returns the workbench's pooled simulation buffers — the golden
-// engine's frames and any cached sweep session — to the shared pools.
+// engine's frames and the sweep session, if built — to the shared pools.
 // The device is owned by the caller and stays open. The Evaluator must
 // not be used afterwards; Close is idempotent.
 func (ev *Evaluator) Close() {
-	ev.releaseAdaptiveSweep()
-	ev.eng.Close()
-}
-
-// releaseAdaptiveSweep closes the cached adaptive sweep session, if any;
-// a later Adaptive call builds a fresh one.
-func (ev *Evaluator) releaseAdaptiveSweep() {
-	if ev.adaptiveSweep != nil {
-		ev.adaptiveSweep.Close()
-		ev.adaptiveSweep = nil
+	if ev.sw != nil {
+		ev.sw.Close()
 	}
+	ev.eng.Close()
 }
 
 // launch runs a golden-model simulation of 1..64 patterns. Callers chunk
@@ -111,14 +103,13 @@ func (ev *Evaluator) launch(pats []*scan.Pattern) {
 	}
 }
 
-// nominals launches 1..64 patterns on the golden model and prices the
-// predicted activity of each lane, leaving the sparse toggle encoding in
-// ev.ids/ev.masks. The result is scratch, valid until the next call.
-func (ev *Evaluator) nominals(pats []*scan.Pattern) []float64 {
+// toggled launches 1..64 patterns on the golden model and returns the
+// predicted activity as a sparse toggle encoding, held in
+// ev.ids/ev.masks until the next launch.
+func (ev *Evaluator) toggled(pats []*scan.Pattern) ([]int, []logic.Word) {
 	ev.launch(pats)
 	ev.ids, ev.masks = ev.eng.Toggled(ev.ids, ev.masks)
-	ev.noms = ev.model.NominalLanesSparse(ev.ids, ev.masks, len(pats), ev.noms)
-	return ev.noms
+	return ev.ids, ev.masks
 }
 
 // Calibrate estimates this die's global power scale — the inter-die
@@ -139,8 +130,9 @@ func (ev *Evaluator) Calibrate(pats []*scan.Pattern) float64 {
 		}
 		batch := pats[start:end]
 		observed := ev.dev.MeasureBatch(batch)
-		noms := ev.nominals(batch)
-		for i, nom := range noms {
+		ids, masks := ev.toggled(batch)
+		ev.noms = ev.model.NominalLanesSparse(ids, masks, len(batch), ev.noms)
+		for i, nom := range ev.noms {
 			// Readings the acquisition layer could not stabilize (NaN)
 			// carry no calibration information; the median over the
 			// survivors stays robust to losing a few.
@@ -168,9 +160,6 @@ func (ev *Evaluator) Scale() float64 { return ev.scale }
 
 // Chains returns the scan configuration (for pattern construction).
 func (ev *Evaluator) Chains() *scan.Chains { return ev.chains }
-
-// Golden returns the defender's netlist.
-func (ev *Evaluator) Golden() *netlist.Netlist { return ev.golden }
 
 // Device returns the IC under certification.
 func (ev *Evaluator) Device() *Device { return ev.dev }
@@ -206,10 +195,6 @@ func (ev *Evaluator) SetDriftReference(ref *scan.Pattern) {
 	ev.sinceRef = 0
 }
 
-// DriftScale returns the current drift-compensation factor (1 when
-// compensation is disabled or no drift has been observed).
-func (ev *Evaluator) DriftScale() float64 { return ev.driftScale }
-
 // maybeTrackDrift re-measures the drift reference once per window and
 // updates the running drift scale. An unstable re-measurement keeps the
 // previous estimate.
@@ -241,18 +226,38 @@ func (ev *Evaluator) MeasureBatch(pats []*scan.Pattern) []Reading {
 	return out
 }
 
+// measureChunk measures 1..64 patterns through one launch on each side,
+// leaving the golden toggle encoding in ev.ids/ev.masks. The result is
+// scratch, valid until the next measurement.
 func (ev *Evaluator) measureChunk(pats []*scan.Pattern) []Reading {
+	return ev.readLanes(len(pats),
+		func() []float64 { return ev.dev.measureChunk(pats) },
+		func() ([]int, []logic.Word) { return ev.toggled(pats) })
+}
+
+// readLanes is the one reading assembler of every 1..64-lane
+// measurement, launched (measureChunk) or swept (Sweep.MeasureLanes). In
+// order: drift tracking, the device acquisition (acquire returns the n
+// raw observations), the drift window count, the golden nominals (priced
+// from golden's sparse toggle encoding of the same lanes), then the
+// calibrated, drift-corrected Readings. The result is scratch, valid
+// until the next measurement.
+func (ev *Evaluator) readLanes(n int, acquire func() []float64, golden func() ([]int, []logic.Word)) []Reading {
 	ev.maybeTrackDrift()
-	observed := ev.dev.MeasureBatch(pats)
-	ev.sinceRef += len(pats)
-	nominals := ev.nominals(pats)
-	out := make([]Reading, len(pats))
-	for i := range pats {
+	observed := acquire()
+	ev.sinceRef += n
+	ids, masks := golden()
+	ev.noms = ev.model.NominalLanesSparse(ids, masks, n, ev.noms)
+	if cap(ev.out) < n {
+		ev.out = make([]Reading, n)
+	}
+	out := ev.out[:n]
+	for i := range out {
 		obs := observed[i] / (ev.scale * ev.driftScale)
 		out[i] = Reading{
 			Observed: obs,
-			Nominal:  nominals[i],
-			RPD:      RPD(obs, nominals[i]),
+			Nominal:  ev.noms[i],
+			RPD:      RPD(obs, ev.noms[i]),
 		}
 	}
 	return out

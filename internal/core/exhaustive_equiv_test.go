@@ -170,26 +170,20 @@ func referenceToggled(ch *scan.Chains, pats []*scan.Pattern, mode scan.Mode) ([]
 // referenceMeasureBatch is Evaluator.MeasureBatch with both launches —
 // the device's physical one and the golden model's — taken from the
 // oracle instead of the PPSFP engine. Everything after the launch (the
-// acquisition policy, tester faults, calibration and drift scaling) is
-// the production code, so a twin stack measured through it must agree
-// with MeasureBatch bit for bit.
+// reading assembler, the acquisition policy, tester faults, calibration
+// and drift scaling) is the production code, so a twin stack measured
+// through it must agree with MeasureBatch bit for bit.
 func referenceMeasureBatch(ev *Evaluator, pats []*scan.Pattern) []Reading {
 	var out []Reading
 	d := ev.dev
 	for start := 0; start < len(pats); start += 64 {
 		chunk := pats[start:min(start+64, len(pats))]
-		ev.maybeTrackDrift()
-		pids, pmasks := referenceToggled(d.eng.Chains(), chunk, d.mode)
-		observed := d.acquire(len(chunk),
-			func() []float64 { return d.chip.MeasureLanesSparse(pids, pmasks, len(chunk), nil) },
-			func(i int) readingKey { return readingKey{pat: chunk[i]} })
-		ev.sinceRef += len(chunk)
-		gids, gmasks := referenceToggled(ev.chains, chunk, ev.mode)
-		noms := ev.model.NominalLanesSparse(gids, gmasks, len(chunk), nil)
-		for i := range chunk {
-			obs := observed[i] / (ev.scale * ev.driftScale)
-			out = append(out, Reading{Observed: obs, Nominal: noms[i], RPD: RPD(obs, noms[i])})
-		}
+		out = append(out, ev.readLanes(len(chunk),
+			func() []float64 {
+				pids, pmasks := referenceToggled(d.eng.Chains(), chunk, d.mode)
+				return d.measureToggled(pids, pmasks, len(chunk), patternKeys(chunk))
+			},
+			func() ([]int, []logic.Word) { return referenceToggled(ev.chains, chunk, ev.mode) })...)
 	}
 	return out
 }

@@ -278,33 +278,37 @@ type StrategicResult struct {
 // move accidentally blocks the Trojan's activation path are simply not
 // the maximum.
 //
-// Each round evaluates every candidate on a two-base sweep (Sweep with
-// the current pair as lanes A and B): a chunk is the 32 jointly flipped
-// pairs AnalyzePairs would launch, measured and decomposed without
-// materializing them, and the accepted flip advances the sweep
-// incrementally. Only the accepted pair of each round is cloned.
+// Each round evaluates every candidate on the Evaluator's sweep
+// session, rebased onto the current pair: a lane map [i, i, j, j, …]
+// reads the 32 jointly flipped pairs AnalyzePairs would launch, measured
+// and decomposed without materializing them, and the accepted flip
+// advances the session incrementally. Only the accepted pair of each
+// round is cloned.
 func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt StrategicOptions) StrategicResult {
 	opt = opt.withDefaults()
 	res := StrategicResult{Initial: ev.AnalyzePair(a, b)}
 	cur := res.Initial
 	best := res.Initial
-	cells := strategicCells(a, critical)
-	if len(cells) == 0 || opt.MaxRounds <= 0 {
+	// The joint-flip candidates: every stimulus bit but the critical
+	// one, as indices into the session's flip list — scan cells
+	// chain-major, then primary inputs.
+	sweep := ev.sweep()
+	cands := make([]int, 0, len(sweep.cands))
+	for i, cell := range sweep.cands {
+		if cell != critical {
+			cands = append(cands, i)
+		}
+	}
+	if len(cands) == 0 || opt.MaxRounds <= 0 {
 		res.Final = best
 		return res
 	}
-	sweep, err := ev.NewSweep(cells, 2)
-	if err != nil {
-		// cells are generated from the pattern shape; a mismatch with the
-		// scan configuration is an internal invariant violation.
-		panic("core: strategic sweep construction: " + err.Error())
-	}
-	defer sweep.Close()
 	curA, curB := a, b
 	if err := sweep.Rebase(curA, curB); err != nil {
 		panic("core: strategic sweep rebase: " + err.Error())
 	}
 
+	lanes := make([]int, 0, 64)
 	for round := 0; round < opt.MaxRounds; round++ {
 		curDen := cur.NominalAUnique + cur.NominalBUnique
 		// Acceptance set: candidates that strictly improve alignment
@@ -315,22 +319,25 @@ func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt S
 		bestIdx := -1
 		bestMag := -1.0
 		var next PairAnalysis
-		idx := 0
-		for c := 0; c < sweep.NumChunks(); c++ {
-			for _, pa := range sweep.AnalyzeChunk(c) {
+		for start := 0; start < len(cands); start += 32 {
+			group := cands[start:min(start+32, len(cands))]
+			lanes = lanes[:0]
+			for _, idx := range group {
+				lanes = append(lanes, idx, idx)
+			}
+			for i, pa := range sweep.AnalyzeLanes(nil, lanes) {
 				den := pa.NominalAUnique + pa.NominalBUnique
 				if den != 0 && den < curDen-1e-9 {
 					if mag := abs(pa.SRPD); mag > bestMag {
-						bestIdx, bestMag, next = idx, mag, pa
+						bestIdx, bestMag, next = group[i], mag, pa
 					}
 				}
-				idx++
 			}
 		}
 		if bestIdx < 0 {
 			break // no alignment improvement possible
 		}
-		cell := cells[bestIdx]
+		cell := sweep.cands[bestIdx]
 		res.Applied = append(res.Applied, AppliedMod{
 			Cell:       cell,
 			Kind:       ClassifyFlip(curA, cell.Chain, cell.Index),
@@ -353,26 +360,4 @@ func (ev *Evaluator) StrategicModify(a, b *scan.Pattern, critical CellRef, opt S
 	}
 	res.Final = best
 	return res
-}
-
-// strategicCells lists the strategic search's joint-flip candidates of a
-// pattern shape: every scan cell in chain-major order, then every
-// primary input, minus the critical bit.
-func strategicCells(p *scan.Pattern, critical CellRef) []CellRef {
-	var cells []CellRef
-	for c := range p.Scan {
-		for j := range p.Scan[c] {
-			if c == critical.Chain && j == critical.Index {
-				continue
-			}
-			cells = append(cells, CellRef{c, j})
-		}
-	}
-	for i := range p.PI {
-		if critical.IsPI() && i == critical.Index {
-			continue
-		}
-		cells = append(cells, CellRef{PIChain, i})
-	}
-	return cells
 }

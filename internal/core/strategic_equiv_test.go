@@ -79,6 +79,28 @@ func referenceAnalyzePairs(ev *Evaluator, pairs [][2]*scan.Pattern) []PairAnalys
 	return out
 }
 
+// strategicCells lists the strategic search's joint-flip candidates of a
+// pattern shape: every scan cell in chain-major order, then every
+// primary input, minus the critical bit.
+func strategicCells(p *scan.Pattern, critical CellRef) []CellRef {
+	var cells []CellRef
+	for c := range p.Scan {
+		for j := range p.Scan[c] {
+			if c == critical.Chain && j == critical.Index {
+				continue
+			}
+			cells = append(cells, CellRef{c, j})
+		}
+	}
+	for i := range p.PI {
+		if critical.IsPI() && i == critical.Index {
+			continue
+		}
+		cells = append(cells, CellRef{PIChain, i})
+	}
+	return cells
+}
+
 // referenceStrategicModify is the clone-and-launch strategic search:
 // every round materializes both patterns of every joint-flip candidate
 // and analyzes them through referenceAnalyzePairs.

@@ -99,7 +99,8 @@ func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Patt
 }
 
 // sweepTwinWalk walks adaptive climbs on two identically seeded stacks:
-// on ev every candidate chunk is measured through Sweep.MeasureChunk, on
+// on ev every candidate chunk is measured through the sweep session,
+// rebased onto (base, base), as the 64-lane map of its candidates, on
 // ref through MeasureBatch over the materialized single-flip clones.
 // From each base it measures every chunk, takes the best-RPD candidate
 // as Adaptive does, confirms it with Measure on both stacks and Advances
@@ -109,41 +110,30 @@ func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Patt
 // stuck-guard streams advanced identically.
 func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan.Pattern, steps int) {
 	t.Helper()
-	var cands []CellRef
-	for c := range bases[0].Scan {
-		for j := range bases[0].Scan[c] {
-			cands = append(cands, CellRef{c, j})
-		}
-	}
-	for i := range bases[0].PI {
-		cands = append(cands, CellRef{PIChain, i})
-	}
-	sw, err := ev.NewSweep(cands, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-
+	sw := ev.sweep()
+	cands := sw.cands
 	for bi, base := range bases {
 		cur := base.Clone()
-		if err := sw.Rebase(cur); err != nil {
+		if err := sw.Rebase(cur, cur); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; ; step++ {
 			best, bestRPD := -1, 0.0
-			for c := 0; c < sw.NumChunks(); c++ {
-				lo, hi := c*64, min(c*64+64, len(cands))
+			for lo := 0; lo < len(cands); lo += 64 {
+				hi := min(lo+64, len(cands))
 				clones := make([]*scan.Pattern, hi-lo)
+				lanes := make([]int, hi-lo)
 				for i, cr := range cands[lo:hi] {
 					clones[i] = cur.Clone()
 					applyFlip(clones[i], cr)
+					lanes[i] = lo + i
 				}
 				want := ref.MeasureBatch(clones)
-				got := sw.MeasureChunk(c)
+				got := sw.MeasureLanes(nil, lanes)
 				for i := range want {
 					if !sameReading(got[i], want[i]) {
 						t.Fatalf("%s base %d step %d chunk %d lane %d: sweep %+v, clones %+v",
-							label, bi, step, c, i, got[i], want[i])
+							label, bi, step, lo/64, i, got[i], want[i])
 					}
 					if !math.IsNaN(want[i].RPD) && (best < 0 || want[i].RPD > bestRPD) {
 						best, bestRPD = lo+i, want[i].RPD
@@ -158,7 +148,7 @@ func sweepTwinWalk(t *testing.T, label string, ev, ref *Evaluator, bases []*scan
 			if got, want := ev.Measure(next), ref.Measure(next.Clone()); !sameReading(got, want) {
 				t.Fatalf("%s base %d step %d: confirmation %+v, reference %+v", label, bi, step, got, want)
 			}
-			if err := sw.Advance(cands[best], next); err != nil {
+			if err := sw.Advance(cands[best], next, next); err != nil {
 				t.Fatal(err)
 			}
 			cur = next

@@ -213,10 +213,11 @@ func TestEngineKindLaunchEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweeperKindEquivalence runs a sweep session — including the ragged
-// final chunk and incremental Advance transitions — and requires every
-// chunk's sparse encoding to densify to the reference launch's toggle
-// masks over the materialized single-flip clones.
+// TestSweeperKindEquivalence runs a sweep session on the pair (X, X) —
+// including the ragged final chunk and incremental Advance transitions —
+// and requires every 64-flip chunk's sparse encoding to densify to the
+// reference launch's toggle masks over the materialized single-flip
+// clones.
 func TestSweeperKindEquivalence(t *testing.T) {
 	ch := kindEquivNetlist(t, 23)
 	n := ch.Netlist()
@@ -224,15 +225,7 @@ func TestSweeperKindEquivalence(t *testing.T) {
 
 	// Every stimulus bit plus duplicates: the flip count is chosen to
 	// leave a short final chunk (the 65-pattern shape of the edge suite).
-	var flips []Flip
-	for c := 0; c < ch.NumChains(); c++ {
-		for j := range ch.Chain(c) {
-			flips = append(flips, Flip{c, j})
-		}
-	}
-	for i := range n.PIs {
-		flips = append(flips, Flip{PIFlip, i})
-	}
+	flips := allFlips(ch)
 	for len(flips)%64 != 1 {
 		flips = append(flips, flips[0])
 	}
@@ -240,23 +233,21 @@ func TestSweeperKindEquivalence(t *testing.T) {
 	eng := NewEngine(ch)
 	defer eng.Close()
 	for _, mode := range []Mode{LOS, LOC} {
-		s, err := NewSweeper(eng, mode, flips, 1)
+		s, err := NewSweeper(eng, mode, flips)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last := s.ChunkFlips(s.NumChunks() - 1); len(last) != 1 {
-			t.Fatalf("final chunk holds %d flips, want the 1-lane edge", len(last))
-		}
 
 		base := ch.RandomPattern(rng)
-		if err := s.Rebase(base.Clone()); err != nil {
+		x := base.Clone()
+		if err := s.Rebase(x, x); err != nil {
 			t.Fatal(err)
 		}
 		compare := func(step string) {
 			t.Helper()
-			for c := 0; c < s.NumChunks(); c++ {
-				chunk := s.ChunkFlips(c)
-				ids, masks := s.Run(c)
+			for lo := 0; lo < len(flips); lo += 64 {
+				c, chunk := lo/64, flips[lo:min(lo+64, len(flips))]
+				ids, masks := s.RunLanes(flipRange(lo, lo+len(chunk)))
 				got := densify(n.NumGates(), ids, masks)
 				r1, r2 := referenceLaunch(ch, flipClones(base, chunk), mode, nil)
 				for id := range got {

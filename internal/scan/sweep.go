@@ -22,8 +22,8 @@ const PIFlip = -1
 // IsPI reports whether the flip addresses a primary input.
 func (f Flip) IsPI() bool { return f.Chain == PIFlip }
 
-// srcFlip is one precomputed source perturbation: XOR bit into the word
-// of source gate `gate` to apply that lane's flip.
+// srcFlip is one source perturbation: XOR bit into the word of source
+// gate `gate` to apply the flip on those lanes.
 type srcFlip struct {
 	gate int
 	bit  logic.Word
@@ -35,45 +35,40 @@ type capture struct {
 	ff, dpin int
 }
 
-// chunkPlan is the source perturbation of one propagation: the per-lane
-// source XORs of a sweep chunk (up to 64/bases flips, each seeding one
-// lane per base), of a lane-addressed run, or of an Advance. Building
-// one is O(lanes) with no netlist walk, so a transient plan per call
-// costs nothing next to its propagation. LOC re-captures are not part of
-// the plan: they follow from the frame-1 divergence (see propagate).
-type chunkPlan struct {
-	flips    []Flip
+// flipPlan is the source perturbation of one propagation: the per-lane
+// source XORs of a lane map or of an Advance. Building one is O(lanes)
+// with no netlist walk, so a transient plan per call costs nothing next
+// to its propagation. LOC re-captures are not part of the plan: they
+// follow from the frame-1 divergence (see propagate).
+type flipPlan struct {
 	f1Srcs   []srcFlip // frame-1 source bits to XOR, per lane
 	f2Srcs   []srcFlip // frame-2 source bits to XOR (LOS scan cells, PIs)
 	laneMask logic.Word
 }
 
 // Sweeper is the single-flip sweep engine of the adaptive flow (§IV-B)
-// and the strategic pair search (§IV-D): it evaluates every pattern that
-// differs from a base pattern in exactly one stimulus bit, without
-// materializing those patterns. A sweep runs over 1 or 2 bases. The
-// bases' frames are simulated once per Rebase, on lanes 0..bases-1, and
-// interleaved across all 64 lanes: lane l carries base l%bases. A chunk
-// holds 64/bases flips, and flip i of a chunk seeds lanes
-// bases·i .. bases·i+bases-1 — with two bases (A, B) the chunk's lanes
-// are [A⊕f0, B⊕f0, A⊕f1, B⊕f1, …], the 32 jointly flipped pairs of the
-// strategic climb. Each chunk seeds its flips as per-lane source
-// deviations and propagates only the words that actually change
-// (sim.DeltaProp) — the LOS transparency rule (§IV-A) guarantees the
-// perturbation is local, and the full-scan structure keeps it shallow
-// (it stops at flip-flop D pins).
+// and the strategic pair search (§IV-D): it evaluates patterns that
+// differ from a base pattern in one stimulus bit, without materializing
+// them. A sweep always holds a base pair (A, B), simulated once per
+// Rebase and interleaved across all 64 lanes: even lanes carry A, odd
+// lanes carry B. Its one read, RunLanes, evaluates a lane map over the
+// flip list — lane l is its base with any one flip applied, or the base
+// itself. The adaptive climb rebases onto (X, X) and reads 64 single
+// flips of X per map; the strategic search rebases onto the pair and
+// reads the 32 jointly flipped pairs [A⊕f0, B⊕f0, A⊕f1, B⊕f1, …] per
+// map. Each run seeds its flips as per-lane source deviations and
+// propagates only the words that actually change (sim.DeltaProp) — the
+// LOS transparency rule (§IV-A) guarantees the perturbation is local,
+// and the full-scan structure keeps it shallow (it stops at flip-flop D
+// pins).
 //
-// The output of a chunk is a sparse (ids, masks) toggle encoding whose
+// The output of a run is a sparse (ids, masks) toggle encoding whose
 // pricing through power.NominalLanesSparse / power.MeasureLanesSparse is
-// bit-identical to launching the materialized clones through
+// bit-identical to launching the materialized lane patterns through
 // Engine.Launch and pricing Engine.Toggled: gates the deviation never
-// reaches keep their base toggle word (the interleaved bases' toggle
+// reaches keep their base toggle word (the interleaved pair's toggle
 // states), gates it reaches carry their exact lane words, and both
 // encodings list gates in ascending ID order.
-//
-// Besides the fixed chunks, RunLanes evaluates an arbitrary lane map
-// over the same flip list — lane l the base, or the base with any one
-// flip applied — through a transient plan, with the same encoding.
 //
 // A Sweeper launches its bases through the caller's Engine, whose
 // hidden NoScan state they see, and must not outlive it. It owns its
@@ -82,35 +77,33 @@ type Sweeper struct {
 	ch    *Chains
 	mode  Mode
 	eng   *Engine // borrowed: base-frame simulation
-	bases int     // base patterns interleaved across the lanes (1 or 2)
-	flips []Flip  // the swept flip list; each plan's flips are a window
-	plans []chunkPlan
+	flips []Flip  // the flip list lane maps index
 
-	// lanePlan is the transient plan of RunLanes and Advance, rebuilt
-	// per call over reused storage.
-	lanePlan chunkPlan
+	// plan is the transient plan of RunLanes and Advance, rebuilt per
+	// call over reused storage.
+	plan flipPlan
 
 	// captures lists the LOC re-captures — every scannable flip-flop
 	// with its D pin — sorted by D pin, so the flip-flops a frame-1
 	// divergence re-captures are found by binary search. nil under LOS.
 	captures []capture
 
-	// Per-base state (valid after Rebase): the interleaved base frame
-	// values, the ascending gate IDs any base toggles, and — parallel to
-	// baseToggles — their toggle words, which unreached gates emit.
+	// Base-pair state (valid after Rebase): the interleaved base frame
+	// values, the ascending gate IDs either base toggles, and — parallel
+	// to baseToggles — their toggle words, which unreached gates emit.
 	f1b, f2b    []logic.Word
 	baseToggles []int
 	baseWords   []logic.Word
 	based       bool
 
-	// Sparse output buffers, valid until the next Run.
+	// Sparse output buffers, valid until the next RunLanes.
 	ids   []int
 	masks []logic.Word
 
 	// Delta-propagation state: one propagator per frame, lazily built;
 	// gen is the base generation (bumped by Rebase and Advance) and
 	// dpGen tracks which generation the propagators' base words were
-	// gathered from. div is the per-Run scratch of diverged gate IDs.
+	// gathered from. div is the per-run scratch of diverged gate IDs.
 	gen    uint64
 	dpGen  uint64
 	dp1    *sim.DeltaProp
@@ -120,17 +113,13 @@ type Sweeper struct {
 }
 
 // NewSweeper builds a sweep engine over eng's scan configuration for the
-// given flip list and number of interleaved base patterns (1 or 2), in
-// order: flip i lands in chunk i/(64/bases). Rebase launches the bases
-// through eng, so the sweep sees eng's hidden NoScan state; eng may
-// launch other patterns between sweeper calls. Setup is O(flips), plus
-// a sort of the scannable flip-flops by D pin under LOC, plus pooled
-// per-net buffers, so per-lot construction cost stays flat as netlists
-// grow.
-func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, error) {
-	if bases != 1 && bases != 2 {
-		return nil, fmt.Errorf("scan: sweep over %d bases (want 1 or 2)", bases)
-	}
+// given flip list, which lane maps address by index. Rebase launches the
+// base pair through eng, so the sweep sees eng's hidden NoScan state;
+// eng may launch other patterns between sweeper calls. Setup is
+// O(flips), plus a sort of the scannable flip-flops by D pin under LOC,
+// plus pooled per-net buffers, so per-lot construction cost stays flat
+// as netlists grow.
+func NewSweeper(eng *Engine, mode Mode, flips []Flip) (*Sweeper, error) {
 	ch := eng.Chains()
 	n := ch.Netlist()
 	for _, f := range flips {
@@ -142,20 +131,10 @@ func NewSweeper(eng *Engine, mode Mode, flips []Flip, bases int) (*Sweeper, erro
 		ch:    ch,
 		mode:  mode,
 		eng:   eng,
-		bases: bases,
 		flips: append([]Flip(nil), flips...),
 		f1b:   scratch.Words(n.NumGates()),
 		f2b:   scratch.Words(n.NumGates()),
 		gen:   1,
-	}
-	per := 64 / bases
-	for start := 0; start < len(flips); start += per {
-		end := min(start+per, len(flips))
-		p := chunkPlan{flips: s.flips[start:end], laneMask: laneMaskOf((end - start) * bases)}
-		for i, f := range p.flips {
-			p.addFlip(ch, mode, f, flipBits(i, bases))
-		}
-		s.plans = append(s.plans, p)
 	}
 	if mode == LOC {
 		for _, ff := range n.FFs {
@@ -211,12 +190,6 @@ func (s *Sweeper) Close() {
 	s.based = false
 }
 
-// flipBits returns the lane bits flip i of a chunk seeds: one lane per
-// base, lanes bases·i .. bases·i+bases-1.
-func flipBits(i, bases int) logic.Word {
-	return (logic.Word(1)<<uint(bases) - 1) << uint(i*bases)
-}
-
 // laneMaskOf returns the word with the low n lanes set.
 func laneMaskOf(n int) logic.Word {
 	if n >= 64 {
@@ -227,7 +200,7 @@ func laneMaskOf(n int) logic.Word {
 
 // addFlip appends the source perturbation of flip f on lanes bit to
 // the plan. No netlist walk happens here.
-func (p *chunkPlan) addFlip(ch *Chains, mode Mode, f Flip, bit logic.Word) {
+func (p *flipPlan) addFlip(ch *Chains, mode Mode, f Flip, bit logic.Word) {
 	if f.IsPI() {
 		// PIs hold across both frames under either mode.
 		id := ch.Netlist().PIs[f.Index]
@@ -255,10 +228,10 @@ func (p *chunkPlan) addFlip(ch *Chains, mode Mode, f Flip, bit logic.Word) {
 	}
 }
 
-// transientPlan resets the sweeper's reusable lane plan for a
-// propagation over n lanes.
-func (s *Sweeper) transientPlan(n int) *chunkPlan {
-	p := &s.lanePlan
+// transientPlan resets the sweeper's reusable plan for a propagation
+// over n lanes.
+func (s *Sweeper) transientPlan(n int) *flipPlan {
+	p := &s.plan
 	p.f1Srcs, p.f2Srcs = p.f1Srcs[:0], p.f2Srcs[:0]
 	p.laneMask = laneMaskOf(n)
 	return p
@@ -270,33 +243,21 @@ func (s *Sweeper) Chains() *Chains { return s.ch }
 // Mode returns the launch mode the sweep simulates.
 func (s *Sweeper) Mode() Mode { return s.mode }
 
-// NumChunks returns the number of 64-lane chunks.
-func (s *Sweeper) NumChunks() int { return len(s.plans) }
-
-// ChunkFlips returns the flips of chunk c in lane order — flip i seeds
-// lanes bases·i .. bases·i+bases-1 (owned by the Sweeper; do not
-// modify).
-func (s *Sweeper) ChunkFlips(c int) []Flip { return s.plans[c].flips }
-
-// Rebase simulates the two frames of new base patterns — exactly as
-// many as the sweep was built for — and resets the working lane words to
-// their interleaved values: lane l carries base l%bases. Must be called
-// before Run and after every change to a base pattern.
-func (s *Sweeper) Rebase(bases ...*Pattern) error {
-	if len(bases) != s.bases {
-		return fmt.Errorf("scan: Sweeper.Rebase with %d bases, sweep built for %d", len(bases), s.bases)
-	}
-	f1, f2, err := s.eng.Launch(bases, s.mode)
+// Rebase simulates the two frames of a new base pair and resets the
+// working lane words to their interleaved values: even lanes carry a,
+// odd lanes carry b. A single-pattern sweep rebases onto (X, X). Must be
+// called before RunLanes and after every change to a base pattern.
+func (s *Sweeper) Rebase(a, b *Pattern) error {
+	f1, f2, err := s.eng.Launch([]*Pattern{a, b}, s.mode)
 	if err != nil {
 		return err
 	}
-	// Multiplying a word's low `bases` bits by rep copies them into every
-	// block of `bases` lanes (the blocks never overlap, so nothing
-	// carries): 1 base broadcasts lane 0, 2 bases interleave lanes 0/1.
-	low := logic.Word(1)<<uint(s.bases) - 1
-	rep := ^logic.Word(0) / low
+	// Multiplying a word's low two bits by 0x5555… copies them into
+	// every two-lane block (the blocks never overlap, so nothing
+	// carries): lanes 0 and 1 interleave across the word.
+	const rep = ^logic.Word(0) / 3
 	for id := range f1 {
-		s.f1b[id], s.f2b[id] = (f1[id]&low)*rep, (f2[id]&low)*rep
+		s.f1b[id], s.f2b[id] = (f1[id]&3)*rep, (f2[id]&3)*rep
 	}
 	s.collectBaseToggles()
 	s.based = true
@@ -304,22 +265,21 @@ func (s *Sweeper) Rebase(bases ...*Pattern) error {
 	return nil
 }
 
-// collectBaseToggles rebuilds the ascending list of gates any base
+// collectBaseToggles rebuilds the ascending list of gates either base
 // toggles and their toggle words.
 func (s *Sweeper) collectBaseToggles() {
 	s.baseToggles, s.baseWords = sim.AppendToggled(s.f1b, s.f2b, s.baseToggles[:0], s.baseWords[:0])
 }
 
-// Advance incrementally rebases the sweeper onto the patterns that
-// differ from the current bases in exactly the given flip — the accepted
-// step of the adaptive climb, or the accepted joint flip of both
-// patterns of a strategic pair. Instead of a full two-frame launch, it
-// propagates a transient plan that applies the flip on every lane
-// (every base takes it), commits exactly the diverged gates into the
-// interleaved base, and rebuilds the base toggle list. Two-valued logic
-// is exact and gates the deviation never reaches keep their old words,
-// so the resulting state is identical to a Rebase on the materialized
-// patterns. Any stimulus bit of the scan configuration may be advanced,
+// Advance incrementally rebases the sweeper onto the pair that differs
+// from the current one in exactly the given flip, applied to both
+// patterns — the accepted step of the adaptive climb, or the accepted
+// joint flip of a strategic pair. Instead of a full two-frame launch, it
+// propagates a transient plan that applies the flip on every lane,
+// commits exactly the diverged gates into the interleaved base, and
+// rebuilds the base toggle list. Two-valued logic is exact and gates the
+// deviation never reaches keep their old words, so the resulting state
+// is identical to a Rebase on the materialized pair. Any stimulus bit of the scan configuration may be advanced,
 // whether or not it is in the sweep's flip list.
 func (s *Sweeper) Advance(f Flip) error {
 	if !s.based {
@@ -370,7 +330,7 @@ func (s *Sweeper) ensureDeltaProps() {
 // pin's frame-1 value. Only flip-flops whose D pin diverged in frame 1
 // are seeded: the base frames of a real launch already satisfy
 // f2b[ff] == frame1(dpin), so an undiverged pin's seed would be zero.
-func (s *Sweeper) propagate(p *chunkPlan) {
+func (s *Sweeper) propagate(p *flipPlan) {
 	s.ensureDeltaProps()
 	s.dp1.Begin()
 	for _, sf := range p.f1Srcs {
@@ -395,30 +355,17 @@ func (s *Sweeper) propagate(p *chunkPlan) {
 	s.dp2.Run()
 }
 
-// Run evaluates chunk c against the current bases: it seeds each
-// frame's delta propagator with the chunk's per-lane source XORs,
-// propagates only the words that actually change, and returns the
-// chunk's toggle activity as a sparse (ids, masks) encoding — ids
-// ascending, masks[k] the per-lane toggle word of ids[k] — covering
-// every gate any lane toggles. The slices are owned by the Sweeper and
-// valid until the next Run or RunLanes.
-func (s *Sweeper) Run(c int) (ids []int, masks []logic.Word) {
-	if !s.based {
-		panic("scan: Sweeper.Run before Rebase")
-	}
-	p := &s.plans[c]
-	s.propagate(p)
-	return s.emit(p.laneMask)
-}
-
-// RunLanes evaluates an arbitrary lane map against the current bases:
-// lane l carries base l%bases, with flip lanes[l] of the sweep's flip
-// list applied, or unflipped when lanes[l] is negative. 1..64 lanes; a
-// flip may appear on several lanes. The result is the same sparse
-// encoding Run returns — exactly what launching the materialized
+// RunLanes evaluates a lane map against the current base pair: lane l
+// carries base A when l is even and B when odd, with flip lanes[l] of
+// the sweep's flip list applied, or unflipped when lanes[l] is negative.
+// 1..64 lanes; a flip may appear on several lanes. It seeds each frame's
+// delta propagator with the lanes' source XORs, propagates only the
+// words that actually change, and returns the lanes' toggle activity as
+// a sparse (ids, masks) encoding — ids ascending, masks[k] the per-lane
+// toggle word of ids[k] — exactly what launching the materialized lane
 // patterns through Engine.Launch and reading Engine.Toggled gives within
-// those lanes — owned by the Sweeper and valid until the next Run or
-// RunLanes.
+// those lanes. The slices are owned by the Sweeper and valid until the
+// next RunLanes.
 func (s *Sweeper) RunLanes(lanes []int) (ids []int, masks []logic.Word) {
 	if !s.based {
 		panic("scan: Sweeper.RunLanes before Rebase")
@@ -443,7 +390,7 @@ func (s *Sweeper) emit(laneMask logic.Word) (ids []int, masks []logic.Word) {
 	// ascending ID order through a bitmap over original gate IDs — word
 	// order plus trailing-zero extraction yields the sorted walk without
 	// a comparison sort. The true divergence is typically a small
-	// fraction of the chunk's union structural cone: for 64 flips spread
+	// fraction of the run's union structural cone: for 64 flips spread
 	// across the chains that cone covers half the netlist, while logic
 	// masking confines the divergence to a few hundred gates.
 	s.div = s.dp1.AppendDiverged(s.div[:0])
@@ -499,7 +446,7 @@ func (s *Sweeper) emit(laneMask logic.Word) (ids []int, masks []logic.Word) {
 	if laneMask != ^logic.Word(0) {
 		// Fewer than 64 lanes: the copied base words still carry the
 		// unused lanes. Mask them off, dropping a base toggle no used
-		// lane carries (a word only the absent second base toggles).
+		// lane carries (a word only B toggles, under a one-lane map).
 		k := 0
 		for i, m := range masks {
 			if m &= laneMask; m != 0 {

@@ -74,14 +74,50 @@ func densify(numGates int, ids []int, masks []logic.Word) []logic.Word {
 	return out
 }
 
-// TestSweeperMatchesLaunch is the fuzz-style structural guard: random
-// circuits, chain counts, modes and bases — every chunk's sparse toggle
-// encoding must densify to exactly the engine's toggle masks over the
-// materialized clones, and its sparse pricing must be bit-identical to
-// the per-lane toggle-list sums of those masks. The sweeper borrows the
-// engine the references launch on. It then repeats the check exhaustively
-// on the zoo: every pattern of each circuit's input space as the base,
-// every single-bit flip of it as a lane.
+// allFlips lists every stimulus bit of ch: scan cells chain-major, then
+// primary inputs — the flip list of the evaluator's sweep session.
+func allFlips(ch *Chains) []Flip {
+	var flips []Flip
+	for c := 0; c < ch.NumChains(); c++ {
+		for j := range ch.Chain(c) {
+			flips = append(flips, Flip{c, j})
+		}
+	}
+	for i := range ch.Netlist().PIs {
+		flips = append(flips, Flip{PIFlip, i})
+	}
+	return flips
+}
+
+// flipRange is the single-pattern chunk lane map [lo, lo+1, …, hi-1]:
+// on the pair (X, X), lane l is X with flip lo+l applied.
+func flipRange(lo, hi int) []int {
+	lanes := make([]int, hi-lo)
+	for l := range lanes {
+		lanes[l] = lo + l
+	}
+	return lanes
+}
+
+// pairRange is the strategic chunk lane map [lo, lo, lo+1, lo+1, …]:
+// lanes 2i and 2i+1 are A and B with flip lo+i applied jointly.
+func pairRange(lo, hi int) []int {
+	lanes := make([]int, 0, 2*(hi-lo))
+	for i := lo; i < hi; i++ {
+		lanes = append(lanes, i, i)
+	}
+	return lanes
+}
+
+// TestSweeperMatchesLaunch is the fuzz-style structural guard of the
+// single-pattern sweep the adaptive climb runs on: random circuits,
+// chain counts and modes, the sweeper rebased onto a pair (X, X) — every
+// 64-flip chunk's sparse toggle encoding must densify to exactly the
+// engine's toggle masks over the materialized clones of X, and its
+// sparse pricing must be bit-identical to the per-lane toggle-list sums
+// of those masks. The sweeper borrows the engine the references launch
+// on. It then repeats the check exhaustively on the zoo: every pattern of
+// each circuit's input space as X, every single-bit flip of it as a lane.
 func TestSweeperMatchesLaunch(t *testing.T) {
 	rng := stats.NewRNG(0x5eeb)
 	lib := power.SAED90Like()
@@ -104,58 +140,49 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 		for _, mode := range []Mode{LOS, LOC} {
 			// Every stimulus bit once — plus duplicates, so a flip list
 			// that revisits bits (and spans a ragged final chunk) works.
-			var flips []Flip
-			for c := 0; c < ch.NumChains(); c++ {
-				for j := range ch.Chain(c) {
-					flips = append(flips, Flip{c, j})
-				}
-			}
-			for i := range n.PIs {
-				flips = append(flips, Flip{PIFlip, i})
-			}
+			flips := allFlips(ch)
 			for k := 0; k < 5; k++ {
 				flips = append(flips, flips[int(rng.Uint64()%uint64(len(flips)))])
 			}
 
-			s, err := NewSweeper(eng, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rebase := 0; rebase < 2; rebase++ {
 				base := ch.RandomPattern(rng)
-				if err := s.Rebase(base); err != nil {
+				if err := s.Rebase(base, base); err != nil {
 					t.Fatal(err)
 				}
-				for c := 0; c < s.NumChunks(); c++ {
-					chunk := s.ChunkFlips(c)
-					ids, masks := s.Run(c)
+				for lo := 0; lo < len(flips); lo += 64 {
+					hi := min(lo+64, len(flips))
+					ids, masks := s.RunLanes(flipRange(lo, hi))
 					got := densify(n.NumGates(), ids, masks)
-					want := referenceToggles(t, eng, base, chunk, mode)
+					want := referenceToggles(t, eng, base, flips[lo:hi], mode)
 					for id := range want {
 						if got[id] != want[id] {
 							t.Fatalf("trial %d %v chunk %d: gate %s toggles %064b, want %064b",
-								trial, mode, c, n.NameOf(id), got[id], want[id])
+								trial, mode, lo/64, n.NameOf(id), got[id], want[id])
 						}
 					}
-					list := listPrices(model, want, len(chunk))
-					sparse := model.NominalLanesSparse(ids, masks, len(chunk), nil)
+					list := listPrices(model, want, hi-lo)
+					sparse := model.NominalLanesSparse(ids, masks, hi-lo, nil)
 					for lane := range list {
 						if math.Float64bits(list[lane]) != math.Float64bits(sparse[lane]) {
 							t.Fatalf("trial %d %v chunk %d lane %d: sparse price %v != list %v",
-								trial, mode, c, lane, sparse[lane], list[lane])
+								trial, mode, lo/64, lane, sparse[lane], list[lane])
 						}
 					}
 				}
 				// Re-running a chunk against the same base must be
-				// idempotent: Run restores its working state.
-				if s.NumChunks() > 0 {
-					ids, masks := s.Run(0)
-					again := densify(n.NumGates(), ids, masks)
-					want := referenceToggles(t, eng, base, s.ChunkFlips(0), mode)
-					for id := range want {
-						if again[id] != want[id] {
-							t.Fatalf("trial %d %v: chunk 0 re-run deviates at gate %s", trial, mode, n.NameOf(id))
-						}
+				// idempotent: RunLanes restores its working state.
+				hi := min(64, len(flips))
+				ids, masks := s.RunLanes(flipRange(0, hi))
+				again := densify(n.NumGates(), ids, masks)
+				want := referenceToggles(t, eng, base, flips[:hi], mode)
+				for id := range want {
+					if again[id] != want[id] {
+						t.Fatalf("trial %d %v: chunk 0 re-run deviates at gate %s", trial, mode, n.NameOf(id))
 					}
 				}
 			}
@@ -168,32 +195,25 @@ func TestSweeperMatchesLaunch(t *testing.T) {
 	for _, ch := range zooChains(t) {
 		n := ch.Netlist()
 		eng := NewEngine(ch)
-		var flips []Flip
-		for c := 0; c < ch.NumChains(); c++ {
-			for j := range ch.Chain(c) {
-				flips = append(flips, Flip{c, j})
-			}
-		}
-		for i := range n.PIs {
-			flips = append(flips, Flip{PIFlip, i})
-		}
+		flips := allFlips(ch)
 		for _, mode := range []Mode{LOS, LOC} {
-			s, err := NewSweeper(eng, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for bi, base := range allPatterns(t, ch) {
-				if err := s.Rebase(base); err != nil {
+				if err := s.Rebase(base, base); err != nil {
 					t.Fatal(err)
 				}
-				for c := 0; c < s.NumChunks(); c++ {
-					ids, masks := s.Run(c)
+				for lo := 0; lo < len(flips); lo += 64 {
+					hi := min(lo+64, len(flips))
+					ids, masks := s.RunLanes(flipRange(lo, hi))
 					got := densify(n.NumGates(), ids, masks)
-					want := referenceToggles(t, eng, base, s.ChunkFlips(c), mode)
+					want := referenceToggles(t, eng, base, flips[lo:hi], mode)
 					for id := range want {
 						if got[id] != want[id] {
 							t.Fatalf("%s %v base %d chunk %d: gate %s toggles %016x, want %016x",
-								n.Name, mode, bi, c, n.NameOf(id), got[id], want[id])
+								n.Name, mode, bi, lo/64, n.NameOf(id), got[id], want[id])
 						}
 					}
 				}
@@ -271,12 +291,13 @@ func twoBaseReference(t *testing.T, eng *Engine, a, b *Pattern, flips []Flip, mo
 }
 
 // TestSweeperTwoBaseMatchesLaunch is the structural guard of the
-// two-base sweep the strategic pair search runs on: for random circuits
-// (half of them with hidden NoScan cells pinned to random states),
-// both modes, a flip list spanning a ragged last chunk, and after each
-// of several joint-flip Advances, every chunk's (ids, masks) must
-// densify to exactly the engine's toggle masks over the materialized
-// pair clones, and price bit-identically to their toggle lists.
+// strategic pair search's lane maps: for random circuits (half of them
+// with hidden NoScan cells pinned to random states), both modes, a
+// distinct pair (A, B) and a pair (X, X), a flip list spanning a ragged
+// last chunk, and after each of several joint-flip Advances, every
+// 32-pair map [i, i, j, j, …] must encode exactly the engine's toggle
+// masks over the materialized pair clones, with no empty mask, and price
+// bit-identically to their toggle lists.
 func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 	rng := stats.NewRNG(0x2ba5e)
 	lib := power.SAED90Like()
@@ -301,75 +322,70 @@ func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 		}
 		ch := Configure(n, 1+int(rng.Uint64()%3))
 		model := power.NewModel(n, lib)
+		flips := allFlips(ch)
 		for _, mode := range []Mode{LOS, LOC} {
-			var flips []Flip
-			for c := 0; c < ch.NumChains(); c++ {
-				for j := range ch.Chain(c) {
-					flips = append(flips, Flip{c, j})
-				}
-			}
-			for i := range n.PIs {
-				flips = append(flips, Flip{PIFlip, i})
-			}
-			eng := NewEngine(ch)
-			s, err := NewSweeper(eng, mode, flips, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := (len(flips) + 31) / 32; s.NumChunks() != want {
-				t.Fatalf("trial %d: %d chunks for %d flips, want %d", trial, s.NumChunks(), len(flips), want)
-			}
-			for _, ff := range n.FFs {
-				if n.IsNoScan(ff) {
-					w := logic.Word(0)
-					if rng.Bool() {
-						w = logic.AllOne
-					}
-					eng.SetHiddenState(ff, w)
-				}
-			}
-			a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
-			if err := s.Rebase(a, b); err != nil {
-				t.Fatal(err)
-			}
-			for step := 0; ; step++ {
-				for c := 0; c < s.NumChunks(); c++ {
-					chunk := s.ChunkFlips(c)
-					ids, masks := s.Run(c)
-					got := densify(n.NumGates(), ids, masks)
-					want := twoBaseReference(t, eng, a, b, chunk, mode)
-					for id := range want {
-						if got[id] != want[id] {
-							t.Fatalf("trial %d %v step %d chunk %d: gate %s toggles %064b, want %064b",
-								trial, mode, step, c, n.NameOf(id), got[id], want[id])
-						}
-					}
-					for k := range masks {
-						if masks[k] == 0 {
-							t.Fatalf("trial %d %v step %d chunk %d: empty mask for gate %s",
-								trial, mode, step, c, n.NameOf(ids[k]))
-						}
-					}
-					list := listPrices(model, want, 2*len(chunk))
-					sparse := model.NominalLanesSparse(ids, masks, 2*len(chunk), nil)
-					for lane := range list {
-						if math.Float64bits(list[lane]) != math.Float64bits(sparse[lane]) {
-							t.Fatalf("trial %d %v step %d chunk %d lane %d: sparse price %v != list %v",
-								trial, mode, step, c, lane, sparse[lane], list[lane])
-						}
-					}
-				}
-				if step == 3 {
-					break
-				}
-				f := flips[int(rng.Uint64()%uint64(len(flips)))]
-				if err := s.Advance(f); err != nil {
+			for _, same := range []bool{false, true} {
+				eng := NewEngine(ch)
+				s, err := NewSweeper(eng, mode, flips)
+				if err != nil {
 					t.Fatal(err)
 				}
-				a, b = flipClones(a, []Flip{f})[0], flipClones(b, []Flip{f})[0]
+				for _, ff := range n.FFs {
+					if n.IsNoScan(ff) {
+						w := logic.Word(0)
+						if rng.Bool() {
+							w = logic.AllOne
+						}
+						eng.SetHiddenState(ff, w)
+					}
+				}
+				a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
+				if same {
+					b = a
+				}
+				if err := s.Rebase(a, b); err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; ; step++ {
+					for lo := 0; lo < len(flips); lo += 32 {
+						hi := min(lo+32, len(flips))
+						c := lo / 32
+						ids, masks := s.RunLanes(pairRange(lo, hi))
+						got := densify(n.NumGates(), ids, masks)
+						want := twoBaseReference(t, eng, a, b, flips[lo:hi], mode)
+						for id := range want {
+							if got[id] != want[id] {
+								t.Fatalf("trial %d %v same=%v step %d chunk %d: gate %s toggles %064b, want %064b",
+									trial, mode, same, step, c, n.NameOf(id), got[id], want[id])
+							}
+						}
+						for k := range masks {
+							if masks[k] == 0 {
+								t.Fatalf("trial %d %v same=%v step %d chunk %d: empty mask for gate %s",
+									trial, mode, same, step, c, n.NameOf(ids[k]))
+							}
+						}
+						list := listPrices(model, want, 2*(hi-lo))
+						sparse := model.NominalLanesSparse(ids, masks, 2*(hi-lo), nil)
+						for lane := range list {
+							if math.Float64bits(list[lane]) != math.Float64bits(sparse[lane]) {
+								t.Fatalf("trial %d %v same=%v step %d chunk %d lane %d: sparse price %v != list %v",
+									trial, mode, same, step, c, lane, sparse[lane], list[lane])
+							}
+						}
+					}
+					if step == 3 {
+						break
+					}
+					f := flips[int(rng.Uint64()%uint64(len(flips)))]
+					if err := s.Advance(f); err != nil {
+						t.Fatal(err)
+					}
+					a, b = flipClones(a, []Flip{f})[0], flipClones(b, []Flip{f})[0]
+				}
+				s.Close()
+				eng.Close()
 			}
-			s.Close()
-			eng.Close()
 		}
 	}
 }
@@ -377,7 +393,8 @@ func TestSweeperTwoBaseMatchesLaunch(t *testing.T) {
 // TestSweeperAdvanceMatchesRebase pins the incremental rebase: a chain
 // of accepted flips advanced one at a time must leave the sweeper in
 // exactly the state a full Rebase on the materialized pattern produces —
-// every chunk's sparse encoding identical, across modes and circuits.
+// every chunk's sparse encoding identical, across modes and circuits, on
+// the pair (X, X) of the adaptive climb.
 func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 	rng := stats.NewRNG(0xadace)
 	for trial := 0; trial < 6; trial++ {
@@ -394,28 +411,20 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch := Configure(n, 1+int(rng.Uint64()%3))
+		flips := allFlips(ch)
 		for _, mode := range []Mode{LOS, LOC} {
-			var flips []Flip
-			for c := 0; c < ch.NumChains(); c++ {
-				for j := range ch.Chain(c) {
-					flips = append(flips, Flip{c, j})
-				}
-			}
-			for i := range n.PIs {
-				flips = append(flips, Flip{PIFlip, i})
-			}
 			// Both sweepers borrow one engine.
 			eng := NewEngine(ch)
-			inc, err := NewSweeper(eng, mode, flips, 1)
+			inc, err := NewSweeper(eng, mode, flips)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewSweeper(eng, mode, flips, 1)
+			ref, err := NewSweeper(eng, mode, flips)
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := ch.RandomPattern(rng)
-			if err := inc.Rebase(base); err != nil {
+			if err := inc.Rebase(base, base); err != nil {
 				t.Fatal(err)
 			}
 			for step := 0; step < 4; step++ {
@@ -423,24 +432,20 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 				if err := inc.Advance(f); err != nil {
 					t.Fatal(err)
 				}
-				base = base.Clone()
-				if f.IsPI() {
-					base.PI[f.Index] = !base.PI[f.Index]
-				} else {
-					base.Scan[f.Chain][f.Index] = !base.Scan[f.Chain][f.Index]
-				}
-				if err := ref.Rebase(base); err != nil {
+				base = flipClones(base, []Flip{f})[0]
+				if err := ref.Rebase(base, base); err != nil {
 					t.Fatal(err)
 				}
-				for c := 0; c < inc.NumChunks(); c++ {
-					ids, masks := inc.Run(c)
+				for lo := 0; lo < len(flips); lo += 64 {
+					lanes := flipRange(lo, min(lo+64, len(flips)))
+					ids, masks := inc.RunLanes(lanes)
 					got := densify(n.NumGates(), ids, masks)
-					wids, wmasks := ref.Run(c)
+					wids, wmasks := ref.RunLanes(lanes)
 					want := densify(n.NumGates(), wids, wmasks)
 					for id := range want {
 						if got[id] != want[id] {
 							t.Fatalf("trial %d %v step %d chunk %d: gate %s toggles %064b, want %064b",
-								trial, mode, step, c, n.NameOf(id), got[id], want[id])
+								trial, mode, step, lo/64, n.NameOf(id), got[id], want[id])
 						}
 					}
 				}
@@ -453,14 +458,15 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := Configure(n, 1)
-	s, err := NewSweeper(NewEngine(ch), LOS, []Flip{{0, 0}}, 1)
+	s, err := NewSweeper(NewEngine(ch), LOS, []Flip{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Advance(Flip{0, 0}); err == nil {
 		t.Error("Advance before Rebase must error")
 	}
-	if err := s.Rebase(ch.RandomPattern(stats.NewRNG(1))); err != nil {
+	base := ch.RandomPattern(stats.NewRNG(1))
+	if err := s.Rebase(base, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Advance(Flip{0, 99}); err == nil {
@@ -473,7 +479,8 @@ func TestSweeperAdvanceMatchesRebase(t *testing.T) {
 
 // TestSweeperHiddenState pins NoScan handling: a hidden cell holds its
 // pinned value through both frames, flips never perturb it, and under
-// LOC it must not re-capture even when a flip cone reaches its D pin.
+// LOC it must not re-capture even when a flip cone reaches its D pin —
+// on the pair (X, X), every flip of X one lane.
 func TestSweeperHiddenState(t *testing.T) {
 	b := netlist.NewBuilder("hid")
 	mustAdd := func(_ int, err error) {
@@ -501,15 +508,15 @@ func TestSweeperHiddenState(t *testing.T) {
 		for _, hidden := range []logic.Word{0, logic.AllOne} {
 			eng := NewEngine(ch)
 			eng.SetHiddenState(h, hidden)
-			s, err := NewSweeper(eng, mode, flips, 1)
+			s, err := NewSweeper(eng, mode, flips)
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := ch.RandomPattern(stats.NewRNG(3))
-			if err := s.Rebase(base); err != nil {
+			if err := s.Rebase(base, base); err != nil {
 				t.Fatal(err)
 			}
-			ids, masks := s.Run(0)
+			ids, masks := s.RunLanes(flipRange(0, len(flips)))
 			got := densify(n.NumGates(), ids, masks)
 			want := referenceToggles(t, eng, base, flips, mode)
 			for id := range want {
@@ -525,7 +532,7 @@ func TestSweeperHiddenState(t *testing.T) {
 	}
 }
 
-// TestNewSweeperValidation rejects out-of-range flips.
+// TestNewSweeperValidation rejects out-of-range flips and lane maps.
 func TestNewSweeperValidation(t *testing.T) {
 	n, err := trust.Generate(trust.Params{Name: "val", PIs: 2, POs: 2, FFs: 4, Comb: 20, Levels: 3, Seed: 1})
 	if err != nil {
@@ -543,28 +550,30 @@ func TestNewSweeperValidation(t *testing.T) {
 		{{Chain: PIFlip, Index: -1}},
 	}
 	for _, fl := range cases {
-		if _, err := NewSweeper(eng, LOS, fl, 1); err == nil {
+		if _, err := NewSweeper(eng, LOS, fl); err == nil {
 			t.Errorf("flips %v accepted", fl)
 		}
 	}
-	s, err := NewSweeper(eng, LOS, nil, 1)
+	s, err := NewSweeper(eng, LOS, nil)
 	if err != nil {
 		t.Fatalf("empty flip list must be valid: %v", err)
 	}
-	if s.NumChunks() != 0 {
-		t.Errorf("empty sweep has %d chunks", s.NumChunks())
-	}
-	for _, bases := range []int{0, 3, 64} {
-		if _, err := NewSweeper(eng, LOS, nil, bases); err == nil {
-			t.Errorf("sweep over %d bases accepted", bases)
-		}
-	}
-	two, err := NewSweeper(eng, LOS, []Flip{{0, 0}}, 2)
-	if err != nil {
+	p := ch.NewPattern()
+	if err := s.Rebase(p, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := two.Rebase(ch.NewPattern()); err == nil {
-		t.Error("two-base sweep rebased onto one pattern")
+	if ids, _ := s.RunLanes([]int{-1, -1}); len(ids) != 0 {
+		t.Errorf("the all-zero pair toggles %d gates", len(ids))
+	}
+	for _, lanes := range [][]int{nil, make([]int, 65)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunLanes over %d lanes must panic", len(lanes))
+				}
+			}()
+			s.RunLanes(lanes)
+		}()
 	}
 }
 
@@ -574,40 +583,33 @@ func TestSweeperRunBeforeRebasePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSweeper(NewEngine(Configure(n, 1)), LOS, []Flip{{0, 0}}, 1)
+	s, err := NewSweeper(NewEngine(Configure(n, 1)), LOS, []Flip{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Run before Rebase must panic")
+			t.Error("RunLanes before Rebase must panic")
 		}
 	}()
-	s.Run(0)
+	s.RunLanes([]int{0})
 }
 
 // TestSweeperBorrowedEngine pins the borrowed-Engine contract: a sweeper
 // launches its bases through the caller's Engine, which may launch
 // unrelated patterns between sweeper calls. After Rebase, an unrelated
-// Launch on the same Engine, every chunk's Run and each Advance must be
-// bit-identical to a sweeper over a private Engine — in both modes, over
-// one and two bases, with hidden NoScan cells pinned on both engines.
+// Launch on the same Engine, every chunk's lane map and each Advance
+// must be bit-identical to a sweeper over a private Engine — in both
+// modes, over a pair (X, X) and a distinct pair, with hidden NoScan
+// cells pinned on both engines.
 func TestSweeperBorrowedEngine(t *testing.T) {
 	rng := stats.NewRNG(0xb0220)
 	for trial := 0; trial < 6; trial++ {
 		n := hiddenStateCircuit(t, rng)
 		ch := Configure(n, 1+int(rng.Uint64()%3))
-		var flips []Flip
-		for c := 0; c < ch.NumChains(); c++ {
-			for j := range ch.Chain(c) {
-				flips = append(flips, Flip{c, j})
-			}
-		}
-		for i := range n.PIs {
-			flips = append(flips, Flip{PIFlip, i})
-		}
+		flips := allFlips(ch)
 		for _, mode := range []Mode{LOS, LOC} {
-			for _, bases := range []int{1, 2} {
+			for _, same := range []bool{true, false} {
 				shared, private := NewEngine(ch), NewEngine(ch)
 				for _, ff := range n.FFs {
 					if n.IsNoScan(ff) {
@@ -616,11 +618,11 @@ func TestSweeperBorrowedEngine(t *testing.T) {
 						private.SetHiddenState(ff, w)
 					}
 				}
-				got, err := NewSweeper(shared, mode, flips, bases)
+				got, err := NewSweeper(shared, mode, flips)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := NewSweeper(private, mode, flips, bases)
+				want, err := NewSweeper(private, mode, flips)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -640,30 +642,31 @@ func TestSweeperBorrowedEngine(t *testing.T) {
 				}
 				compare := func(step int) {
 					t.Helper()
-					for c := 0; c < want.NumChunks(); c++ {
+					for lo := 0; lo < len(flips); lo += 64 {
+						lanes := flipRange(lo, min(lo+64, len(flips)))
 						interfere()
-						gids, gmasks := got.Run(c)
-						wids, wmasks := want.Run(c)
+						gids, gmasks := got.RunLanes(lanes)
+						wids, wmasks := want.RunLanes(lanes)
 						if len(gids) != len(wids) {
-							t.Fatalf("trial %d %v bases %d step %d chunk %d: %d toggled gates, private engine %d",
-								trial, mode, bases, step, c, len(gids), len(wids))
+							t.Fatalf("trial %d %v same=%v step %d chunk %d: %d toggled gates, private engine %d",
+								trial, mode, same, step, lo/64, len(gids), len(wids))
 						}
 						for k := range wids {
 							if gids[k] != wids[k] || gmasks[k] != wmasks[k] {
-								t.Fatalf("trial %d %v bases %d step %d chunk %d entry %d: (%d, %016x), private engine (%d, %016x)",
-									trial, mode, bases, step, c, k, gids[k], gmasks[k], wids[k], wmasks[k])
+								t.Fatalf("trial %d %v same=%v step %d chunk %d entry %d: (%d, %016x), private engine (%d, %016x)",
+									trial, mode, same, step, lo/64, k, gids[k], gmasks[k], wids[k], wmasks[k])
 							}
 						}
 					}
 				}
-				pats := make([]*Pattern, bases)
-				for i := range pats {
-					pats[i] = ch.RandomPattern(rng)
+				a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
+				if same {
+					b = a
 				}
-				if err := got.Rebase(pats...); err != nil {
+				if err := got.Rebase(a, b); err != nil {
 					t.Fatal(err)
 				}
-				if err := want.Rebase(pats...); err != nil {
+				if err := want.Rebase(a, b); err != nil {
 					t.Fatal(err)
 				}
 				for step := 0; step < 3; step++ {
@@ -687,12 +690,16 @@ func TestSweeperBorrowedEngine(t *testing.T) {
 	}
 }
 
-// laneClones materializes a lane map: lane l is bases[l%len(bases)],
-// with flips[lanes[l]] applied when lanes[l] is not negative.
-func laneClones(bases []*Pattern, flips []Flip, lanes []int) []*Pattern {
+// laneClones materializes a lane map over the pair (a, b): lane l is a
+// (even l) or b (odd l), with flips[lanes[l]] applied when lanes[l] is
+// not negative.
+func laneClones(a, b *Pattern, flips []Flip, lanes []int) []*Pattern {
 	pats := make([]*Pattern, len(lanes))
 	for l, fi := range lanes {
-		base := bases[l%len(bases)]
+		base := a
+		if l%2 == 1 {
+			base = b
+		}
 		if fi < 0 {
 			pats[l] = base
 			continue
@@ -706,10 +713,10 @@ func laneClones(bases []*Pattern, flips []Flip, lanes []int) []*Pattern {
 // sparse encoding Engine.Launch and Engine.Toggled give for the
 // materialized lane patterns: the same ascending gate IDs with the same
 // masks within the map's lanes, and no empty mask.
-func checkRunLanes(t testing.TB, label string, s *Sweeper, eng *Engine, bases []*Pattern, flips []Flip, lanes []int) {
+func checkRunLanes(t testing.TB, label string, s *Sweeper, eng *Engine, a, b *Pattern, flips []Flip, lanes []int) {
 	t.Helper()
 	n := s.Chains().Netlist()
-	pats := laneClones(bases, flips, lanes)
+	pats := laneClones(a, b, flips, lanes)
 	if _, _, err := eng.Launch(pats, s.Mode()); err != nil {
 		t.Fatal(err)
 	}
@@ -757,11 +764,12 @@ func randomLaneMap(rng *stats.RNG, nflips int) []int {
 
 // TestSweeperRunLanesMatchesLaunch is the structural guard of the
 // lane-addressed run: for random circuits (half with hidden NoScan
-// cells pinned to random states), both modes and one or two bases,
-// random lane maps of 1..64 lanes with base lanes and repeated flips,
-// plus the one-lane base, a full 64-lane map and each chunk's own lane
-// map (which must reproduce Run), must encode exactly the launch of the
-// materialized lane patterns — before and after Advances.
+// cells pinned to random states), both modes, a pair (X, X) and a
+// distinct pair, random lane maps of 1..64 lanes with base lanes and
+// repeated flips, plus the one-lane base, a full 64-lane map, and every
+// chunk map the flows read — the climb's [lo … lo+63] and the strategic
+// search's [i, i, j, j, …] — must encode exactly the launch of the
+// materialized lane patterns, before and after Advances.
 func TestSweeperRunLanesMatchesLaunch(t *testing.T) {
 	rng := stats.NewRNG(0x1a9e5)
 	for trial := 0; trial < 8; trial++ {
@@ -784,17 +792,9 @@ func TestSweeperRunLanesMatchesLaunch(t *testing.T) {
 			n = hiddenStateCircuit(t, rng)
 		}
 		ch := Configure(n, 1+int(rng.Uint64()%3))
-		var flips []Flip
-		for c := 0; c < ch.NumChains(); c++ {
-			for j := range ch.Chain(c) {
-				flips = append(flips, Flip{c, j})
-			}
-		}
-		for i := range n.PIs {
-			flips = append(flips, Flip{PIFlip, i})
-		}
+		flips := allFlips(ch)
 		for _, mode := range []Mode{LOS, LOC} {
-			for _, nb := range []int{1, 2} {
+			for _, same := range []bool{true, false} {
 				eng := NewEngine(ch)
 				for _, ff := range n.FFs {
 					if n.IsNoScan(ff) {
@@ -805,47 +805,39 @@ func TestSweeperRunLanesMatchesLaunch(t *testing.T) {
 						eng.SetHiddenState(ff, w)
 					}
 				}
-				s, err := NewSweeper(eng, mode, flips, nb)
+				s, err := NewSweeper(eng, mode, flips)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bases := make([]*Pattern, nb)
-				for i := range bases {
-					bases[i] = ch.RandomPattern(rng)
+				a, b := ch.RandomPattern(rng), ch.RandomPattern(rng)
+				if same {
+					b = a
 				}
-				if err := s.Rebase(bases...); err != nil {
+				if err := s.Rebase(a, b); err != nil {
 					t.Fatal(err)
 				}
 				for step := 0; step < 3; step++ {
-					label := fmt.Sprintf("trial %d %v bases %d step %d", trial, mode, nb, step)
-					checkRunLanes(t, label, s, eng, bases, flips, []int{-1})
+					label := fmt.Sprintf("trial %d %v same=%v step %d", trial, mode, same, step)
+					checkRunLanes(t, label, s, eng, a, b, flips, []int{-1})
 					full := make([]int, 64)
 					for l := range full {
 						full[l] = l % len(flips)
 					}
-					checkRunLanes(t, label, s, eng, bases, flips, full)
+					checkRunLanes(t, label, s, eng, a, b, flips, full)
 					for k := 0; k < 8; k++ {
-						checkRunLanes(t, label, s, eng, bases, flips, randomLaneMap(rng, len(flips)))
+						checkRunLanes(t, label, s, eng, a, b, flips, randomLaneMap(rng, len(flips)))
 					}
-					for c := 0; c < s.NumChunks(); c++ {
-						var lanes []int
-						for i := range s.ChunkFlips(c) {
-							for b := 0; b < nb; b++ {
-								lanes = append(lanes, c*64/nb+i)
-							}
-						}
-						rids, rmasks := s.Run(c)
-						rids, rmasks = append([]int(nil), rids...), append([]logic.Word(nil), rmasks...)
-						lids, lmasks := s.RunLanes(lanes)
-						if fmt.Sprint(rids, rmasks) != fmt.Sprint(lids, lmasks) {
-							t.Fatalf("%s chunk %d: RunLanes over the chunk's lane map deviates from Run", label, c)
-						}
+					for lo := 0; lo < len(flips); lo += 64 {
+						checkRunLanes(t, label, s, eng, a, b, flips, flipRange(lo, min(lo+64, len(flips))))
+					}
+					for lo := 0; lo < len(flips); lo += 32 {
+						checkRunLanes(t, label, s, eng, a, b, flips, pairRange(lo, min(lo+32, len(flips))))
 					}
 					f := flips[int(rng.Uint64()%uint64(len(flips)))]
 					if err := s.Advance(f); err != nil {
 						t.Fatal(err)
 					}
-					bases = laneClones(bases, []Flip{f}, make([]int, nb))
+					a, b = flipClones(a, []Flip{f})[0], flipClones(b, []Flip{f})[0]
 				}
 				s.Close()
 				eng.Close()
@@ -855,15 +847,21 @@ func TestSweeperRunLanesMatchesLaunch(t *testing.T) {
 }
 
 // FuzzRunLanes is TestSweeperRunLanesMatchesLaunch driven by a fuzzed
-// circuit seed and lane map: the seed picks a hidden-state circuit, its
-// chain count, mode, base count and bases; each byte is one lane
-// (0xff an unflipped base lane, otherwise a flip index modulo the flip
-// list), and a leading byte with its top bit set Advances first.
+// circuit seed and byte sequence: the seed picks a hidden-state circuit,
+// its chain count, mode and patterns. Each byte is one lane — 0xff an
+// unflipped base lane, 0x00..0x7f a flip index modulo the flip list —
+// or, 0x80..0xfe, an Advance by flip (b&0x7f) modulo the list; a run of
+// lanes ends at 64 lanes, at an Advance and at the end of the input. The
+// sequence drives two sweepers, one on a distinct pair (A, B) and one on
+// (A, A). Every lane run must encode exactly the launch of the
+// materialized lane patterns, and exactly what a fresh sweeper rebased
+// onto the materialized pair returns for the same map.
 func FuzzRunLanes(f *testing.F) {
 	f.Add(uint64(1), []byte{0xff})
 	f.Add(uint64(2), []byte{0x00, 0x01, 0x02, 0xff, 0x00})
 	f.Add(uint64(3), []byte{0x83, 0x05, 0x05, 0xff, 0x07, 0x01})
 	f.Add(uint64(4), []byte("a lane map long enough to fill all sixty-four lanes of the run, and then some more"))
+	f.Add(uint64(5), []byte{0x01, 0x81, 0x02, 0x02, 0x92, 0xff, 0x03, 0x85, 0x85, 0x04, 0xff})
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		if len(data) == 0 {
 			return
@@ -875,16 +873,7 @@ func FuzzRunLanes(f *testing.F) {
 		if seed&4 != 0 {
 			mode = LOC
 		}
-		nb := 1 + int(seed>>3&1)
-		var flips []Flip
-		for c := 0; c < ch.NumChains(); c++ {
-			for j := range ch.Chain(c) {
-				flips = append(flips, Flip{c, j})
-			}
-		}
-		for i := range n.PIs {
-			flips = append(flips, Flip{PIFlip, i})
-		}
+		flips := allFlips(ch)
 		eng := NewEngine(ch)
 		defer eng.Close()
 		for _, ff := range n.FFs {
@@ -892,37 +881,62 @@ func FuzzRunLanes(f *testing.F) {
 				eng.SetHiddenState(ff, logic.AllOne)
 			}
 		}
-		s, err := NewSweeper(eng, mode, flips, nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		bases := make([]*Pattern, nb)
-		for i := range bases {
-			bases[i] = ch.RandomPattern(rng)
-		}
-		if err := s.Rebase(bases...); err != nil {
-			t.Fatal(err)
-		}
-		if data[0]&0x80 != 0 {
-			fl := flips[int(data[0]&0x7f)%len(flips)]
-			if err := s.Advance(fl); err != nil {
+		a0, b0 := ch.RandomPattern(rng), ch.RandomPattern(rng)
+		for _, same := range []bool{false, true} {
+			a, b := a0, b0
+			if same {
+				b = a
+			}
+			s, err := NewSweeper(eng, mode, flips)
+			if err != nil {
 				t.Fatal(err)
 			}
-			bases = laneClones(bases, []Flip{fl}, make([]int, nb))
-			data = data[1:]
-		}
-		lanes := make([]int, 0, 64)
-		for _, b := range data[:min(len(data), 64)] {
-			if b == 0xff {
-				lanes = append(lanes, -1)
-			} else {
-				lanes = append(lanes, int(b)%len(flips))
+			if err := s.Rebase(a, b); err != nil {
+				t.Fatal(err)
 			}
+			label := fmt.Sprintf("seed %d %v same=%v", seed, mode, same)
+			lanes := make([]int, 0, 64)
+			run := func() {
+				if len(lanes) == 0 {
+					return
+				}
+				checkRunLanes(t, label, s, eng, a, b, flips, lanes)
+				ids, masks := s.RunLanes(lanes)
+				ids, masks = append([]int(nil), ids...), append([]logic.Word(nil), masks...)
+				fresh, err := NewSweeper(eng, mode, flips)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.Rebase(a, b); err != nil {
+					t.Fatal(err)
+				}
+				wids, wmasks := fresh.RunLanes(lanes)
+				if fmt.Sprint(ids, masks) != fmt.Sprint(wids, wmasks) {
+					t.Fatalf("%s lanes %v: run deviates from a fresh sweeper rebased onto the pair", label, lanes)
+				}
+				fresh.Close()
+				lanes = lanes[:0]
+			}
+			for _, c := range data {
+				switch {
+				case c == 0xff:
+					lanes = append(lanes, -1)
+				case c&0x80 == 0:
+					lanes = append(lanes, int(c)%len(flips))
+				default:
+					run()
+					fl := flips[int(c&0x7f)%len(flips)]
+					if err := s.Advance(fl); err != nil {
+						t.Fatal(err)
+					}
+					a, b = flipClones(a, []Flip{fl})[0], flipClones(b, []Flip{fl})[0]
+				}
+				if len(lanes) == 64 {
+					run()
+				}
+			}
+			run()
+			s.Close()
 		}
-		if len(lanes) == 0 {
-			return
-		}
-		checkRunLanes(t, fmt.Sprintf("seed %d %v bases %d", seed, mode, nb), s, eng, bases, flips, lanes)
 	})
 }

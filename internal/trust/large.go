@@ -13,9 +13,9 @@ import (
 // LargeParams sizes a synthetic SoC-partition-scale host circuit for the
 // capacity tier (10⁵–10⁷ gates). It mirrors Params but drives the
 // streaming generator: gate names are pure functions of (rank, ordinal),
-// so the netlist can be emitted as text — or interned straight into a
-// netlist.Builder — without ever materializing rank name lists or maps.
-// Generation scratch is O(levels), independent of gate count.
+// so the netlist can be emitted as .bench text without ever
+// materializing rank name lists or maps. Generation scratch is
+// O(levels), independent of gate count.
 type LargeParams struct {
 	Name   string
 	PIs    int
@@ -75,21 +75,10 @@ func (p LargeParams) validate() error {
 	return nil
 }
 
-// largeEmitter receives the generation event stream. Name slices are
-// only valid for the duration of the call.
-type largeEmitter interface {
-	input(name []byte) error
-	dff(q, d []byte) error
-	gate(name []byte, typ netlist.GateType, fanins [][]byte) error
-	output(name []byte) error
-}
-
-// emitLarge drives one deterministic generation pass. Both the text
-// writer and the in-memory builder consume this same stream (inputs,
-// flip-flops, rank gates, D-pin buffers, then outputs), interning names
-// in identical order — which is what makes EmitLarge → bench.Parse and
-// GenerateLarge produce bit-identical netlists, IDs included.
-func emitLarge(p LargeParams, em largeEmitter) error {
+// emitLarge drives one deterministic generation pass, writing .bench
+// lines in stream order: inputs, flip-flops, rank gates, D-pin buffers,
+// then outputs.
+func emitLarge(p LargeParams, em benchWriter) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
@@ -281,26 +270,27 @@ func appendGateName(dst []byte, lvl, gn int) []byte {
 	return strconv.AppendInt(dst, int64(gn), 10)
 }
 
-// textEmitter streams .bench lines; memory use is the bufio window.
-type textEmitter struct {
+// benchWriter streams .bench lines; memory use is the bufio window.
+// Name slices are only read for the duration of a call.
+type benchWriter struct {
 	w *bufio.Writer
 }
 
-func (e *textEmitter) input(name []byte) error {
+func (e benchWriter) input(name []byte) error {
 	e.w.WriteString("INPUT(")
 	e.w.Write(name)
 	_, err := e.w.WriteString(")\n")
 	return err
 }
 
-func (e *textEmitter) output(name []byte) error {
+func (e benchWriter) output(name []byte) error {
 	e.w.WriteString("OUTPUT(")
 	e.w.Write(name)
 	_, err := e.w.WriteString(")\n")
 	return err
 }
 
-func (e *textEmitter) dff(q, d []byte) error {
+func (e benchWriter) dff(q, d []byte) error {
 	e.w.Write(q)
 	e.w.WriteString(" = DFF(")
 	e.w.Write(d)
@@ -308,7 +298,7 @@ func (e *textEmitter) dff(q, d []byte) error {
 	return err
 }
 
-func (e *textEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte) error {
+func (e benchWriter) gate(name []byte, typ netlist.GateType, fanins [][]byte) error {
 	e.w.Write(name)
 	e.w.WriteString(" = ")
 	e.w.WriteString(typ.String())
@@ -323,36 +313,6 @@ func (e *textEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte) e
 	return err
 }
 
-// builderEmitter interns the event stream straight into a netlist.Builder.
-type builderEmitter struct {
-	b *netlist.Builder
-
-	ids []int32
-}
-
-func (e *builderEmitter) input(name []byte) error {
-	return e.b.DefineInput(e.b.Intern(name))
-}
-
-func (e *builderEmitter) output(name []byte) error {
-	e.b.MarkOutput(string(name))
-	return nil
-}
-
-func (e *builderEmitter) dff(q, d []byte) error {
-	id := e.b.Intern(q)
-	return e.b.DefineDFF(id, e.b.Intern(d))
-}
-
-func (e *builderEmitter) gate(name []byte, typ netlist.GateType, fanins [][]byte) error {
-	id := e.b.Intern(name)
-	e.ids = e.ids[:0]
-	for _, f := range fanins {
-		e.ids = append(e.ids, e.b.Intern(f))
-	}
-	return e.b.DefineGate(id, typ, e.ids)
-}
-
 // EmitLarge streams the generated netlist as .bench text to w. Memory
 // use is O(levels): gate names are derived, never stored, so a 10⁷-gate
 // netlist emits through a fixed-size buffer.
@@ -360,19 +320,8 @@ func EmitLarge(w io.Writer, p LargeParams) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "# %s: %d gates (%d comb), %d PI, %d PO, %d FF, %d levels, seed %#x\n",
 		p.Name, p.TotalGates(), p.Comb+p.FFs, p.PIs, p.POs, p.FFs, p.Levels, p.Seed)
-	if err := emitLarge(p, &textEmitter{w: bw}); err != nil {
+	if err := emitLarge(p, benchWriter{w: bw}); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// GenerateLarge builds the generated netlist in memory through the
-// arena netlist.Builder — bit-identical (IDs included) to writing
-// EmitLarge text and reading it back with bench.Parse.
-func GenerateLarge(p LargeParams) (*netlist.Netlist, error) {
-	b := netlist.NewBuilderSized(p.Name, p.TotalGates())
-	if err := emitLarge(p, &builderEmitter{b: b}); err != nil {
-		return nil, err
-	}
-	return b.Build()
 }

@@ -9,59 +9,68 @@ import (
 	"superpose/internal/netlist"
 )
 
-// The capacity-tier generator must agree with itself across its two
-// consumers: text emission re-parsed through the streaming parser and
-// direct netlist.Builder construction produce bit-identical netlists,
-// IDs included.
-func TestLargeRoundTripBitIdentical(t *testing.T) {
-	p := SizedLargeParams(20000, 0xfeed)
+// generateLarge builds the generated netlist the way the capacity
+// tier does: EmitLarge text, read back by the streaming parser.
+func generateLarge(t testing.TB, p LargeParams) (*netlist.Netlist, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := EmitLarge(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := bench.Parse(bytes.NewReader(buf.Bytes()), p.Name)
+	n, err := bench.ParseStreamSized(bytes.NewReader(buf.Bytes()), p.Name, p.TotalGates())
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := GenerateLarge(p)
+	return n, buf.Bytes()
+}
+
+// The capacity-tier generator's text must round-trip: the sized
+// streaming parse agrees with the unsized one bit for bit, IDs included,
+// and writing the netlist back as .bench reaches a fixpoint.
+func TestLargeRoundTripBitIdentical(t *testing.T) {
+	p := SizedLargeParams(20000, 0xfeed)
+	sized, text := generateLarge(t, p)
+	parsed, err := bench.Parse(bytes.NewReader(text), p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(parsed.Gates, built.Gates) {
-		t.Fatal("gate arrays differ between parsed and built netlists")
+	if !reflect.DeepEqual(parsed.Gates, sized.Gates) {
+		t.Fatal("gate arrays differ between the sized and unsized parses")
 	}
-	if !reflect.DeepEqual(parsed.Names, built.Names) {
+	if !reflect.DeepEqual(parsed.Names, sized.Names) {
 		t.Fatal("name arrays differ")
 	}
-	if !reflect.DeepEqual(parsed.PIs, built.PIs) || !reflect.DeepEqual(parsed.POs, built.POs) ||
-		!reflect.DeepEqual(parsed.FFs, built.FFs) {
+	if !reflect.DeepEqual(parsed.PIs, sized.PIs) || !reflect.DeepEqual(parsed.POs, sized.POs) ||
+		!reflect.DeepEqual(parsed.FFs, sized.FFs) {
 		t.Fatal("PI/PO/FF orders differ")
 	}
-	if !reflect.DeepEqual(parsed.TopoOrder(), built.TopoOrder()) {
+	if !reflect.DeepEqual(parsed.TopoOrder(), sized.TopoOrder()) {
 		t.Fatal("topological orders differ")
 	}
 
-	// And the legacy parser agrees with the streaming one on the text.
-	legacy, err := bench.Parse(bytes.NewReader(buf.Bytes()), p.Name)
+	// Writing the netlist back is a fixpoint: the text of the re-parsed
+	// netlist writes out identically.
+	var first, second bytes.Buffer
+	if err := bench.Write(&first, sized); err != nil {
+		t.Fatal(err)
+	}
+	back, err := bench.Parse(bytes.NewReader(first.Bytes()), p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := netlist.Diff(parsed, legacy); d != "" {
-		t.Fatalf("streaming and legacy parses of the emitted text differ: %s", d)
+	if err := bench.Write(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("the written-back netlist does not write out identically")
 	}
 }
 
 // Determinism: the same params generate the same netlist.
 func TestLargeDeterministic(t *testing.T) {
 	p := SizedLargeParams(5000, 7)
-	a, err := GenerateLarge(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateLarge(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := generateLarge(t, p)
+	b, _ := generateLarge(t, p)
 	if !reflect.DeepEqual(a.Gates, b.Gates) || !reflect.DeepEqual(a.Names, b.Names) {
 		t.Fatal("generation is not deterministic")
 	}
@@ -76,10 +85,7 @@ func TestLargeRealismBands(t *testing.T) {
 	}
 	const gates = 100000
 	p := SizedLargeParams(gates, 0xabc)
-	n, err := GenerateLarge(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, _ := generateLarge(t, p)
 	if got := n.NumGates(); got != p.TotalGates() || got < gates-2 || got > gates+2 {
 		t.Fatalf("total gates = %d, want %d (target %d)", got, p.TotalGates(), gates)
 	}
