@@ -49,9 +49,10 @@ func main() {
 		Dies:      *dies,
 		Variation: superpose.ThreeSigmaIntra(varsigma),
 		Seed:      2024,
-		// A noisy tester with 0.2% reading noise, suppressed by averaging.
-		MeasurementNoise:   0.002,
-		MeasurementRepeats: 32,
+		// A noisy tester with 0.2% reading noise, suppressed by averaging
+		// 32 readings per pattern.
+		MeasurementNoise: 0.002,
+		Acquisition:      superpose.AcquisitionPolicy{Repeats: 32},
 	}
 
 	attacked, err := superpose.CertifyLot(inst.Host, lib, inst.Infected, cfg, lot)

@@ -13,9 +13,6 @@ const (
 	// AggMedian is the sample median: immune to any minority of
 	// arbitrarily wild samples.
 	AggMedian
-	// AggTrimmedMean averages after discarding the TrimFrac fraction of
-	// extreme samples on each side.
-	AggTrimmedMean
 )
 
 // String names the aggregation.
@@ -25,8 +22,6 @@ func (a Aggregation) String() string {
 		return "mean"
 	case AggMedian:
 		return "median"
-	case AggTrimmedMean:
-		return "trimmed-mean"
 	default:
 		return fmt.Sprintf("Aggregation(%d)", uint8(a))
 	}
@@ -42,9 +37,6 @@ type AcquisitionPolicy struct {
 	Repeats int
 	// Aggregation collapses the surviving readings into one value.
 	Aggregation Aggregation
-	// TrimFrac is the per-side trim fraction of AggTrimmedMean
-	// (default 0.25 — the interquartile mean).
-	TrimFrac float64
 	// MADThreshold, when positive, rejects samples more than this many
 	// median-absolute-deviations from the sample median before
 	// aggregation. Needs at least 3 samples to act.
@@ -87,9 +79,6 @@ func (p AcquisitionPolicy) withDefaults() AcquisitionPolicy {
 	}
 	if p.MinValid < 1 {
 		p.MinValid = 1
-	}
-	if p.Aggregation == AggTrimmedMean && p.TrimFrac <= 0 {
-		p.TrimFrac = 0.25
 	}
 	return p
 }

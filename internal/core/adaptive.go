@@ -60,6 +60,10 @@ func transitionDelta(p *scan.Pattern, chain, idx int) int {
 	return delta
 }
 
+// minGain is the RPD improvement a climb step must exceed to be
+// accepted: any strict improvement.
+const minGain = 1e-6
+
 // AdaptiveOptions tunes the §IV-B flow.
 type AdaptiveOptions struct {
 	// MaxSteps bounds the number of accepted modifications (default
@@ -69,9 +73,6 @@ type AdaptiveOptions struct {
 	// counts as the "suspiciously-large drop" of §IV-C and flags the pair
 	// for superposition analysis. Default 0.02.
 	DropThreshold float64
-	// MinGain is the minimum RPD improvement for accepting a step
-	// (default 1e-6: any strict improvement).
-	MinGain float64
 	// ScreenTop is how many of the largest-residual candidates receive a
 	// full superposition analysis per step (default 6). The candidate with
 	// the largest raw residual is not necessarily the best pair: a smaller
@@ -101,9 +102,6 @@ func (o AdaptiveOptions) withDefaults(p *scan.Pattern) AdaptiveOptions {
 	}
 	if o.DropThreshold == 0 {
 		o.DropThreshold = 0.02
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 1e-6
 	}
 	if o.ScreenTop == 0 {
 		o.ScreenTop = 6
@@ -302,7 +300,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		// Local maximum: stop when no flip improves the signal. bestIdx
 		// stays -1 when every reading of the round was unstable — treat
 		// that as no improvement rather than indexing a phantom winner.
-		if bestIdx < 0 || bestRPD <= curReading.RPD+opt.MinGain {
+		if bestIdx < 0 || bestRPD <= curReading.RPD+minGain {
 			break
 		}
 
@@ -316,7 +314,7 @@ func (ev *Evaluator) AdaptiveContext(ctx context.Context, seed *scan.Pattern, op
 		// toward a phantom maximum. A vetoed (or unstable) confirmation
 		// rejects the step and re-runs the round on fresh measurements.
 		confirm := sweep.MeasureLanes([]*scan.Pattern{next}, []int{bestIdx})[0]
-		if math.IsNaN(confirm.RPD) || confirm.RPD <= curReading.RPD+opt.MinGain {
+		if math.IsNaN(confirm.RPD) || confirm.RPD <= curReading.RPD+minGain {
 			continue
 		}
 		res.Steps = append(res.Steps, AdaptiveStep{

@@ -86,13 +86,13 @@ func referenceAdaptive(ev *Evaluator, seed *scan.Pattern, opt AdaptiveOptions) *
 			}
 		}
 
-		if bestIdx < 0 || bestRPD <= curReading.RPD+opt.MinGain {
+		if bestIdx < 0 || bestRPD <= curReading.RPD+minGain {
 			break
 		}
 		chosen := cands[bestIdx]
 		next := patternAt(bestIdx)
 		confirm := ev.Measure(next)
-		if math.IsNaN(confirm.RPD) || confirm.RPD <= curReading.RPD+opt.MinGain {
+		if math.IsNaN(confirm.RPD) || confirm.RPD <= curReading.RPD+minGain {
 			continue
 		}
 		res.Steps = append(res.Steps, AdaptiveStep{

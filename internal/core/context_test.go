@@ -74,7 +74,7 @@ func TestMeasureBatchCancelMidAcquisition(t *testing.T) {
 	// Noise forces the full repeats path (the noiseless fast path takes a
 	// single pass and would finish before any mid-acquisition check).
 	dev.chip.SetMeasurementNoise(0.01)
-	dev.SetRepeats(5)
+	dev.SetAcquisition(AcquisitionPolicy{Repeats: 5})
 
 	// Let exactly two checkpoints pass (the entry check plus one
 	// between-pass check), then cancel.

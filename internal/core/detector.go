@@ -42,15 +42,6 @@ type Config struct {
 	// used for the final verdict: a signal is a detection when it exceeds
 	// what ς can explain. Default 0.25, the paper's most extreme case.
 	Varsigma float64
-	// ZThreshold, when positive, adds a second detection criterion: the
-	// final residual in σ_intra-propagated standard deviations of the
-	// pair's unique activity. Disabled by default — the adaptive climb
-	// actively concentrates activity on the die's most PV-positive gates,
-	// so on a clean die the mined maximum z runs well above blind
-	// extreme-value estimates (≈5–6σ observed); the paper's ς bound on
-	// the ratio metric is the safe verdict. The z value is still reported
-	// for diagnostics.
-	ZThreshold float64
 	// MaxPairs is how many of the top flagged pairs (by significance)
 	// receive the full strategic-modification treatment (default 3).
 	MaxPairs int
@@ -356,15 +347,16 @@ func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Libr
 		return nil, err
 	}
 
-	// Dual-criterion verdict: the Eq. 3 bound on the ratio metric, or a
-	// residual too many benign standard deviations out for this pair's
-	// actual variation exposure.
+	// Verdict: the Eq. 3 bound on the ratio metric. The residual's
+	// z-score is reported for diagnostics only — the adaptive climb
+	// concentrates activity on the die's most PV-positive gates, so on a
+	// clean die the mined maximum z runs well above blind extreme-value
+	// estimates (≈5–6σ observed) and is no safe criterion.
 	sigmaIntra := cfg.Varsigma / 3
 	if sigmaIntra > 0 {
 		rep.FinalZ = finalSig / sigmaIntra
 	}
-	rep.Detected = abs(rep.FinalSRPD) > MaxBenignSRPD(cfg.Varsigma) ||
-		(cfg.ZThreshold > 0 && rep.FinalZ > cfg.ZThreshold)
+	rep.Detected = abs(rep.FinalSRPD) > MaxBenignSRPD(cfg.Varsigma)
 
 	rep.Acquisition = dev.AcquisitionStats().Sub(acqStart)
 	return rep, nil

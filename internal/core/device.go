@@ -112,18 +112,6 @@ func (d *Device) Close() {
 	d.eng.Close()
 }
 
-// SetRepeats makes every reading the aggregate of k pattern applications —
-// standard tester practice to suppress measurement noise (process
-// variation, being fixed per die, is unaffected). k < 1 is clamped to 1.
-// It is a shorthand for adjusting only the Repeats of the acquisition
-// policy.
-func (d *Device) SetRepeats(k int) {
-	if k < 1 {
-		k = 1
-	}
-	d.policy.Repeats = k
-}
-
 // SetAcquisition replaces the measurement-acquisition policy.
 func (d *Device) SetAcquisition(p AcquisitionPolicy) { d.policy = p }
 
@@ -364,18 +352,15 @@ func (d *Device) measureToggled(ids []int, masks []logic.Word, n int, key func(l
 			out[i] = math.NaN()
 			continue
 		}
-		switch p.Aggregation {
-		case AggMedian:
+		if p.Aggregation == AggMedian {
 			out[i] = stats.Median(kept)
-		case AggTrimmedMean:
-			out[i] = stats.TrimmedMean(kept, p.TrimFrac)
-		default:
-			var sum float64
-			for _, v := range kept {
-				sum += v
-			}
-			out[i] = sum / float64(len(kept))
+			continue
 		}
+		var sum float64
+		for _, v := range kept {
+			sum += v
+		}
+		out[i] = sum / float64(len(kept))
 	}
 	return out
 }

@@ -57,7 +57,7 @@ func TestFastPathSkipsRepeats(t *testing.T) {
 	dev, pats := buildAcqBench(t, 8, 6)
 	ref := dev.MeasureBatch(pats)
 
-	dev.SetRepeats(10)
+	dev.SetAcquisition(AcquisitionPolicy{Repeats: 10})
 	before := dev.AcquisitionStats()
 	got := dev.MeasureBatch(pats)
 	d := dev.AcquisitionStats().Sub(before)
@@ -75,17 +75,22 @@ func TestFastPathSkipsRepeats(t *testing.T) {
 	}
 }
 
-func TestSetRepeatsClamp(t *testing.T) {
-	dev, _ := buildAcqBench(t, 4, 1)
-	for _, k := range []int{0, -3} {
-		dev.SetRepeats(k)
-		if got := dev.Acquisition().Repeats; got != 1 {
-			t.Errorf("SetRepeats(%d): Repeats = %d, want clamp to 1", k, got)
+// TestAcquisitionRepeatsClamp pins withDefaults' Repeats < 1 → 1
+// clamp where it shows: on a noisy chip (no fast path) every repeat is
+// one pass over the batch, so a policy with Repeats 0 or −3 must take
+// exactly one pass, and Repeats 4 four.
+func TestAcquisitionRepeatsClamp(t *testing.T) {
+	dev, pats := buildAcqBench(t, 4, 3)
+	dev.chip.SetMeasurementNoise(0.01)
+	for _, c := range []struct{ repeats, passes int }{{0, 1}, {-3, 1}, {4, 4}} {
+		dev.SetAcquisition(AcquisitionPolicy{Repeats: c.repeats})
+		before := dev.AcquisitionStats()
+		dev.MeasureBatch(pats)
+		d := dev.AcquisitionStats().Sub(before)
+		if d.Passes != uint64(c.passes) || d.Raw != uint64(c.passes*len(pats)) {
+			t.Errorf("Repeats %d: %d passes, %d raw samples; want %d passes of %d",
+				c.repeats, d.Passes, d.Raw, c.passes, len(pats))
 		}
-	}
-	dev.SetRepeats(4)
-	if got := dev.Acquisition().Repeats; got != 4 {
-		t.Errorf("SetRepeats(4): Repeats = %d", got)
 	}
 }
 

@@ -529,39 +529,6 @@ func TestSequentialTrojanDetected(t *testing.T) {
 	}
 }
 
-func TestDetectZThresholdCriterion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline run")
-	}
-	// At the die's true process (ς = 0.15) this case's achieved S-RPD
-	// (≈0.145) falls just short of the ratio bound — the near-miss the
-	// optional z-criterion exists for: the residual still stands several
-	// benign standard deviations out.
-	inst, lib, infected, _ := buildTestbench(t, trust.Case{Benchmark: "s35932", Trojan: "T200"}, 0.04, 0.15, 42)
-	cfg := Config{
-		NumChains: 4, Varsigma: 0.15,
-		ATPG: atpg.Options{Seed: 7, RandomPatterns: 32, MaxFaults: 40, FaultSample: 120},
-	}
-	repOff, err := Detect(inst.Host, lib, infected, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repOff.Detected {
-		t.Skipf("ratio criterion already fires (S-RPD %.4f); z path not exercised", repOff.FinalSRPD)
-	}
-	if repOff.FinalZ < 5 {
-		t.Fatalf("premise broken: z = %.1f", repOff.FinalZ)
-	}
-	cfg.ZThreshold = 5
-	repOn, err := Detect(inst.Host, lib, infected, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repOn.Detected {
-		t.Errorf("z-threshold criterion missed (z=%.1f): %s", repOn.FinalZ, repOn.Summary())
-	}
-}
-
 func TestDetectCustomSearchOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run")

@@ -27,10 +27,6 @@ type LotOptions struct {
 	// every power reading (tester noise), exercising the flow's
 	// robustness beyond pure process variation.
 	MeasurementNoise float64
-	// MeasurementRepeats averages this many applications per reading
-	// (tester averaging; meaningful with MeasurementNoise). Default 1.
-	// Ignored when Acquisition is set (whose Repeats then governs).
-	MeasurementRepeats int
 	// Tester, when enabled, interposes a tester fault model (outlier
 	// spikes, dropped readings, drift, burst noise, stuck latches) on
 	// every die's reading stream; see tester.Config and tester.Preset.
@@ -151,12 +147,6 @@ func CertifyLotContext(ctx context.Context, golden *netlist.Netlist, lib *power.
 			}
 			dev := NewDevice(chip, cfg.NumChains, cfg.Mode)
 			defer dev.Close() // per-die device; recycle its pooled buffers
-			if lot.MeasurementRepeats > 1 {
-				dev.SetRepeats(lot.MeasurementRepeats)
-			}
-			if lot.Acquisition != (AcquisitionPolicy{}) {
-				dev.SetAcquisition(lot.Acquisition)
-			}
 			if lot.Tester.Enabled() {
 				tc := lot.Tester
 				// Per-die fault realization, decorrelated from the process

@@ -106,8 +106,8 @@ func TestCleanLotUnderTesterNoiseNeedsAveraging(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-die pipeline run")
 	}
-	// Tester noise inflates mined residuals on clean dies; measurement
-	// averaging restores the false-positive margin.
+	// Tester noise inflates mined residuals on clean dies; averaging 32
+	// readings per pattern restores the false-positive margin.
 	inst, err := trust.Build(trust.Case{Benchmark: "s35932", Trojan: "T200"}, 0.04)
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +122,16 @@ func TestCleanLotUnderTesterNoiseNeedsAveraging(t *testing.T) {
 	}
 	lot := LotOptions{
 		Dies: 2, Variation: power.ThreeSigmaIntra(0.10), Seed: 5,
-		MeasurementNoise: 0.002, MeasurementRepeats: 32,
+		MeasurementNoise: 0.002, Acquisition: AcquisitionPolicy{Repeats: 32},
 	}
 	clean, err := CertifyLot(inst.Host, lib, inst.Host, cfg, lot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("clean lot with averaged noisy tester: %s", clean)
+	if acq := clean.Acquisition; acq.Readings == 0 || acq.Raw != 32*acq.Readings {
+		t.Errorf("acquisition took %d raw samples for %d readings, want 32 per reading", acq.Raw, acq.Readings)
+	}
 	if clean.DetectionRate() > 0 {
 		t.Errorf("averaged tester noise still produced false positives: %s", clean)
 	}

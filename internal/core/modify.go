@@ -235,17 +235,11 @@ type AppliedMod struct {
 type StrategicOptions struct {
 	// MaxRounds bounds the greedy hill climb (default 32).
 	MaxRounds int
-	// MinGain is the minimum |S-RPD| improvement to accept a modification
-	// (default 1e-6, i.e. accept any strict improvement).
-	MinGain float64
 }
 
 func (o StrategicOptions) withDefaults() StrategicOptions {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 32
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 1e-6
 	}
 	return o
 }

@@ -243,7 +243,7 @@ func TestStrategicSweepMatchesReference(t *testing.T) {
 			}
 			dev := NewDevice(chip, chains, mode)
 			if noise > 0 {
-				dev.SetRepeats(3)
+				dev.SetAcquisition(AcquisitionPolicy{Repeats: 3})
 			}
 			return NewEvaluator(n, lib, dev, chains, mode)
 		}

@@ -29,7 +29,7 @@ type sweepEquivConfig struct {
 	noiseSigma float64
 	regime     string // tester.Preset name; "" = ideal tester
 	robust     bool   // RobustAcquisition instead of Naive
-	repeats    int    // >0: SetRepeats on a naive policy
+	repeats    int    // >0: a naive policy with this many repeats
 	drift      bool   // enable drift compensation on the evaluator
 	calibrate  bool
 }
@@ -76,7 +76,7 @@ func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Patt
 		dev.SetAcquisition(RobustAcquisition())
 	}
 	if cfg.repeats > 0 {
-		dev.SetRepeats(cfg.repeats)
+		dev.SetAcquisition(AcquisitionPolicy{Repeats: cfg.repeats})
 	}
 	if cfg.regime != "" {
 		tc, err := tester.Preset(cfg.regime, 7)
@@ -237,7 +237,7 @@ func TestAdaptiveSweepMatchesLegacyRandomized(t *testing.T) {
 			}
 			dev := NewDevice(chip, chains, mode)
 			if noise > 0 {
-				dev.SetRepeats(3)
+				dev.SetAcquisition(AcquisitionPolicy{Repeats: 3})
 			}
 			return NewEvaluator(n, lib, dev, chains, mode)
 		}

@@ -305,9 +305,9 @@ func (c *Chains) LOSSources(p *Pattern) (f1, f2 []logic.Word) {
 }
 
 // Engine applies patterns to a netlist and extracts launch activity. It
-// evaluates full launches through the PPSFP engine (a compiled
-// instruction stream over the structure-of-arrays netlist core) and owns
-// its scratch buffers; not safe for concurrent use.
+// evaluates full launches through the PPSFP engine (a level-order walk
+// over the structure-of-arrays netlist core) and owns its scratch
+// buffers; not safe for concurrent use.
 type Engine struct {
 	ch     *Chains
 	pp     *sim.PPSFP

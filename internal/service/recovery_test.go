@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"superpose/internal/failpoint"
+	"superpose/internal/journal"
 )
 
 // newJournaledServer assembles (without starting) a server whose journal
@@ -209,6 +214,42 @@ func waitNotRecovering(t *testing.T, s *Server) {
 	}
 }
 
+// journalLines renders every record of the journal under the data dir
+// (type, job, attempt, state) in replay order. The segments are only
+// read, never truncated.
+func journalLines(dir string) []string {
+	names, err := filepath.Glob(filepath.Join(dir, "journal", "wal-*.log"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var lines []string
+	for _, name := range names { // zero-padded, so lexical = replay order
+		f, err := os.Open(name)
+		if err != nil {
+			lines = append(lines, err.Error())
+			continue
+		}
+		for {
+			payload, err := journal.ReadFrame(f)
+			if err != nil {
+				if err != io.EOF {
+					lines = append(lines, filepath.Base(name)+": "+err.Error())
+				}
+				break
+			}
+			var rec journalRecord
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				lines = append(lines, filepath.Base(name)+": undecodable record: "+err.Error())
+				continue
+			}
+			lines = append(lines, fmt.Sprintf("%s: %s %s attempt=%d state=%q",
+				filepath.Base(name), rec.Type, rec.ID, rec.Attempt, rec.State))
+		}
+		f.Close()
+	}
+	return lines
+}
+
 // TestCrashRecoverQueuedAndRunningJobs: a crash with one job mid-run and
 // two still queued; the restart re-enqueues all three in submission
 // order, finishes them, and allocates fresh IDs above the journal's
@@ -216,6 +257,26 @@ func waitNotRecovering(t *testing.T, s *Server) {
 func TestCrashRecoverQueuedAndRunningJobs(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newJournaledServer(t, dir, Options{Workers: 1, QueueSize: 8}, blockingHook)
+	// On any failure, log the records the restart replayed and every
+	// job's state and attempts, so a rare miss names the missing or
+	// extra record.
+	cur, replayed := s1, []string(nil)
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		if replayed == nil { // failed before the restart
+			replayed = journalLines(dir)
+		}
+		for _, l := range replayed {
+			t.Log("journal " + l)
+		}
+		for _, id := range []string{"job-1", "job-2", "job-3", "job-4"} {
+			if j, ok := cur.Job(id); ok {
+				t.Logf("job %s: state %s, attempts %d", id, j.State(), j.Attempts())
+			}
+		}
+	})
 	s1.Start()
 	j1, err := s1.Submit(quickSpec)
 	if err != nil {
@@ -231,9 +292,11 @@ func TestCrashRecoverQueuedAndRunningJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	crash(t, s1)
+	replayed = journalLines(dir)
 
 	s2 := newJournaledServer(t, dir, Options{Workers: 1, QueueSize: 8},
 		func(ctx context.Context, j *Job) error { return nil })
+	cur = s2
 	if got := s2.counters.recoveredRunning.Load(); got != 1 {
 		t.Errorf("recovered_running = %d, want 1", got)
 	}

@@ -44,7 +44,7 @@ func deepChain(t testing.TB, depth int) (*netlist.Netlist, int, int) {
 
 // TestDeepChainSimulate drives the 50k-deep chain end to end through
 // both simulation backends: the scalar per-gate Simulator and the
-// compiled PPSFP engine must agree with the parity of the chain's
+// SoA PPSFP engine must agree with the parity of the chain's
 // inverters on every lane, without any stack-depth hazard.
 func TestDeepChainSimulate(t *testing.T) {
 	const depth = 50000

@@ -30,7 +30,8 @@ import (
 // val is a full materialized copy of base: Begin un-does the previous
 // propagation's touched entries (a short list), which keeps the hot eval
 // loop free of per-fanin mark checks — it reads val directly, exactly
-// like a compiled Program over its value array.
+// like PPSFP.RunInto's full walk over its value plane, through the same
+// evaluator.
 //
 // A DeltaProp owns its state and is not safe for concurrent use.
 type DeltaProp struct {
@@ -198,7 +199,7 @@ func (dp *DeltaProp) drain(isObs []bool, launch logic.Word) logic.Word {
 		// A gate's fanouts sit at strictly higher levels, so the bucket
 		// being drained never grows under its own iteration.
 		for _, g := range dp.buckets[l] {
-			nv := dp.eval(g)
+			nv := eval(s, dp.val, g)
 			// val[g] is still base[g] here: fanout CSR edges never lead to
 			// source gates, so an evaluated gate is never a seed, and the
 			// epoch guard admits each gate to its level bucket only once.
@@ -251,11 +252,12 @@ func (dp *DeltaProp) AppendDiverged(ids []int32) []int32 {
 	return ids
 }
 
-// eval recomputes compact gate g directly over val — the same word
-// algebra as evalGate, over the SoA layout.
-func (dp *DeltaProp) eval(g int32) logic.Word {
-	s := dp.soa
-	val := dp.val
+// eval computes compact gate g of s from its fanins' words in val. It
+// is the package's one 64-lane gate evaluator: PPSFP.RunInto applies it
+// to every combinational gate in level order, DeltaProp only to the
+// gates a deviation reaches. The word algebra is evalGate's, over the
+// SoA layout.
+func eval(s *netlist.SoA, val []logic.Word, g int32) logic.Word {
 	fanin := s.FaninOf(g)
 	switch s.Typ[g] {
 	case netlist.Buf:
@@ -290,6 +292,6 @@ func (dp *DeltaProp) eval(g int32) logic.Word {
 		}
 		return w
 	default:
-		panic("sim: DeltaProp.eval on a source gate")
+		panic("sim: eval on a source gate")
 	}
 }

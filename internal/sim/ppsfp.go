@@ -14,27 +14,26 @@ type EngineKind uint8
 const (
 	// EngineAuto is the zero value; it means PPSFP.
 	EngineAuto EngineKind = iota
-	// EnginePPSFP is the compiled structure-of-arrays engine: full
-	// launches run an instruction stream over a compact value plane,
-	// and fault simulation propagates each fault event-driven through
-	// its fanout cone instead of re-simulating the whole netlist.
+	// EnginePPSFP is the structure-of-arrays engine: full launches
+	// evaluate the compact value plane in level order, and fault
+	// simulation propagates each fault event-driven through its fanout
+	// cone instead of re-simulating the whole netlist.
 	EnginePPSFP
 )
 
 // PPSFP is the 64-patterns-per-word batch launcher over the
-// structure-of-arrays netlist core: the whole combinational netlist
-// compiled once into a Program whose instructions address a dense,
-// levelized compact value plane. One RunInto evaluates 64 independent
-// patterns per logic.Word pass — bit-identical to Simulator.Run over
-// the same sources, without the per-gate record loads, fanin slice
-// traversals and dispatch of the generic path.
+// structure-of-arrays netlist core: one RunInto evaluates 64 independent
+// patterns per logic.Word pass by walking the compact combinational
+// range — the netlist's levelized order — through the package's one
+// gate evaluator, eval, over a dense compact value plane. It is
+// bit-identical to Simulator.Run over the same sources, without the
+// per-gate record loads of the generic path.
 //
 // A PPSFP owns its value plane and is not safe for concurrent use;
-// create one per goroutine (the compiled program and SoA layout are
-// shared per netlist, so construction is cheap after the first).
+// create one per goroutine (the SoA layout is shared per netlist, so
+// construction is cheap after the first).
 type PPSFP struct {
 	soa   *netlist.SoA
-	prog  *Program
 	plane []logic.Word // compact-indexed values
 }
 
@@ -42,15 +41,7 @@ type PPSFP struct {
 // on first use.
 func NewPPSFP(n *netlist.Netlist) *PPSFP {
 	s := n.SoA()
-	p := &PPSFP{
-		soa:   s,
-		plane: scratch.Words(s.NumGates),
-	}
-	p.prog = &Program{ops: make([]progOp, 0, s.NumGates-s.NumSources)}
-	for c := int32(s.NumSources); c < int32(s.NumGates); c++ {
-		p.prog.push(c, s.Typ[c], s.FaninOf(c))
-	}
-	return p
+	return &PPSFP{soa: s, plane: scratch.Words(s.NumGates)}
 }
 
 // Release returns the engine's pooled value plane. The PPSFP must not
@@ -66,7 +57,7 @@ func (p *PPSFP) Release() {
 // RunInto evaluates up to 64 patterns at once: sources maps each
 // primary input and flip-flop gate ID (original IDs) to its word, dst
 // receives one word per net. It is bit-identical to
-// copy(dst, Simulator.Run(sources)): the compact program evaluates the
+// copy(dst, Simulator.Run(sources)): the compact walk evaluates the
 // same gates, in the same levelized order, with the same word algebra —
 // only the memory layout differs. dst must hold NumGates words.
 func (p *PPSFP) RunInto(sources, dst []logic.Word) {
@@ -75,7 +66,9 @@ func (p *PPSFP) RunInto(sources, dst []logic.Word) {
 	for c, id := range s.Orig[:s.NumSources] {
 		plane[c] = sources[id]
 	}
-	p.prog.Run(plane)
+	for g := int32(s.NumSources); g < int32(s.NumGates); g++ {
+		plane[g] = eval(s, plane, g)
+	}
 	for id, c := range s.Compact {
 		dst[id] = plane[c]
 	}

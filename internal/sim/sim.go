@@ -101,140 +101,6 @@ func evalGate(n *netlist.Netlist, id int, values []logic.Word) logic.Word {
 	}
 }
 
-// Program is a compiled evaluation sequence: one fixed (levelized) gate
-// order flattened into an instruction stream with inline fanin indices.
-// Evaluating through a Program is semantically identical to applying
-// evalGate over the same order; it exists because the PPSFP engine runs
-// the whole netlist once per launch, where the per-gate overhead of the
-// generic path (gate-record load, fanin slice traversal, call dispatch)
-// dominates. Two-input gates — the bulk of a mapped netlist — execute as
-// single inline operations; wider gates read their fanins from a shared
-// side table.
-type Program struct {
-	ops []progOp
-	ext []int32
-}
-
-type progOp struct {
-	id, f0, f1 int32 // target; inline fanins, or ext offset/length
-	op         uint8
-}
-
-const (
-	opBuf uint8 = iota
-	opNot
-	opAnd2
-	opNand2
-	opOr2
-	opNor2
-	opXor2
-	opXnor2
-	opAndN // f0 = ext offset, f1 = fanin count
-	opNandN
-	opOrN
-	opNorN
-	opXorN
-	opXnorN
-)
-
-// push appends one gate to the compiled stream. The target and fanin
-// indices address the compact SoA value plane of the PPSFP engine's
-// whole-netlist program.
-func (p *Program) push(id int32, typ netlist.GateType, fanin []int32) {
-	o := progOp{id: id}
-	var two, wide uint8
-	switch typ {
-	case netlist.Buf:
-		o.op, o.f0 = opBuf, fanin[0]
-		p.ops = append(p.ops, o)
-		return
-	case netlist.Not:
-		o.op, o.f0 = opNot, fanin[0]
-		p.ops = append(p.ops, o)
-		return
-	case netlist.And:
-		two, wide = opAnd2, opAndN
-	case netlist.Nand:
-		two, wide = opNand2, opNandN
-	case netlist.Or:
-		two, wide = opOr2, opOrN
-	case netlist.Nor:
-		two, wide = opNor2, opNorN
-	case netlist.Xor:
-		two, wide = opXor2, opXorN
-	case netlist.Xnor:
-		two, wide = opXnor2, opXnorN
-	default:
-		panic(fmt.Sprintf("sim: unexpected gate type %v in compiled order", typ))
-	}
-	if len(fanin) == 2 {
-		o.op, o.f0, o.f1 = two, fanin[0], fanin[1]
-	} else {
-		o.op, o.f0, o.f1 = wide, int32(len(p.ext)), int32(len(fanin))
-		p.ext = append(p.ext, fanin...)
-	}
-	p.ops = append(p.ops, o)
-}
-
-// Run evaluates the compiled sequence over the value array in place —
-// bit-identical to applying evalGate over the order the Program was
-// compiled from.
-func (p *Program) Run(values []logic.Word) {
-	ext := p.ext
-	for i := range p.ops {
-		o := &p.ops[i]
-		switch o.op {
-		case opAnd2:
-			values[o.id] = values[o.f0] & values[o.f1]
-		case opNand2:
-			values[o.id] = ^(values[o.f0] & values[o.f1])
-		case opOr2:
-			values[o.id] = values[o.f0] | values[o.f1]
-		case opNor2:
-			values[o.id] = ^(values[o.f0] | values[o.f1])
-		case opXor2:
-			values[o.id] = values[o.f0] ^ values[o.f1]
-		case opXnor2:
-			values[o.id] = ^(values[o.f0] ^ values[o.f1])
-		case opBuf:
-			values[o.id] = values[o.f0]
-		case opNot:
-			values[o.id] = ^values[o.f0]
-		default:
-			w := logic.AllZero
-			neg := false
-			switch o.op {
-			case opNandN:
-				neg = true
-				fallthrough
-			case opAndN:
-				w = logic.AllOne
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					w &= values[f]
-				}
-			case opNorN:
-				neg = true
-				fallthrough
-			case opOrN:
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					w |= values[f]
-				}
-			case opXnorN:
-				neg = true
-				fallthrough
-			case opXorN:
-				for _, f := range ext[o.f0 : o.f0+o.f1] {
-					w ^= values[f]
-				}
-			}
-			if neg {
-				w = ^w
-			}
-			values[o.id] = w
-		}
-	}
-}
-
 // RunForced evaluates like Run but forces net `forced` to the word `val`
 // regardless of its driver — the faulty-machine evaluation used by fault
 // simulation (a transition fault behaves as the net stuck at its initial

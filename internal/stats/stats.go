@@ -164,28 +164,6 @@ func RejectOutliersMAD(xs []float64, k float64) []float64 {
 	return kept
 }
 
-// TrimmedMean returns the mean of the sample with the lowest and highest
-// frac fraction of values removed (frac in [0, 0.5); 0.25 gives the
-// interquartile mean). Small samples that would trim away everything fall
-// back to the median.
-func TrimmedMean(xs []float64, frac float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	cut := int(frac * float64(len(s)))
-	if 2*cut >= len(s) {
-		return Median(s)
-	}
-	var sum float64
-	trimmed := s[cut : len(s)-cut]
-	for _, x := range trimmed {
-		sum += x
-	}
-	return sum / float64(len(trimmed))
-}
-
 // Summary holds basic sample statistics.
 type Summary struct {
 	N    int     `json:"n"`

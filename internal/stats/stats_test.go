@@ -221,18 +221,3 @@ func TestRejectOutliersMAD(t *testing.T) {
 		t.Errorf("pair should pass through, got %v", got)
 	}
 }
-
-func TestTrimmedMean(t *testing.T) {
-	// Interquartile mean of 1..8 with 25% trim: mean of 3..6.
-	xs := []float64{8, 1, 7, 2, 6, 3, 5, 4}
-	if m := TrimmedMean(xs, 0.25); m != 4.5 {
-		t.Errorf("trimmed mean = %v, want 4.5", m)
-	}
-	// A trim that would empty the sample falls back to the median.
-	if m := TrimmedMean([]float64{1, 9}, 0.5); m != 5 {
-		t.Errorf("fallback = %v, want 5", m)
-	}
-	if !math.IsNaN(TrimmedMean(nil, 0.25)) {
-		t.Error("empty trimmed mean should be NaN")
-	}
-}

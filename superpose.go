@@ -279,9 +279,8 @@ type (
 
 // Sample aggregation strategies.
 const (
-	AggMean        = core.AggMean
-	AggMedian      = core.AggMedian
-	AggTrimmedMean = core.AggTrimmedMean
+	AggMean   = core.AggMean
+	AggMedian = core.AggMedian
 )
 
 // NewFaultModel builds a seeded, bit-reproducible tester fault model.
