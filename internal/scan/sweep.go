@@ -60,7 +60,9 @@ type flipPlan struct {
 // propagates only the words that actually change (sim.DeltaProp) — the
 // LOS transparency rule (§IV-A) guarantees the perturbation is local,
 // and the full-scan structure keeps it shallow (it stops at flip-flop D
-// pins).
+// pins). A lane's divergence is cached per (flip, base slot) and reused
+// until an Advance can reach it, so a climb step re-propagates only the
+// lanes the accepted flip touches.
 //
 // The output of a run is a sparse (ids, masks) toggle encoding whose
 // pricing through power.NominalLanesSparse / power.MeasureLanesSparse is
@@ -100,17 +102,45 @@ type Sweeper struct {
 	ids   []int
 	masks []logic.Word
 
-	// Delta-propagation state: one propagator per frame, lazily built;
-	// gen is the base generation (bumped by Rebase and Advance) and
-	// dpGen tracks which generation the propagators' base words were
-	// gathered from. div is the per-run scratch of diverged gate IDs.
-	gen    uint64
-	dpGen  uint64
+	// Delta-propagation state: one propagator per frame, built by the
+	// first Rebase and holding the current base pair's frame words. div
+	// is the per-run scratch of diverged gate IDs.
 	dp1    *sim.DeltaProp
 	dp2    *sim.DeltaProp
 	div    []int32
 	divmap []uint64
+
+	// The per-lane divergence cache (see RunLanes and Advance): one slot
+	// per (flip, base slot) — a single base slot after Rebase(X, X),
+	// else one per lane parity — naming the range of cache that lists
+	// the lane's diverged gates, one entry per gate: its compact ID
+	// shifted left by two, then a bit per frame it diverges in. live
+	// lists the cached slots in cache order, so Advance drops and
+	// compacts in one pass. cache is a pooled array of cacheCap
+	// entries, taken at the first fill. advanced reports an Advance
+	// since the last Rebase: only then are lanes cached.
+	slots    []cacheSlot
+	live     []int32
+	cache    []uint32
+	cacheCap int
+	oneBase  bool
+	advanced bool
+	laneBuf  [64][]uint32 // per-run scratch: missed lanes' entries
+	marks    []uint64     // per-call scratch: two frame bits per compact ID, zero between calls
+
+	// Flip lanes read and flip lanes propagated, over the sweeper's life.
+	lanesRead, lanesPropagated int
 }
+
+// cacheSlot is one cached lane divergence: cache[off : off+n].
+type cacheSlot struct {
+	off, n int32
+	cached bool
+}
+
+// cacheGatesFactor caps a sweeper's divergence cache at this many
+// entries per gate.
+const cacheGatesFactor = 4
 
 // NewSweeper builds a sweep engine over eng's scan configuration for the
 // given flip list, which lane maps address by index. Rebase launches the
@@ -128,13 +158,14 @@ func NewSweeper(eng *Engine, mode Mode, flips []Flip) (*Sweeper, error) {
 		}
 	}
 	s := &Sweeper{
-		ch:    ch,
-		mode:  mode,
-		eng:   eng,
-		flips: append([]Flip(nil), flips...),
-		f1b:   scratch.Words(n.NumGates()),
-		f2b:   scratch.Words(n.NumGates()),
-		gen:   1,
+		ch:       ch,
+		mode:     mode,
+		eng:      eng,
+		flips:    append([]Flip(nil), flips...),
+		f1b:      scratch.Words(n.NumGates()),
+		f2b:      scratch.Words(n.NumGates()),
+		slots:    make([]cacheSlot, 2*len(flips)),
+		cacheCap: cacheGatesFactor * n.NumGates(),
 	}
 	if mode == LOC {
 		for _, ff := range n.FFs {
@@ -182,6 +213,12 @@ func (s *Sweeper) Close() {
 		scratch.PutUint64s(s.divmap)
 		s.divmap = nil
 	}
+	if s.cache != nil {
+		scratch.PutUint32s(s.cache)
+		scratch.PutUint64s(s.marks)
+		s.cache, s.marks = nil, nil
+	}
+	s.slots, s.live = nil, nil
 	if s.dp1 != nil {
 		s.dp1.Release()
 		s.dp2.Release()
@@ -245,8 +282,10 @@ func (s *Sweeper) Mode() Mode { return s.mode }
 
 // Rebase simulates the two frames of a new base pair and resets the
 // working lane words to their interleaved values: even lanes carry a,
-// odd lanes carry b. A single-pattern sweep rebases onto (X, X). Must be
-// called before RunLanes and after every change to a base pattern.
+// odd lanes carry b. A single-pattern sweep rebases onto (X, X): with a
+// and b the same pattern, even and odd lanes share one cache slot per
+// flip. Rebase clears the divergence cache. Must be called before
+// RunLanes and after every change to a base pattern.
 func (s *Sweeper) Rebase(a, b *Pattern) error {
 	f1, f2, err := s.eng.Launch([]*Pattern{a, b}, s.mode)
 	if err != nil {
@@ -260,9 +299,40 @@ func (s *Sweeper) Rebase(a, b *Pattern) error {
 		s.f1b[id], s.f2b[id] = (f1[id]&3)*rep, (f2[id]&3)*rep
 	}
 	s.collectBaseToggles()
+	if s.dp1 == nil {
+		n := s.ch.Netlist()
+		s.dp1 = sim.NewDeltaProp(n)
+		s.dp2 = sim.NewDeltaProp(n)
+	}
+	s.dp1.SetBase(s.f1b)
+	s.dp2.SetBase(s.f2b)
+	for _, si := range s.live {
+		s.slots[si].cached = false
+	}
+	s.live, s.cache = s.live[:0], s.cache[:0]
+	s.oneBase = a == b
+	s.advanced = false
 	s.based = true
-	s.gen++ // cached delta-propagation bases are now stale
 	return nil
+}
+
+// slotOf returns the cache slot of flip fi on lane l.
+func (s *Sweeper) slotOf(fi, l int) int {
+	if s.oneBase {
+		return 2 * fi
+	}
+	return 2*fi + l&1
+}
+
+// mark sets frame bits fb (1 for frame 1, 2 for frame 2) of compact
+// gate c in marks.
+func (s *Sweeper) mark(c int32, fb uint32) {
+	s.marks[c>>5] |= uint64(fb) << (uint(c&31) * 2)
+}
+
+// marked returns the frame bits of compact gate c set in marks.
+func (s *Sweeper) marked(c int32) uint32 {
+	return uint32(s.marks[c>>5]>>(uint(c&31)*2)) & 3
 }
 
 // collectBaseToggles rebuilds the ascending list of gates either base
@@ -276,11 +346,16 @@ func (s *Sweeper) collectBaseToggles() {
 // patterns — the accepted step of the adaptive climb, or the accepted
 // joint flip of a strategic pair. Instead of a full two-frame launch, it
 // propagates a transient plan that applies the flip on every lane,
-// commits exactly the diverged gates into the interleaved base, and
-// rebuilds the base toggle list. Two-valued logic is exact and gates the
-// deviation never reaches keep their old words, so the resulting state
-// is identical to a Rebase on the materialized pair. Any stimulus bit of the scan configuration may be advanced,
+// commits exactly the diverged gates into the interleaved base and into
+// both propagators, and rebuilds the base toggle list. Two-valued logic
+// is exact and gates the deviation never reaches keep their old words,
+// so the resulting state is identical to a Rebase on the materialized
+// pair. Any stimulus bit of the scan configuration may be advanced,
 // whether or not it is in the sweep's flip list.
+//
+// Advance keeps every cached lane divergence the step cannot change
+// (see invalidate), so the next RunLanes re-propagates only the lanes
+// the step can reach.
 func (s *Sweeper) Advance(f Flip) error {
 	if !s.based {
 		return fmt.Errorf("scan: Sweeper.Advance before Rebase")
@@ -291,6 +366,8 @@ func (s *Sweeper) Advance(f Flip) error {
 	p := s.transientPlan(64)
 	p.addFlip(s.ch, s.mode, f, ^logic.Word(0))
 	s.propagate(p)
+	s.invalidate()
+	s.advanced = true
 
 	// Commit: diverged gates take their propagated words; everything
 	// else never left the old base.
@@ -302,25 +379,62 @@ func (s *Sweeper) Advance(f Flip) error {
 	for _, id := range s.div {
 		s.f2b[id] = s.dp2.Value(int(id))
 	}
+	s.dp1.Commit()
+	s.dp2.Commit()
 	s.collectBaseToggles()
-	s.gen++ // the committed base invalidates the propagators' gathered words
 	return nil
 }
 
-// ensureDeltaProps lazily builds the two per-frame delta propagators
-// and refreshes their base words after a Rebase or Advance.
-func (s *Sweeper) ensureDeltaProps() {
-	if s.dp1 == nil {
-		n := s.ch.Netlist()
-		s.dp1 = sim.NewDeltaProp(n)
-		s.dp2 = sim.NewDeltaProp(n)
-		s.dpGen = 0 // force the first base gather
+// invalidate drops every cached lane divergence the live propagation —
+// an Advance's, not yet committed — may change, and compacts the rest.
+//
+// Per frame, let D be the step's divergence and S a lane's. The lane
+// evaluates only fanout(S), and each such gate reads the same fanin
+// words under the new base unless it is in fanout(D); gates outside
+// fanout(S) keep a zero deviation. So the lane's divergence is unchanged
+// when S ∩ D = ∅ and fanout(S) ∩ fanout(D) = ∅, that is when S misses
+// X = D ∪ fanin(fanout(D)). Under LOC a re-captured flip-flop is in a
+// frame-2 divergence exactly when its D pin is in the frame-1 one, so
+// the frame-1 test already covers the captures.
+func (s *Sweeper) invalidate() {
+	if len(s.live) == 0 {
+		return
 	}
-	if s.dpGen != s.gen {
-		s.dp1.SetBase(s.f1b)
-		s.dp2.SetBase(s.f2b)
-		s.dpGen = s.gen
+	soa := s.ch.Netlist().SoA()
+	for k, dp := range [2]*sim.DeltaProp{s.dp1, s.dp2} {
+		fb := uint32(1) << k
+		s.div = dp.AppendDivergedAt(s.div[:0])
+		for _, d := range s.div {
+			s.mark(d, fb)
+			for _, g := range soa.FanoutOf(d) {
+				for _, c := range soa.FaninOf(g) {
+					s.mark(c, fb)
+				}
+			}
+		}
 	}
+	w, live := 0, s.live[:0]
+	for _, si := range s.live {
+		sl := &s.slots[si]
+		ents := s.cache[sl.off : sl.off+sl.n]
+		keep := true
+		for _, e := range ents {
+			if s.marked(int32(e>>2))&e != 0 {
+				keep = false
+				break
+			}
+		}
+		if !keep {
+			sl.cached = false
+			continue
+		}
+		copy(s.cache[w:], ents)
+		sl.off = int32(w)
+		w += len(ents)
+		live = append(live, si)
+	}
+	s.cache, s.live = s.cache[:w], live
+	clear(s.marks)
 }
 
 // propagate runs both frames' delta propagators over plan p's source
@@ -331,7 +445,6 @@ func (s *Sweeper) ensureDeltaProps() {
 // are seeded: the base frames of a real launch already satisfy
 // f2b[ff] == frame1(dpin), so an undiverged pin's seed would be zero.
 func (s *Sweeper) propagate(p *flipPlan) {
-	s.ensureDeltaProps()
 	s.dp1.Begin()
 	for _, sf := range p.f1Srcs {
 		s.dp1.SeedXOR(sf.gate, sf.bit)
@@ -366,6 +479,19 @@ func (s *Sweeper) propagate(p *flipPlan) {
 // patterns through Engine.Launch and reading Engine.Toggled gives within
 // those lanes. The slices are owned by the Sweeper and valid until the
 // next RunLanes.
+//
+// Lanes are independent under 64-lane word evaluation, so a lane's
+// divergence depends only on its flip and its base. Only lanes with no
+// cached divergence are propagated; their divergences are then cached
+// (within cacheCap), and the cached lanes' bits are XORed into both
+// propagators. The flows read each lane about once per base, so a cached
+// lane pays off only across an Advance: lanes are cached only once the
+// base has advanced since the last Rebase, and a search that stops after
+// one step never pays for a fill. The XOR comes after both frames have
+// run, because under LOC the frame-2 capture seeds read frame-1 values.
+// The lanes are disjoint, so the bits never cancel, and the deviated
+// state — hence emit, the pricing and the next Begin's rollback — is the
+// full propagation's.
 func (s *Sweeper) RunLanes(lanes []int) (ids []int, masks []logic.Word) {
 	if !s.based {
 		panic("scan: Sweeper.RunLanes before Rebase")
@@ -374,13 +500,80 @@ func (s *Sweeper) RunLanes(lanes []int) (ids []int, masks []logic.Word) {
 		panic(fmt.Sprintf("scan: Sweeper.RunLanes over %d lanes (want 1..64)", len(lanes)))
 	}
 	p := s.transientPlan(len(lanes))
+	var miss, hit logic.Word
 	for l, fi := range lanes {
-		if fi >= 0 {
-			p.addFlip(s.ch, s.mode, s.flips[fi], logic.Word(1)<<uint(l))
+		if fi < 0 {
+			continue
 		}
+		bit := logic.Word(1) << uint(l)
+		s.lanesRead++
+		if s.slots[s.slotOf(fi, l)].cached {
+			hit |= bit
+			continue
+		}
+		s.lanesPropagated++
+		miss |= bit
+		p.addFlip(s.ch, s.mode, s.flips[fi], bit)
 	}
 	s.propagate(p)
+	if miss != 0 && s.advanced {
+		s.fill(lanes, miss)
+	}
+	for d := hit; d != 0; d &= d - 1 {
+		l := bits.TrailingZeros64(uint64(d))
+		bit := logic.Word(1) << uint(l)
+		sl := s.slots[s.slotOf(lanes[l], l)]
+		for _, e := range s.cache[sl.off : sl.off+sl.n] {
+			c := int32(e >> 2)
+			if e&1 != 0 {
+				s.dp1.XORAt(c, bit)
+			}
+			if e&2 != 0 {
+				s.dp2.XORAt(c, bit)
+			}
+		}
+	}
 	return s.emit(p.laneMask)
+}
+
+// fill caches the divergence of each propagated lane in miss whose slot
+// is empty and fits under cacheCap. Each diverged gate is visited once
+// across both frames (marks dedupes the two touched lists) and appends
+// one entry, carrying both frame bits, to each of its lanes.
+func (s *Sweeper) fill(lanes []int, miss logic.Word) {
+	if s.cache == nil {
+		s.cache = scratch.Uint32s(s.cacheCap)[:0]
+		s.marks = scratch.Uint64s((s.ch.Netlist().NumGates() + 31) / 32)
+	}
+	for _, dp := range [2]*sim.DeltaProp{s.dp1, s.dp2} {
+		s.div = dp.AppendDivergedAt(s.div[:0])
+		for _, c := range s.div {
+			if s.marked(c) != 0 {
+				continue
+			}
+			s.mark(c, 1)
+			d1, d2 := s.dp1.DeltaAt(c)&miss, s.dp2.DeltaAt(c)&miss
+			for d := d1 | d2; d != 0; d &= d - 1 {
+				l := bits.TrailingZeros64(uint64(d))
+				e := uint32(c)<<2 | uint32(d1>>uint(l)&1) | uint32(d2>>uint(l)&1)<<1
+				s.laneBuf[l] = append(s.laneBuf[l], e)
+			}
+		}
+	}
+	clear(s.marks)
+	for d := miss; d != 0; d &= d - 1 {
+		l := bits.TrailingZeros64(uint64(d))
+		ents := s.laneBuf[l]
+		s.laneBuf[l] = ents[:0]
+		si := s.slotOf(lanes[l], l)
+		sl := &s.slots[si]
+		if sl.cached || len(s.cache)+len(ents) > s.cacheCap {
+			continue
+		}
+		*sl = cacheSlot{off: int32(len(s.cache)), n: int32(len(ents)), cached: true}
+		s.cache = append(s.cache, ents...)
+		s.live = append(s.live, int32(si))
+	}
 }
 
 // emit merges the last propagation's diverged gates into the base

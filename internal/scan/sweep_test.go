@@ -940,3 +940,158 @@ func FuzzRunLanes(f *testing.F) {
 		}
 	})
 }
+
+// TestSweeperReuseMatchesFresh guards the per-lane divergence cache
+// against the full propagation it replaces. For random circuits (half
+// with hidden NoScan cells pinned to random states), both modes, a pair
+// (X, X) and a distinct pair, and a flip list that leaves every third
+// stimulus bit out, it runs climb-like sequences: every flip read, an
+// Advance by a random stimulus bit (in the list or not), every flip read
+// again, and after a few steps a Rebase onto a new pair. Every run must
+// encode exactly the launch of the materialized lane patterns and what a
+// cold sweeper rebased onto the pair returns. Before the first Advance
+// every lane read is propagated. After it, with the cache unbounded, a
+// repeated read propagates nothing and, across the further Advances and
+// Rebases, the sweeper propagates strictly fewer lanes than it reads;
+// with the cap shrunk, lanes that do not fit fall back to propagation
+// and the cache stays within the cap.
+func TestSweeperReuseMatchesFresh(t *testing.T) {
+	rng := stats.NewRNG(0xcac4e)
+	for trial := 0; trial < 6; trial++ {
+		var n *netlist.Netlist
+		if trial%2 == 0 {
+			var err error
+			n, err = trust.Generate(trust.Params{
+				Name:   "reuse",
+				PIs:    1 + int(rng.Uint64()%6),
+				POs:    3,
+				FFs:    8 + int(rng.Uint64()%40),
+				Comb:   40 + int(rng.Uint64()%120),
+				Levels: 3 + int(rng.Uint64()%4),
+				Seed:   rng.Uint64(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			n = hiddenStateCircuit(t, rng)
+		}
+		ch := Configure(n, 1+int(rng.Uint64()%3))
+		all := allFlips(ch)
+		var flips []Flip
+		for i, f := range all {
+			if i%3 != 2 {
+				flips = append(flips, f)
+			}
+		}
+		for _, mode := range []Mode{LOS, LOC} {
+			for _, same := range []bool{true, false} {
+				for _, capped := range []bool{false, true} {
+					label := fmt.Sprintf("trial %d %v same=%v capped=%v", trial, mode, same, capped)
+					eng := NewEngine(ch)
+					for _, ff := range n.FFs {
+						if n.IsNoScan(ff) && rng.Bool() {
+							eng.SetHiddenState(ff, logic.AllOne)
+						}
+					}
+					s, err := NewSweeper(eng, mode, flips)
+					if err != nil {
+						t.Fatal(err)
+					}
+					const smallCap = 16
+					s.cacheCap = 2 * len(flips) * n.NumGates() // every slot, every gate
+					if capped {
+						s.cacheCap = smallCap
+					}
+					var a, b *Pattern
+					rebase := func() {
+						a, b = ch.RandomPattern(rng), ch.RandomPattern(rng)
+						if same {
+							b = a
+						}
+						if err := s.Rebase(a, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run := func(lanes []int) {
+						checkRunLanes(t, label, s, eng, a, b, flips, lanes)
+						ids, masks := s.RunLanes(lanes)
+						ids, masks = append([]int(nil), ids...), append([]logic.Word(nil), masks...)
+						if capped && len(s.cache) > smallCap {
+							t.Fatalf("%s: %d cache entries over a cap of %d", label, len(s.cache), smallCap)
+						}
+						cold, err := NewSweeper(eng, mode, flips)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer cold.Close()
+						if err := cold.Rebase(a, b); err != nil {
+							t.Fatal(err)
+						}
+						wids, wmasks := cold.RunLanes(lanes)
+						for i := 0; i < len(ids) || i < len(wids); i++ {
+							if i >= len(ids) || i >= len(wids) || ids[i] != wids[i] || masks[i] != wmasks[i] {
+								t.Fatalf("%s lanes %v entry %d: the warm sweeper deviates from a cold one", label, lanes, i)
+							}
+						}
+					}
+					// sweep reads every flip once, in the maps the flows
+					// read on this pair, plus a random map.
+					sweep := func() {
+						if same {
+							for lo := 0; lo < len(flips); lo += 64 {
+								run(flipRange(lo, min(lo+64, len(flips))))
+							}
+						} else {
+							for lo := 0; lo < len(flips); lo += 32 {
+								run(pairRange(lo, min(lo+32, len(flips))))
+							}
+						}
+						run(randomLaneMap(rng, len(flips)))
+					}
+
+					// Lanes are cached only once the base has advanced
+					// since the last Rebase.
+					rebase()
+					sweep()
+					sweep()
+					if s.lanesPropagated != s.lanesRead {
+						t.Fatalf("%s: before any Advance, %d of %d lanes read were propagated", label, s.lanesPropagated, s.lanesRead)
+					}
+					advance := func() {
+						f := all[int(rng.Uint64()%uint64(len(all)))]
+						if err := s.Advance(f); err != nil {
+							t.Fatal(err)
+						}
+						a, b = flipClones(a, []Flip{f})[0], flipClones(b, []Flip{f})[0]
+					}
+					advance()
+					sweep()
+					prop0 := s.lanesPropagated
+					sweep()
+					switch again := s.lanesPropagated - prop0; {
+					case !capped && again > 0:
+						t.Fatalf("%s: a repeated sweep propagated %d lanes, want 0", label, again)
+					case capped && again == 0:
+						t.Fatalf("%s: a cap of %d entries forced no fallback", label, smallCap)
+					}
+					read0, prop0 := s.lanesRead, s.lanesPropagated
+					for round := 0; round < 2; round++ {
+						for step := 0; step < 4; step++ {
+							advance()
+							sweep()
+						}
+						rebase()
+						sweep()
+					}
+					read, prop := s.lanesRead-read0, s.lanesPropagated-prop0
+					if !capped && prop >= read {
+						t.Fatalf("%s: propagated %d of %d lanes read across Advances and Rebases, want fewer", label, prop, read)
+					}
+					s.Close()
+					eng.Close()
+				}
+			}
+		}
+	}
+}

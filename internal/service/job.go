@@ -220,6 +220,13 @@ type Job struct {
 	events    []Event // retained tail of the event stream (replay buffer)
 	subs      map[chan Event]struct{}
 	done      chan struct{} // closed on reaching a terminal state
+
+	// accepted marks a job whose submit record is journaled: set under
+	// the server's jmu once the queue takes it, or on replay. Compaction
+	// (under jmu) writes only accepted jobs, so a job Submit has
+	// registered but the queue has not yet taken — or rejects — leaves
+	// no record.
+	accepted bool
 }
 
 func newJob(id string, spec JobSpec, ctx context.Context, cancel context.CancelFunc) *Job {
@@ -443,6 +450,7 @@ func (j *Job) Status() Status {
 // cannot retry past the configured budget.
 func restoredJob(id string, spec JobSpec, ctx context.Context, cancel context.CancelFunc, st State, errMsg string, attempts int, cacheHit bool, rep *core.Report, lr *core.LotReport) *Job {
 	j := newJob(id, spec, ctx, cancel)
+	j.accepted = true // replayed from a journaled submit
 	j.attempts = attempts
 	j.cacheHit = cacheHit
 	// Seq floor: restart the event stream well above anything the

@@ -73,7 +73,8 @@ func (s *Server) journalWriteLocked(payload []byte) {
 // enqueueJournaled enqueues a new job and journals its submit record
 // under jmu. The worker that picks the job up journals its start record
 // under the same lock, so replay always sees submit before start; a job
-// the queue rejects leaves no record.
+// the queue rejects leaves no record, and is never marked accepted, so
+// a compaction cannot write one for it either.
 func (s *Server) enqueueJournaled(j *Job) error {
 	spec := j.Spec
 	payload := s.journalPayload(journalRecord{Type: "submit", ID: j.ID, Spec: &spec})
@@ -82,6 +83,7 @@ func (s *Server) enqueueJournaled(j *Job) error {
 	if err := s.queue.TryEnqueue(j); err != nil {
 		return err
 	}
+	j.accepted = true
 	if payload != nil {
 		s.journalWriteLocked(payload)
 	}
@@ -302,12 +304,15 @@ func (s *Server) SnapshotUnderJournalLock(fn func(records [][]byte)) {
 }
 
 // compactRecords marshals the registry's compact representation (the
-// records compaction writes). The caller holds jmu.
+// records compaction writes): every accepted job. The caller holds jmu,
+// which also guards Job.accepted.
 func (s *Server) compactRecords() [][]byte {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+		if j.accepted {
+			jobs = append(jobs, j)
+		}
 	}
 	s.mu.Unlock()
 	// Rebuild in job-number order so replay sees submissions in sequence.

@@ -481,3 +481,57 @@ func TestReadyDuringRecovery(t *testing.T) {
 	waitTerminal(t, r1, StateDone)
 	drainServer(t, s2)
 }
+
+// TestCompactRecordsOnlyAcceptedJobs pins compaction to the journal's
+// view of the registry. Submit registers a job before the queue takes
+// it, so a compaction in that window — at boot, or an HA snapshot — must
+// not write a submit for it: a job registered but not enqueued is
+// absent, an enqueued one appears exactly once, and one the queue
+// rejects never appears.
+func TestCompactRecordsOnlyAcceptedJobs(t *testing.T) {
+	s := newJournaledServer(t, t.TempDir(), Options{QueueSize: 1}, nil)
+	defer crash(t, s)
+	register := func(id string) *Job {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		j := newJob(id, JobSpec{Kind: KindDetect}, ctx, cancel)
+		s.mu.Lock()
+		s.jobs[id] = j
+		s.mu.Unlock()
+		return j
+	}
+	submits := func(id string) int {
+		s.jmu.Lock()
+		records := s.compactRecords()
+		s.jmu.Unlock()
+		n := 0
+		for _, raw := range records {
+			var rec journalRecord
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Type == "submit" && rec.ID == id {
+				n++
+			}
+		}
+		return n
+	}
+
+	j1 := register("job-1")
+	if n := submits("job-1"); n != 0 {
+		t.Fatalf("registered, not enqueued: %d submit records, want 0", n)
+	}
+	if err := s.enqueueJournaled(j1); err != nil {
+		t.Fatal(err)
+	}
+	if n := submits("job-1"); n != 1 {
+		t.Fatalf("enqueued: %d submit records, want 1", n)
+	}
+	j2 := register("job-2")
+	if err := s.enqueueJournaled(j2); err == nil {
+		t.Fatal("a queue of one took a second job")
+	}
+	if n := submits("job-2"); n != 0 {
+		t.Fatalf("rejected: %d submit records, want 0", n)
+	}
+}

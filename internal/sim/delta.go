@@ -15,6 +15,8 @@ import (
 //
 //   - sweeps seed many sources (a chunk's per-flip lane XOR seeds) via
 //     Begin/SeedXOR/Run and query the full deviated state afterwards;
+//     they XOR in lanes propagated earlier with XORAt, and adopt an
+//     accepted deviation as the new base with Commit;
 //   - fault simulation forces one site via Propagate and reduces the
 //     deviation to the lanes on which it reaches an observation point
 //     (see Observe), stopping after the level whose deviations cover
@@ -108,11 +110,29 @@ func (dp *DeltaProp) SeedXOR(net int, delta logic.Word) {
 	if delta == 0 {
 		return
 	}
-	c := dp.soa.Compact[net]
+	dp.XORAt(dp.soa.Compact[net], delta)
+}
+
+// XORAt XORs delta into compact gate c's word and records c as touched,
+// exactly like SeedXOR, but is meant for after Run: it schedules
+// nothing, so the caller supplies a deviation already propagated
+// elsewhere — a sweep lane's cached divergence, on lanes the run left
+// untouched. Begin rolls it back like any other touched entry.
+func (dp *DeltaProp) XORAt(c int32, delta logic.Word) {
 	if dp.val[c] == dp.base[c] {
 		dp.touched = append(dp.touched, c)
 	}
 	dp.val[c] ^= delta
+}
+
+// Commit adopts the live propagation's words as the new base: the
+// O(touched) equivalent of SetBase on the deviated frame. The next
+// Begin then has nothing to roll back.
+func (dp *DeltaProp) Commit() {
+	for _, c := range dp.touched {
+		dp.base[c] = dp.val[c]
+	}
+	dp.touched = dp.touched[:0]
 }
 
 // Observe sets the observation nets (original IDs — e.g. primary
@@ -250,6 +270,16 @@ func (dp *DeltaProp) AppendDiverged(ids []int32) []int32 {
 		}
 	}
 	return ids
+}
+
+// AppendDivergedAt is AppendDiverged in the compact index space.
+func (dp *DeltaProp) AppendDivergedAt(cs []int32) []int32 {
+	for _, c := range dp.touched {
+		if dp.val[c] != dp.base[c] {
+			cs = append(cs, c)
+		}
+	}
+	return cs
 }
 
 // eval computes compact gate g of s from its fanins' words in val. It

@@ -13,10 +13,12 @@ import (
 // both of its jobs in random interleaving — fault propagations
 // (Propagate, many on single-lane launches so the all-lanes-covered
 // early exit fires) and sweep-style multi-seed propagations
-// (Begin/SeedXOR/Run) — with rebases in between. Every propagation must
+// (Begin/SeedXOR/Run, some followed by a Commit of the deviated frame or
+// an XORAt of one net) — with rebases in between. Every propagation must
 // match full re-simulation: Propagate's mask against RunForced's
 // observed diff, and after every full drain each net's Value and the
-// AppendDiverged set against the oracle frame. An early exit must leave
+// AppendDiverged set against the oracle frame. A commit must leave the
+// deviated frame as the base; an early exit or an XORAt must leave
 // nothing behind that leaks into the next propagation.
 func TestDeltaPropInterleavedPropagateAndRun(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -105,7 +107,25 @@ func TestDeltaPropInterleavedPropagateAndRun(t *testing.T) {
 				flipped[net] ^= delta
 			}
 			dp.Run()
-			checkFrame(step, "run", s.Run(flipped))
+			want := s.Run(flipped)
+			checkFrame(step, "run", want)
+			switch rng.Intn(4) {
+			case 0:
+				// Commit adopts the deviated frame as the base.
+				dp.Commit()
+				src, base = flipped, append(base[:0], want...)
+				checkFrame(step, "commit", base)
+			case 1:
+				// XORAt deviates one net without propagating it; the next
+				// propagation's Begin must roll it back.
+				net := rng.Intn(n.NumGates())
+				delta := logic.Word(rng.Uint64()) | 1
+				dp.XORAt(dp.Compact(net), delta)
+				if got := dp.Value(net); got != want[net]^delta {
+					t.Fatalf("seed %d step %d: XORAt(net %d, %016x) left %016x, want %016x",
+						seed, step, net, delta, got, want[net]^delta)
+				}
+			}
 		}
 		if early == 0 {
 			t.Fatalf("seed %d: no Propagate covered its launch; the early exit went unexercised", seed)
