@@ -146,24 +146,6 @@ type AdaptiveResult struct {
 // BestPattern returns the max-RPD pattern of the trajectory.
 func (r *AdaptiveResult) BestPattern() *scan.Pattern { return r.Steps[r.Best].Pattern }
 
-// BestPair returns the drop-flagged pair with the highest significance
-// along with the critical bit (the single flip separating the two
-// patterns), or ok=false if no drop was flagged.
-func (r *AdaptiveResult) BestPair() (a, b *scan.Pattern, critical CellRef, ok bool) {
-	best := -1
-	var bestSig float64
-	for i, pc := range r.Pairs {
-		if best < 0 || pc.Significance > bestSig {
-			best, bestSig = i, pc.Significance
-		}
-	}
-	if best < 0 {
-		return nil, nil, CellRef{}, false
-	}
-	pc := r.Pairs[best]
-	return pc.A, pc.B, pc.Critical, true
-}
-
 // Adaptive runs the §IV-B flow from a seed pattern as a greedy hill climb
 // on the suspicious signal: at every step it measures every single-bit
 // scan flip of the current pattern and accepts the one with the highest

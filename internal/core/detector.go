@@ -8,6 +8,7 @@ import (
 
 	"superpose/internal/atpg"
 	"superpose/internal/netlist"
+	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/scan"
 )
@@ -166,7 +167,12 @@ func Detect(golden *netlist.Netlist, lib *power.Library, dev *Device, cfg Config
 // analyses, so a cancellation or deadline expiry aborts the run
 // mid-climb — returning ctx's error, never a report built from partial
 // measurements. With a background context it is bit-identical to Detect.
+//
+// A run holds one CPU of the process-wide budget (see parallel.Hold);
+// a long reading overlaps its golden half with its physical half on a
+// second CPU whenever the budget has one free (see Evaluator.sides).
 func DetectContext(ctx context.Context, golden *netlist.Netlist, lib *power.Library, dev *Device, cfg Config) (*Report, error) {
+	defer parallel.Hold()()
 	cfg = cfg.withDefaults()
 	if cfg.Acquisition != (AcquisitionPolicy{}) {
 		dev.SetAcquisition(cfg.Acquisition)

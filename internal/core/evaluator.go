@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"sort"
+	"time"
 
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
+	"superpose/internal/parallel"
 	"superpose/internal/power"
 	"superpose/internal/scan"
 )
@@ -44,16 +46,22 @@ type Evaluator struct {
 	noms  []float64
 	out   []Reading
 
-	// uids/umasks and nomU/sqU back the mask-level pair decomposition
-	// (analyzeLanes): the compacted unique-activity encoding of a chunk
-	// and its per-lane nominal and squared-energy sums. The strategic
-	// search decomposes one 32-pair chunk after another; only counts and
-	// sums escape, so one grown-to-high-water buffer per Evaluator serves
-	// every call without per-chunk garbage.
-	uids   []int
-	umasks []logic.Word
-	nomU   []float64
-	sqU    []float64
+	// uids/umasks, nomU/sqU and toggledN/uniqueN back the mask-level
+	// pair decomposition (decompose, analyzeLanes): the compacted
+	// unique-activity encoding of a chunk, its per-lane nominal and
+	// squared-energy sums, and its per-lane toggled and unique gate
+	// counts. The strategic search decomposes one 32-pair chunk after
+	// another; only counts and sums escape, so one grown-to-high-water
+	// buffer per Evaluator serves every call without per-chunk garbage.
+	uids     []int
+	umasks   []logic.Word
+	nomU     []float64
+	sqU      []float64
+	toggledN [64]int
+	uniqueN  [64]int
+
+	// goldenTook is how long the last golden half took (see sides).
+	goldenTook time.Duration
 
 	// sw is the workbench's sweep session (see sweep), built on first
 	// use: its flip list depends only on the scan shape, so one session
@@ -129,9 +137,11 @@ func (ev *Evaluator) Calibrate(pats []*scan.Pattern) float64 {
 			end = len(pats)
 		}
 		batch := pats[start:end]
-		observed := ev.dev.MeasureBatch(batch)
-		ids, masks := ev.toggled(batch)
-		ev.noms = ev.model.NominalLanesSparse(ids, masks, len(batch), ev.noms)
+		var observed []float64
+		ev.sides(func() { observed = ev.dev.MeasureBatch(batch) }, func() {
+			ids, masks := ev.toggled(batch)
+			ev.noms = ev.model.NominalLanesSparse(ids, masks, len(batch), ev.noms)
+		})
 		for i, nom := range ev.noms {
 			// Readings the acquisition layer could not stabilize (NaN)
 			// carry no calibration information; the median over the
@@ -221,33 +231,73 @@ func (ev *Evaluator) MeasureBatch(pats []*scan.Pattern) []Reading {
 		if end > len(pats) {
 			end = len(pats)
 		}
-		out = append(out, ev.measureChunk(pats[start:end])...)
+		out = append(out, ev.measureChunk(pats[start:end], false)...)
 	}
 	return out
 }
 
 // measureChunk measures 1..64 patterns through one launch on each side,
-// leaving the golden toggle encoding in ev.ids/ev.masks. The result is
-// scratch, valid until the next measurement.
-func (ev *Evaluator) measureChunk(pats []*scan.Pattern) []Reading {
-	return ev.readLanes(len(pats),
+// leaving the golden toggle encoding in ev.ids/ev.masks and, with pairs,
+// its decomposition (see readLanes). The result is scratch, valid until
+// the next measurement.
+func (ev *Evaluator) measureChunk(pats []*scan.Pattern, pairs bool) []Reading {
+	return ev.readLanes(len(pats), pairs,
 		func() []float64 { return ev.dev.measureChunk(pats) },
 		func() ([]int, []logic.Word) { return ev.toggled(pats) })
 }
 
+// overlapMin is the golden-half duration from which a read overlaps its
+// halves: starting the golden half on another CPU takes tens of
+// microseconds, which shorter halves do not earn back.
+const overlapMin = 100 * time.Microsecond
+
+// bothSides runs a read's physical half a on the caller and its golden
+// half b: alongside it on a borrowed CPU when long is set (see
+// parallel.Both), inline after it otherwise. The halves share no state,
+// so every schedule yields the same bits; tests swap it to pin one
+// schedule.
+var bothSides = func(long bool, a, b func()) {
+	if long {
+		parallel.Both(a, b)
+		return
+	}
+	a()
+	b()
+}
+
+// sides runs the physical and golden halves of one read, Rebase, Advance
+// or calibration chunk through bothSides. It times the golden half and
+// overlaps the halves when the previous one took at least overlapMin.
+func (ev *Evaluator) sides(phys, golden func()) {
+	bothSides(ev.goldenTook >= overlapMin, phys, func() {
+		start := time.Now()
+		golden()
+		ev.goldenTook = time.Since(start)
+	})
+}
+
 // readLanes is the one reading assembler of every 1..64-lane
-// measurement, launched (measureChunk) or swept (Sweep.MeasureLanes). In
-// order: drift tracking, the device acquisition (acquire returns the n
-// raw observations), the drift window count, the golden nominals (priced
-// from golden's sparse toggle encoding of the same lanes), then the
-// calibrated, drift-corrected Readings. The result is scratch, valid
-// until the next measurement.
-func (ev *Evaluator) readLanes(n int, acquire func() []float64, golden func() ([]int, []logic.Word)) []Reading {
-	ev.maybeTrackDrift()
-	observed := acquire()
-	ev.sinceRef += n
-	ids, masks := golden()
-	ev.noms = ev.model.NominalLanesSparse(ids, masks, n, ev.noms)
+// measurement, launched (measureChunk) or swept (Sweep.MeasureLanes).
+// Its two halves may overlap (sides). The physical half runs on the
+// caller, in order: drift tracking, the device acquisition (acquire
+// returns the n raw observations) and the drift window count. The golden
+// half prices the nominals from golden's sparse toggle encoding of the
+// same lanes and, with pairs, decomposes it for analyzeLanes. The
+// calibrated, drift-corrected Readings are assembled after the join. The
+// result is scratch, valid until the next measurement.
+func (ev *Evaluator) readLanes(n int, pairs bool, acquire func() []float64, golden func() ([]int, []logic.Word)) []Reading {
+	var observed []float64
+	ev.sides(func() {
+		ev.maybeTrackDrift()
+		observed = acquire()
+		ev.sinceRef += n
+	}, func() {
+		ids, masks := golden()
+		ev.noms = ev.model.NominalLanesSparse(ids, masks, n, ev.noms)
+		if pairs {
+			ev.decompose(ids, masks, n)
+		}
+	})
 	if cap(ev.out) < n {
 		ev.out = make([]Reading, n)
 	}

@@ -178,7 +178,7 @@ func referenceMeasureBatch(ev *Evaluator, pats []*scan.Pattern) []Reading {
 	d := ev.dev
 	for start := 0; start < len(pats); start += 64 {
 		chunk := pats[start:min(start+64, len(pats))]
-		out = append(out, ev.readLanes(len(chunk),
+		out = append(out, ev.readLanes(len(chunk), false,
 			func() []float64 {
 				pids, pmasks := referenceToggled(d.eng.Chains(), chunk, d.mode)
 				return d.measureToggled(pids, pmasks, len(chunk), patternKeys(chunk))

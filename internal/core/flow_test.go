@@ -159,6 +159,24 @@ func TestAdaptiveTrajectoryInvariants(t *testing.T) {
 	}
 }
 
+// BestPair returns the drop-flagged pair with the highest significance
+// along with the critical bit (the single flip separating the two
+// patterns), or ok=false if no drop was flagged.
+func (r *AdaptiveResult) BestPair() (a, b *scan.Pattern, critical CellRef, ok bool) {
+	best := -1
+	var bestSig float64
+	for i, pc := range r.Pairs {
+		if best < 0 || pc.Significance > bestSig {
+			best, bestSig = i, pc.Significance
+		}
+	}
+	if best < 0 {
+		return nil, nil, CellRef{}, false
+	}
+	pc := r.Pairs[best]
+	return pc.A, pc.B, pc.Critical, true
+}
+
 func TestTransitionDelta(t *testing.T) {
 	ch := scanConfig(t, 1, 8)
 	p := ch.NewPattern()

@@ -95,10 +95,9 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 			flat = append(flat, pr[0], pr[1])
 		}
 		// measureChunk prices the batch from the golden engine's sparse
-		// toggle encoding and leaves it in ev.ids/ev.masks for the
-		// decomposition.
-		readings := ev.measureChunk(flat)
-		ev.analyzeLanes(readings, ev.ids, ev.masks, out[start:start+len(group)])
+		// toggle encoding and decomposes it on the golden side.
+		readings := ev.measureChunk(flat, true)
+		ev.analyzeLanes(readings, out[start:start+len(group)])
 		for i, pr := range group {
 			out[start+i].A, out[start+i].B = pr[0], pr[1]
 		}
@@ -106,10 +105,11 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 	return out
 }
 
-// analyzeLanes fills out[i] with the superposition analysis of the pair
-// on lanes 2i (A) and 2i+1 (B) of one chunk: its readings and the golden
-// toggle encoding (ids, masks) that priced their nominals — ids the
-// ascending gate IDs of masks.
+// decompose is the golden half of the pair analysis of one chunk: from
+// the golden toggle encoding (ids, masks) of its numLanes lanes — ids the
+// ascending gate IDs of masks — it computes the unique parts' nominal
+// and squared-energy sums (ev.nomU, ev.sqU) and the per-lane toggled and
+// unique gate counts (ev.toggledN, ev.uniqueN) that analyzeLanes reads.
 //
 // The §V-A decomposition is read off the lane masks directly: with
 // u = m &^ swapAdjacentLanes(m), lane 2i of u marks the gates only A
@@ -120,8 +120,7 @@ func (ev *Evaluator) AnalyzePairs(pairs [][2]*scan.Pattern) []PairAnalysis {
 // per-lane toggle list is ever built.
 // Counts come from vertical lane counters: |A \ B| from u, and the
 // common part as |A| − |A \ B|.
-func (ev *Evaluator) analyzeLanes(readings []Reading, ids []int, masks []logic.Word, out []PairAnalysis) {
-	numLanes := len(readings)
+func (ev *Evaluator) decompose(ids []int, masks []logic.Word, numLanes int) {
 	laneMask := ^logic.Word(0)
 	if numLanes < 64 {
 		laneMask = logic.Word(1)<<uint(numLanes) - 1
@@ -136,15 +135,21 @@ func (ev *Evaluator) analyzeLanes(readings []Reading, ids []int, masks []logic.W
 	ev.uids, ev.umasks = uids, umasks
 	ev.nomU = ev.model.NominalLanesSparse(uids, umasks, numLanes, ev.nomU)
 	ev.sqU = ev.model.SumSquaresLanesSparse(uids, umasks, numLanes, ev.sqU)
-	toggled, unique := laneCounts(masks, laneMask), laneCounts(umasks, laneMask)
+	ev.toggledN, ev.uniqueN = laneCounts(masks, laneMask), laneCounts(umasks, laneMask)
+}
+
+// analyzeLanes fills out[i] with the superposition analysis of the pair
+// on lanes 2i (A) and 2i+1 (B) of one chunk: its readings and the
+// decomposition its read left behind (see decompose).
+func (ev *Evaluator) analyzeLanes(readings []Reading, out []PairAnalysis) {
 	for i := range out {
 		ra, rb := readings[2*i], readings[2*i+1]
 		a, b := 2*i, 2*i+1
 		pa := PairAnalysis{
 			ObservedA: ra.Observed, ObservedB: rb.Observed,
 			NominalA: ra.Nominal, NominalB: rb.Nominal,
-			CommonCount:  toggled[a] - unique[a],
-			AUniqueCount: unique[a], BUniqueCount: unique[b],
+			CommonCount:  ev.toggledN[a] - ev.uniqueN[a],
+			AUniqueCount: ev.uniqueN[a], BUniqueCount: ev.uniqueN[b],
 			NominalAUnique: ev.nomU[a],
 			NominalBUnique: ev.nomU[b],
 			UniqueEnergySq: ev.sqU[a] + ev.sqU[b],

@@ -34,11 +34,6 @@ type Sweep struct {
 	phys   *scan.Sweeper
 	a, b   *scan.Pattern // the base pair
 	pairs  []PairAnalysis
-
-	// The golden encoding of the last read, which AnalyzeLanes
-	// decomposes into pair activity.
-	gids   []int
-	gmasks []logic.Word
 }
 
 // sweep returns the Evaluator's sweep session, building it on first use
@@ -86,14 +81,9 @@ func (s *Sweep) Close() {
 // patterns are captured by reference; callers must Rebase again after
 // mutating one.
 func (s *Sweep) Rebase(a, b *scan.Pattern) error {
-	if err := s.golden.Rebase(a, b); err != nil {
-		return err
-	}
-	if err := s.phys.Rebase(a, b); err != nil {
-		return err
-	}
-	s.a, s.b = a, b
-	return nil
+	return s.both(a, b,
+		func() error { return s.phys.Rebase(a, b) },
+		func() error { return s.golden.Rebase(a, b) })
 }
 
 // Advance incrementally rebases both sides onto the pair (a, b), which
@@ -103,11 +93,22 @@ func (s *Sweep) Rebase(a, b *scan.Pattern) error {
 // launching the full netlist twice).
 func (s *Sweep) Advance(flipped CellRef, a, b *scan.Pattern) error {
 	f := scan.Flip{Chain: flipped.Chain, Index: flipped.Index}
-	if err := s.golden.Advance(f); err != nil {
-		return err
+	return s.both(a, b,
+		func() error { return s.phys.Advance(f) },
+		func() error { return s.golden.Advance(f) })
+}
+
+// both runs a base transition's physical and golden sides as a read's
+// halves (see Evaluator.sides) and, if both succeed, moves the base pair
+// to (a, b). The golden side's error is reported first.
+func (s *Sweep) both(a, b *scan.Pattern, phys, golden func() error) error {
+	var perr, gerr error
+	s.ev.sides(func() { perr = phys() }, func() { gerr = golden() })
+	if gerr != nil {
+		return gerr
 	}
-	if err := s.phys.Advance(f); err != nil {
-		return err
+	if perr != nil {
+		return perr
 	}
 	s.a, s.b = a, b
 	return nil
@@ -130,6 +131,12 @@ func (s *Sweep) Advance(flipped CellRef, a, b *scan.Pattern) error {
 // different stimuli, exactly as the materialized clones do. The returned
 // slice is scratch, valid until the next measurement.
 func (s *Sweep) MeasureLanes(pats []*scan.Pattern, lanes []int) []Reading {
+	return s.measureLanes(pats, lanes, false)
+}
+
+// measureLanes is MeasureLanes, with pairs also decomposing the golden
+// encoding for analyzeLanes (see readLanes).
+func (s *Sweep) measureLanes(pats []*scan.Pattern, lanes []int, pairs bool) []Reading {
 	if s.a == nil {
 		panic("core: Sweep.MeasureLanes before Rebase")
 	}
@@ -146,15 +153,12 @@ func (s *Sweep) MeasureLanes(pats []*scan.Pattern, lanes []int) []Reading {
 			return readingKey{pat: base, chain: cr.Chain, index: cr.Index, sweep: true}
 		}
 	}
-	return s.ev.readLanes(len(lanes),
+	return s.ev.readLanes(len(lanes), pairs,
 		func() []float64 {
 			ids, masks := s.phys.RunLanes(lanes)
 			return s.ev.dev.measureToggled(ids, masks, len(lanes), key)
 		},
-		func() ([]int, []logic.Word) {
-			s.gids, s.gmasks = s.golden.RunLanes(lanes)
-			return s.gids, s.gmasks
-		})
+		func() ([]int, []logic.Word) { return s.golden.RunLanes(lanes) })
 }
 
 // AnalyzeLanes reads a lane map through MeasureLanes and returns the
@@ -168,13 +172,13 @@ func (s *Sweep) AnalyzeLanes(pats []*scan.Pattern, lanes []int) []PairAnalysis {
 	if len(lanes)%2 != 0 {
 		panic("core: Sweep.AnalyzeLanes over an odd number of lanes")
 	}
-	readings := s.MeasureLanes(pats, lanes)
+	readings := s.measureLanes(pats, lanes, true)
 	n := len(lanes) / 2
 	if cap(s.pairs) < n {
 		s.pairs = make([]PairAnalysis, n)
 	}
 	pairs := s.pairs[:n]
-	s.ev.analyzeLanes(readings, s.gids, s.gmasks, pairs)
+	s.ev.analyzeLanes(readings, pairs)
 	if pats != nil {
 		for i := range pairs {
 			pairs[i].A, pairs[i].B = pats[2*i], pats[2*i+1]

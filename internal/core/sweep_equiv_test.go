@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"superpose/internal/netlist"
 	"superpose/internal/power"
 	"superpose/internal/scan"
 	"superpose/internal/stats"
@@ -58,6 +59,25 @@ func sweepEquivMatrix() []sweepEquivConfig {
 // needs its own stack; two calls build identically seeded twins.
 func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Pattern) {
 	t.Helper()
+	dev, host, lib := sweepEquivDevice(t, cfg)
+	ev := NewEvaluator(host, lib, dev, 4, cfg.mode)
+	rng := stats.NewRNG(17)
+	seed := ev.Chains().RandomPattern(rng)
+	if cfg.calibrate {
+		cal := []*scan.Pattern{seed, ev.Chains().RandomPattern(rng)}
+		ev.Calibrate(cal)
+	}
+	if cfg.drift {
+		ev.SetDriftReference(ev.Chains().RandomPattern(rng))
+	}
+	return ev, seed
+}
+
+// sweepEquivDevice builds the device of one regime — chip, noise,
+// acquisition policy and tester fault model — and returns it with the
+// golden netlist and library it is certified against.
+func sweepEquivDevice(t testing.TB, cfg sweepEquivConfig) (*Device, *netlist.Netlist, *power.Library) {
+	t.Helper()
 	inst, err := trust.Build(trust.Case{Benchmark: "s35932", Trojan: "T200"}, 0.04)
 	if err != nil {
 		t.Fatal(err)
@@ -85,17 +105,7 @@ func sweepEquivStack(t testing.TB, cfg sweepEquivConfig) (*Evaluator, *scan.Patt
 		}
 		dev.SetFaultModel(tester.New(tc))
 	}
-	ev := NewEvaluator(inst.Host, lib, dev, 4, cfg.mode)
-	rng := stats.NewRNG(17)
-	seed := ev.Chains().RandomPattern(rng)
-	if cfg.calibrate {
-		cal := []*scan.Pattern{seed, ev.Chains().RandomPattern(rng)}
-		ev.Calibrate(cal)
-	}
-	if cfg.drift {
-		ev.SetDriftReference(ev.Chains().RandomPattern(rng))
-	}
-	return ev, seed
+	return dev, inst.Host, lib
 }
 
 // sweepTwinWalk walks adaptive climbs on two identically seeded stacks:

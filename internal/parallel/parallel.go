@@ -1,7 +1,11 @@
 // Package parallel is the deterministic bounded fan-out engine behind
 // every hot loop of the certification flow: lot certification fans out
 // per die, the experiment harness per benchmark case, and ATPG fault
-// simulation per fault shard.
+// simulation per fault shard. Within one die, Both overlaps the golden
+// and physical halves of a reading on a CPU borrowed from a
+// process-wide budget of GOMAXPROCS units, of which every running
+// certification holds one (Hold): a lone die gets a second core, while
+// dies that fill the cores run each reading inline.
 //
 // The engine's contract, which the equivalence test suites of the core
 // and atpg packages pin down byte-for-byte:
@@ -21,6 +25,10 @@
 //     propagated.
 //   - Context cancellation: a cancelled ctx stops dispatch; items
 //     already running finish and their results are discarded.
+//   - Joined overlap: Both returns only after both halves finish, so no
+//     helper goroutine outlives the call, and a panic in the borrowed
+//     half is re-raised on the caller — inside an item, as that item's
+//     *PanicError.
 package parallel
 
 import (
